@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -37,15 +36,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def max_threads() -> int:
-    """Parallelism cap from POLYGREEN_THREADS (default 1)."""
-    raw = os.environ.get("POLYGREEN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------

@@ -69,22 +69,8 @@ def torus_mass(
         )
     if params.n != geometry.n:
         raise DomainError("params and geometry dimensions differ")
-    diag = euclid_remainder_at_zero(params)
-    bound = lambda r: euclid.kernel_alpha_array(params, r)
-    cap = torus._box_cap(geometry.n)
-    m_max = 1
-    while torus._certified_tail(bound, geometry, m_max) > tol:
-        m_max += 1
-        if m_max > cap:
-            raise DomainError(
-                f"image tail does not reach tol={tol:g} within budget; "
-                f"alpha={params.alpha} too small for L={geometry.L}"
-            )
-    shifts = geometry.L * torus._lattice_box(geometry.n, m_max)
-    radii = np.linalg.norm(shifts, axis=1)
-    nonzero = radii > 0
-    images = float(np.sum(euclid.kernel_alpha_array(params, radii[nonzero])))
-    return diag + images
+    images, _ = torus._image_sum(params, geometry, np.zeros((1, geometry.n)), tol)
+    return euclid_remainder_at_zero(params) + float(images[0])
 
 
 @dataclass

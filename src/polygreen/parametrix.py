@@ -327,30 +327,6 @@ def gamma_iterate(
     return fields
 
 
-def correction_layers(
-    gammas: list[torus.TorusField], h_profile: HProfile
-) -> list[torus.TorusField]:
-    """Layers G^i = Gamma^(i) * H via the spectral product with semi-analytic Hhat."""
-    if not gammas:
-        return []
-    geom = gammas[0].geometry
-    m = gammas[0].grid_size
-    h_hat = _hat_on_modes(h_profile.fourier, geom, m)
-    layers = []
-    for g in gammas:
-        layer_hat = np.fft.fftn(g.values) * h_hat
-        layers.append(torus.TorusField(geom, m, np.real(np.fft.ifftn(layer_hat))))
-    return layers
-
-
-def _hat_on_modes(fourier: Callable[[np.ndarray], np.ndarray], geom, m: int) -> np.ndarray:
-    """Map a radial Fourier transform onto the full m^n mode grid."""
-    qsq = torus._mode_norm_sq(geom.n, m)
-    xi = 2.0 * math.pi / geom.L * np.sqrt(qsq)
-    uniq, inverse = np.unique(np.round(xi, 10), return_inverse=True)
-    return fourier(uniq)[inverse].reshape(qsq.shape)
-
-
 # ---------------------------------------------------------------------------
 # Steps 3 and 4: remainder solve and assembly
 # ---------------------------------------------------------------------------
@@ -548,13 +524,11 @@ def assemble_and_compare(
     chosen = candidates[rng.choice(len(candidates), size=take, replace=False)]
     approx = state.green_values()
     coords = torus.grid_coordinates(geom, m)
+    displacements = coords[chosen]
+    oracles = torus.green_lattice_sum_many(state.params, geom, displacements, tol=1e-14)
     worst = None
     max_rel = 0.0
-    for idx in chosen:
-        u_vec = np.array([coords[i] for i in idx])
-        oracle, _ = torus.green_lattice_sum(
-            state.params, geom, np.zeros(geom.n), u_vec, tol=1e-14
-        )
+    for idx, u_vec, oracle in zip(chosen, displacements, oracles.tolist()):
         got = approx[tuple(idx)]
         rel = abs(got - oracle) / abs(oracle)
         if rel > max_rel:

@@ -18,7 +18,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -123,28 +123,83 @@ def _box_cap(n: int) -> int:
     return max(3, int(0.5 * ((3.0e6) ** (1.0 / n) - 1.0)))
 
 
+# Kernel points per call of the batched image sum.  It bounds the scratch
+# arrays, including the integer-order Bessel quadrature's 641 nodes per point.
+_BLOCK_ELEMENTS = 1 << 14
+
+
 def _certified_tail(
-    bound_at: Callable[[np.ndarray], np.ndarray],
-    geometry: TorusGeometry,
-    m_max: int,
-    shells: int = 200,
+    params: ProblemParams, geometry: TorusGeometry, m_max: int, shells: int = 200
 ) -> float:
     """Upper bound on the images dropped beyond sup-norm radius m_max.
 
-    Images with sup-norm j sit at distance >= L (j - 1/2); ``bound_at`` must
-    be nonincreasing in r.
+    Images with sup-norm j sit at distance >= L (j - 1/2) and the kernel is
+    decreasing, so the shell terms t_j = c_j G_alpha(L (j - 1/2)) bound the
+    tail.  ``shells`` of them are summed explicitly and the rest is closed
+    by a geometric series.  G_alpha is a multiple of r^{-nu} K_nu(sqrt(alpha) r)
+    with nu = n/2 - k >= 1/2, whose logarithmic derivative is
+    -sqrt(alpha) K_{nu+1} / K_nu <= -sqrt(alpha), so consecutive shells
+    shrink by at least e^{-sqrt(alpha) L}.  The shell count
+    c_j = int_{2j-1}^{2j+1} n x^{n-1} dx is log-concave in j (Prekopa), so
+    c_{j+1} / c_j is nonincreasing.  Hence t_{j+1} / t_j <= rho_J for every
+    j >= J, where rho_J = e^{-sqrt(alpha) L} c_{J+1} / c_J, and the terms past
+    the last explicit shell J add at most t_J rho_J / (1 - rho_J).  The bound
+    is infinite when rho_J >= 1.
     """
-    js = np.arange(m_max + 1, m_max + 1 + shells)
-    radii = geometry.L * (js - 0.5)
-    vals = bound_at(radii)
-    counts = np.array([_shell_count(geometry.n, int(j)) for j in js], dtype=float)
-    terms = counts * vals
-    total = 0.0
-    for t in terms:
-        total += t
-        if t < 1e-3 * max(total, 1e-300):
-            break
-    return float(total)
+    n, L = geometry.n, geometry.L
+    js = np.arange(m_max + 1, m_max + 2 + shells)
+    counts = np.array([_shell_count(n, int(j)) for j in js], dtype=float)
+    terms = counts[:-1] * euclid.kernel_alpha_array(params, L * (js[:-1] - 0.5))
+    rho = math.exp(-params.sqrt_alpha * L) * counts[-1] / counts[-2]
+    if rho >= 1.0:
+        return math.inf
+    return float(np.sum(terms) + terms[-1] * rho / (1.0 - rho))
+
+
+@lru_cache(maxsize=256)
+def image_radius(params: ProblemParams, geometry: TorusGeometry, tol: float) -> tuple[int, float]:
+    """Smallest sup-norm image radius m >= 1 whose certified tail is <= tol.
+
+    Returns (m, tail bound).  Raises BudgetError, carrying the tail bound at
+    the cap, when no radius within the image budget reaches tol (small alpha
+    on a small torus).
+    """
+    cap = _box_cap(geometry.n)
+    for m_max in range(1, cap + 1):
+        tail = _certified_tail(params, geometry, m_max)
+        if tail <= tol:
+            return m_max, tail
+    raise BudgetError(
+        f"lattice tail {tail:g} above tol {tol:g} at image radius cap "
+        f"{cap}; alpha = {params.alpha} too small for this budget",
+        best_estimate=None,
+        error_estimate=tail,
+    )
+
+
+def _image_sum(
+    params: ProblemParams, geometry: TorusGeometry, V: np.ndarray, tol: float
+) -> tuple[np.ndarray, float]:
+    """sum_m G_alpha(|v + L m|) over the certified image box, per row v of V.
+
+    Returns (values, tail bound).  Images at distance 0 contribute 0, so a
+    row on the lattice gives the sum over the other images.
+    """
+    m_max, tail = image_radius(params, geometry, tol)
+    shifts = geometry.L * _lattice_box(geometry.n, m_max)
+    rows = max(1, _BLOCK_ELEMENTS // len(shifts))
+    out = np.empty(len(V))
+    for start in range(0, len(V), rows):
+        block = V[start : start + rows]
+        radii = np.sqrt(
+            sum((block[:, a, None] + shifts[None, :, a]) ** 2 for a in range(geometry.n))
+        )
+        zero = radii == 0.0
+        radii[zero] = 1.0
+        vals = euclid.kernel_alpha_array(params, radii)
+        vals[zero] = 0.0
+        out[start : start + rows] = np.sum(vals, axis=1)
+    return out, tail
 
 
 def green_lattice_sum(
@@ -165,30 +220,8 @@ def green_lattice_sum(
     d, v = torus_distance(geometry, x, y)
     if d == 0.0:
         raise DomainError("Green's function is singular on the diagonal x = y")
-    return _lattice_sum_displacement(params, geometry, v, tol)
-
-
-def _lattice_sum_displacement(
-    params: ProblemParams, geometry: TorusGeometry, v: np.ndarray, tol: float
-) -> tuple[float, float]:
-    bound = lambda r: euclid.kernel_alpha_array(params, r)
-    cap = _box_cap(geometry.n)
-    m_max = 1
-    tail = _certified_tail(bound, geometry, m_max)
-    while tail > tol:
-        m_max += 1
-        if m_max > cap:
-            raise BudgetError(
-                f"lattice tail {tail:g} above tol {tol:g} at image radius cap "
-                f"{cap}; alpha = {params.alpha} too small for this budget",
-                best_estimate=None,
-                error_estimate=tail,
-            )
-        tail = _certified_tail(bound, geometry, m_max)
-    w = v[None, :] + geometry.L * _lattice_box(geometry.n, m_max)
-    radii = np.linalg.norm(w, axis=1)
-    value = float(np.sum(euclid.kernel_alpha_array(params, radii)))
-    return value, tail
+    values, tail = _image_sum(params, geometry, v[None, :], tol)
+    return float(values[0]), tail
 
 
 def green_lattice_sum_many(
@@ -197,20 +230,21 @@ def green_lattice_sum_many(
     displacements: np.ndarray,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Lattice sums for a batch of displacement vectors (no zero rows allowed)."""
+    """Lattice sums for a batch of displacement rows y - x.
+
+    Each row is reduced to its nearest representative, as in
+    ``torus_distance``; rows on the lattice (the diagonal) are rejected.
+    """
+    if params.n != geometry.n:
+        raise DomainError("params and geometry dimensions differ")
     v = np.asarray(displacements, dtype=float)
-    bound = lambda r: euclid.kernel_alpha_array(params, r)
-    cap = _box_cap(geometry.n)
-    m_max = 1
-    while _certified_tail(bound, geometry, m_max) > tol:
-        m_max += 1
-        if m_max > cap:
-            raise BudgetError("lattice tail above tolerance at image budget cap")
-    out = np.zeros(v.shape[0])
-    for shift in geometry.L * _lattice_box(geometry.n, m_max):
-        radii = np.linalg.norm(v + shift[None, :], axis=1)
-        out += euclid.kernel_alpha_array(params, radii)
-    return out
+    if v.ndim != 2 or v.shape[1] != geometry.n:
+        raise DomainError(f"displacements must be rows of {geometry.n}-vectors")
+    L = geometry.L
+    v = np.mod(v + L / 2.0, L) - L / 2.0
+    if not np.all(np.any(v != 0.0, axis=1)):
+        raise DomainError("Green's function is singular on the diagonal x = y")
+    return _image_sum(params, geometry, v, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +287,13 @@ def spectral_solve(
         return TorusField(geometry, field.grid_size, vals)
     if grid is None:
         raise DomainError("grid size required when phi is a mode dictionary")
-    coords = grid_coordinates(geometry, grid)
-    vals = np.zeros((grid,) * geometry.n, dtype=complex)
+    u_hat = {}
     for q, coeff in phi.items():
         if len(q) != geometry.n:
             raise DomainError(f"mode {q} does not match dimension {geometry.n}")
-        mult = _multiplier(params, geometry, float(sum(c * c for c in q)))
-        phase = np.array([1.0 + 0.0j])
-        for axis in range(geometry.n):
-            ax_phase = np.exp(2j * math.pi * q[axis] * coords / geometry.L)
-            shape = [1] * geometry.n
-            shape[axis] = grid
-            phase = phase * ax_phase.reshape(shape)
-        vals = vals + (coeff / mult) * phase
-    return TorusField(geometry, grid, np.real(vals))
+        u_hat[q] = coeff / _multiplier(params, geometry, float(sum(c * c for c in q)))
+    vals = eval_modes_on_grid(geometry, u_hat, grid, np.zeros(geometry.n))
+    return TorusField(geometry, grid, vals)
 
 
 def solve_value_at(params: ProblemParams, geometry: TorusGeometry, phi: dict, x) -> float:
@@ -371,28 +398,13 @@ def representation_check(
     # displacement grid mapped to nearest representatives
     coords = grid_coordinates(geometry, m)
     reps = np.mod(coords + L / 2.0, L) - L / 2.0
-    mesh = np.meshgrid(*([reps] * n), indexing="ij")
-    dist_sq = sum(g * g for g in mesh)
-    dist = np.sqrt(dist_sq)
+    rows = np.stack(np.meshgrid(*([reps] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    dist = np.sqrt(sum(rows[:, a] ** 2 for a in range(n))).reshape((m,) * n)
 
-    # periodised kernel on the grid
-    bound = lambda r: euclid.kernel_alpha_array(params, r)
-    m_img = 1
-    while _certified_tail(bound, geometry, m_img) > tol:
-        m_img += 1
-        if m_img > _box_cap(n):
-            raise BudgetError("image budget exceeded in representation check")
-    smooth = np.zeros_like(dist)
+    # periodised kernel on the grid; the diagonal cell sums the nonzero images
+    smooth = _image_sum(params, geometry, rows, tol)[0].reshape((m,) * n)
+    del rows  # frees m^n x n floats before the mode evaluation below
     zero_mask = dist == 0.0
-    for shift in (L * _lattice_box(n, m_img)):
-        w = np.sqrt(sum((g + s) ** 2 for g, s in zip(mesh, shift)))
-        if np.any(w == 0.0):
-            inner = np.where(w == 0.0, 1.0, w)
-            vals = euclid.kernel_alpha_array(params, inner)
-            vals[w == 0.0] = 0.0
-            smooth += vals
-        else:
-            smooth += euclid.kernel_alpha_array(params, w)
     # subtract the cutoff parametrix; diagonal cell gets the analytic limit
     safe = np.where(zero_mask, 1.0, dist)
     smooth -= np.where(zero_mask, 0.0, cut.chi(safe) * c * safe ** (-gap))
@@ -455,13 +467,16 @@ def symmetry_positivity_scan(
         pairs = [(p[0], p[1]) for p in pts if np.linalg.norm(p[0] - p[1]) > 0]
     else:
         pairs = list(sample_pairs)
+    shape = (len(pairs), geometry.n)
+    xs = np.array([p[0] for p in pairs], dtype=float).reshape(shape)
+    ys = np.array([p[1] for p in pairs], dtype=float).reshape(shape)
+    forward = green_lattice_sum_many(params, geometry, ys - xs, tol).tolist()
+    backward = green_lattice_sum_many(params, geometry, xs - ys, tol).tolist()
     min_value = math.inf
     max_asym = 0.0
     underflow = 0
     failures = []
-    for xx, yy in pairs:
-        g_xy, _ = green_lattice_sum(params, geometry, xx, yy, tol=tol)
-        g_yx, _ = green_lattice_sum(params, geometry, yy, xx, tol=tol)
+    for xx, yy, g_xy, g_yx in zip(xs, ys, forward, backward):
         asym = abs(g_xy - g_yx)
         max_asym = max(max_asym, asym)
         if g_xy == 0.0:
@@ -494,12 +509,7 @@ def _directional_derivatives(
     """d^l/dt^l of t -> sum_m f(|t vhat + L m|) at t = |v|, term by term."""
     d = float(np.linalg.norm(v))
     vhat = v / d
-    bound = lambda r: euclid.kernel_alpha_array(params, r)
-    m_max = 1
-    while _certified_tail(bound, geometry, m_max) > tol:
-        m_max += 1
-        if m_max > _box_cap(geometry.n):
-            raise BudgetError("image budget exceeded in derivative evaluation")
+    m_max, _ = image_radius(params, geometry, tol)
     shifts = geometry.L * _lattice_box(geometry.n, m_max + 1)
     w = v[None, :] + shifts
     s = np.linalg.norm(w, axis=1)
@@ -547,12 +557,7 @@ def green_gradient(
     d, v = torus_distance(geometry, x, y)
     if d == 0.0:
         raise DomainError("gradient singular on the diagonal")
-    bound = lambda r: euclid.kernel_alpha_array(params, r)
-    m_max = 1
-    while _certified_tail(bound, geometry, m_max) > tol:
-        m_max += 1
-        if m_max > _box_cap(geometry.n):
-            raise BudgetError("image budget exceeded in gradient evaluation")
+    m_max, _ = image_radius(params, geometry, tol)
     w = v[None, :] + geometry.L * _lattice_box(geometry.n, m_max + 1)
     s = np.linalg.norm(w, axis=1)
     f1 = euclid.evaluate_terms_array(euclid.kernel_gradient_terms(params, 1), params.sqrt_alpha, s)

@@ -191,13 +191,6 @@ class TestExitCodes:
         assert json.loads(out)["schema"] == "polygreen-report/1"
 
 
-def test_threads_env(monkeypatch):
-    monkeypatch.setenv("POLYGREEN_THREADS", "4")
-    assert cli.max_threads() == 4
-    monkeypatch.setenv("POLYGREEN_THREADS", "junk")
-    assert cli.max_threads() == 1
-
-
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "polygreen.cli", "kernel", "eval",

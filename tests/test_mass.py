@@ -6,7 +6,7 @@ import math
 import pytest
 
 from polygreen import mass
-from polygreen.errors import DomainError
+from polygreen.errors import BudgetError, DomainError
 from polygreen.params import ProblemParams
 from polygreen.torus import TorusGeometry
 
@@ -55,6 +55,10 @@ class TestTorusMass:
         a = mass.torus_mass(p, G3, x=[0.1, 0.2, 0.3])
         b = mass.torus_mass(p, G3, x=[0.7, 0.9, 0.05])
         assert a == pytest.approx(b, abs=1e-12)
+
+    def test_budget_exhaustion_is_typed(self):
+        with pytest.raises(BudgetError):
+            mass.torus_mass(ProblemParams(3, 1, 1e-6), G3)
 
     def test_image_contribution_exponentially_small(self):
         # the lattice part of mu is O(e^{-sqrt(alpha) L}); computed directly

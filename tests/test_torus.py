@@ -92,13 +92,34 @@ class TestLatticeSum:
         with pytest.raises(BudgetError):
             torus.green_lattice_sum(p, G3, np.zeros(3), np.array([0.5, 0, 0]), tol=1e-10)
 
-    def test_batch_matches_single(self):
-        p = ProblemParams(3, 1, 300.0)
-        vs = np.array([[0.2, 0.1, 0.05], [0.4, 0.4, 0.1]])
-        batch = torus.green_lattice_sum_many(p, G3, vs, tol=1e-12)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_batch_matches_single(self, n):
+        p = ProblemParams(n, 1, 300.0)
+        geom = torus.TorusGeometry(n, 1.0)
+        # the last row sits on the half-period boundary
+        vs = np.array([[0.2, 0.1, 0.05, 0.3], [0.4, 0.4, 0.1, -0.2], [0.5, 0.1, 0.0, 0.25]])[:, :n]
+        batch = torus.green_lattice_sum_many(p, geom, vs, tol=1e-12)
         for row, v in zip(batch, vs):
-            single, _ = torus.green_lattice_sum(p, G3, np.zeros(3), v, tol=1e-12)
-            assert row == pytest.approx(single, rel=1e-12)
+            single, _ = torus.green_lattice_sum(p, geom, np.zeros(n), v, tol=1e-12)
+            assert row == pytest.approx(single, rel=1e-14)
+
+    @pytest.mark.parametrize("diagonal_row", [[0.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
+    def test_batch_rejects_diagonal(self, diagonal_row):
+        p = ProblemParams(3, 1, 300.0)
+        vs = np.array([[0.2, 0.1, 0.05], diagonal_row])
+        with pytest.raises(DomainError):
+            torus.green_lattice_sum_many(p, G3, vs)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 1.0])
+    def test_tail_bound_dominates_shell_series(self, alpha):
+        # at image radius 1 the certified tail must bound the whole shell
+        # series sum_{j >= 2} c_j G(L (j - 1/2)), here summed to 20000 shells
+        p = ProblemParams(3, 1, alpha)
+        _, tail = torus.green_lattice_sum(p, G3, np.zeros(3), np.array([0.5, 0, 0]), tol=math.inf)
+        js = np.arange(2, 20002)
+        counts = ((2 * js + 1) ** 3 - (2 * js - 1) ** 3).astype(float)
+        series = float(np.sum(counts * euclid.kernel_alpha_array(p, G3.L * (js - 0.5))))
+        assert tail >= series
 
     def test_near_diagonal_expansion(self):
         # |G d^{n-2k} / c_{n,k} - 1| <= C eta(sqrt(alpha) d), alpha-stable C
