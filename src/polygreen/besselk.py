@@ -110,18 +110,24 @@ _MID_T = math.acosh(1.0 + 46.0 / _SERIES_CUT) + 0.25
 _MID_N = 640
 _MID_NODES = np.linspace(0.0, _MID_T, _MID_N + 1)
 _MID_COSHM1 = np.cosh(_MID_NODES) - 1.0
-_MID_COSH_T = np.cosh(_MID_NODES)
 _MID_W = np.full(_MID_N + 1, _MID_T / _MID_N)
 _MID_W[0] *= 0.5
 _MID_W[-1] *= 0.5
+_MID_W_COSH = _MID_W * np.cosh(_MID_NODES)
+
+
+# Points per block of the (points x nodes) integrand table, so its memory
+# stays at _MID_BLOCK * (_MID_N + 1) doubles (5 MB) whatever the input size.
+_MID_BLOCK = 1024
 
 
 def _k01_mid_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scaled (e^x K_0, e^x K_1) by quadrature, for the 6 < x < 16 band."""
+    if x.size > _MID_BLOCK:
+        blocks = [_k01_mid_scaled(x[i : i + _MID_BLOCK]) for i in range(0, x.size, _MID_BLOCK)]
+        return tuple(np.concatenate(part) for part in zip(*blocks))
     expf = np.exp(-np.outer(x, _MID_COSHM1))
-    k0 = expf @ _MID_W
-    k1 = expf @ (_MID_W * _MID_COSH_T)
-    return k0, k1
+    return expf @ _MID_W, expf @ _MID_W_COSH
 
 
 def _k_asym_scaled(twice_nu: int, x: np.ndarray) -> np.ndarray:

@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Green's functions of (Delta + alpha)^k: kernels, envelopes, torus, parametrix, mass",
     )
     parser.add_argument("--config", type=str, default=None,
-                        help="JSON file of defaults merged under the CLI flags")
+                        help="JSON file of flag values; flags given on the command line win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     kernel = sub.add_parser("kernel").add_subparsers(dest="sub", required=True)
@@ -422,21 +422,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            defaults = json.load(fh)
-        for key, value in defaults.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
+def _flags(parser: argparse.ArgumentParser):
+    """Every option of the parser and its subcommands except --config/--help."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _flags(sub)
+        elif action.option_strings and action.dest not in ("config", "help"):
+            yield action
+
+
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> dict:
+    """Make the keys of a JSON config file the defaults of the flags they name.
+
+    A flag given on the command line still wins; a required flag named in
+    the config becomes optional.
+    """
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise UsageError(f"config {path} must hold a JSON object")
+    for action in _flags(parser):
+        if action.dest in config:
+            value = config[action.dest]
+            if action.choices is not None and value not in action.choices:
+                raise UsageError(f"config key {action.dest!r}: invalid choice {value!r}")
+            # string defaults go through the flag's type conversion
+            action.default = value if action.type is None else str(value)
+            action.required = False
+    return config
+
+
+# Reads only --config, before the full parse, so that config keys can stand
+# in for required flags.
+_CONFIG_PARSER = _Parser(add_help=False)
+_CONFIG_PARSER.add_argument("--config", type=str, default=None)
+
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """Parse the command line: explicit flag > --config key > parser default.
+
+    A config key that names no flag of the chosen command is a usage error.
+    """
+    parser = build_parser()
+    path = _CONFIG_PARSER.parse_known_args(argv)[0].config
+    config = _apply_config(parser, path) if path else {}
+    args = parser.parse_args(argv)
+    flags = set(vars(args)) - {"func", "command", "sub", "config"}
+    unknown = sorted(set(config) - flags)
+    if unknown:
+        raise UsageError(f"unknown config keys for this command: {', '.join(unknown)}")
     return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _merge_config(args)
+        args = parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -18,8 +18,11 @@ Two numerical routes are provided for the convolutions:
   by semi-analytic radial quadrature exactly like Hhat (the error field is
   a sharp annulus shell whose pointwise samples alias badly, while its
   radial Fourier transform is cheap at any band), so the convolution
-  theorem applies without discretisation error and fields are materialised
-  from coefficients at twice the pipeline band.
+  theorem applies without discretisation error.  Fields carry twice the
+  grid's band: the coefficients are radial, hence tables indexed by the
+  integer |q|^2, and each field folds them onto the grid (every grid mode
+  sums its aliases) before one transform at the grid size, which gives the
+  band-2 field at the grid points.
 
 The error field itself comes from a closed radial operator algebra: on the
 annulus every intermediate is a finite sum q(u) r^{p} K_{m}(sqrt(alpha) r)
@@ -29,6 +32,7 @@ division by r keep that form, so (Delta + alpha)^k applies exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -371,6 +375,32 @@ class ParametrixState:
         return vals
 
 
+def _sums_of_squares(n: int, h: int) -> np.ndarray:
+    """Sorted distinct values of q_1^2 + ... + q_n^2 over integers |q_a| <= h."""
+    squares = np.arange(h + 1) ** 2
+    sums = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        sums = np.flatnonzero(np.bincount(np.add.outer(sums, squares).ravel()))
+    return sums
+
+
+def _alias_mode_norms(n: int, m: int, band: int) -> list[np.ndarray]:
+    """|q|^2 of every alias q of the m-grid rfft modes in the band*m spectrum.
+
+    Keeping every band-th sample of a field transformed at band*m equals
+    transforming at m the coefficients summed over the band^n band*m-grid
+    indices congruent to each m-grid index; one integer array per alias.
+    """
+    big = band * m
+    freq_sq = np.fft.fftfreq(big, d=1.0 / big).astype(np.intp) ** 2
+    layout = [np.arange(m)] * (n - 1) + [np.arange(m // 2 + 1)]
+    aliases = []
+    for shift in itertools.product(range(band), repeat=n):
+        parts = [freq_sq[idx + m * t] for idx, t in zip(layout, shift)]
+        aliases.append(sum(np.ix_(*parts)))
+    return aliases
+
+
 def _fields_from_coefficients(
     params: ProblemParams,
     geometry: torus.TorusGeometry,
@@ -378,44 +408,46 @@ def _fields_from_coefficients(
     h_profile: HProfile,
     m: int,
     depth: int,
+    band: int,
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Materialise Gamma iterates, layers and u at grid m from exact coefficients.
+    """Gamma iterates, layers and u at grid m from exact band*m coefficients.
 
-    The rfft half-spectrum layout keeps memory at one complex array of shape
-    (m, ..., m/2+1).  Layers are support-zeroed outside d > (i+1) tau0 where
-    they vanish identically (support additivity), removing series ringing.
+    Coefficients are radial, so each is a table indexed by the integer
+    |q|^2 of the band*m spectrum (transforms are evaluated only at the
+    distinct values); folding the table onto the m-grid rfft layout and
+    transforming at m gives the band*m field at every band-th sample.
+    Layers are support-zeroed outside d > (i+1) tau0 where they vanish
+    identically (support additivity), removing series ringing.
     """
     n = geometry.n
     L = geometry.L
-    freqs = [np.fft.fftfreq(m, d=1.0 / m)] * (n - 1) + [np.fft.rfftfreq(m, d=1.0 / m)]
-    grids = np.meshgrid(*freqs, indexing="ij")
-    qsq = sum(g * g for g in grids)
-    del grids
-    xi = 2.0 * math.pi / L * np.sqrt(qsq)
-    uniq, inverse = np.unique(np.round(xi, 10), return_inverse=True)
-    lhat_u = error_field_fourier(params, cutoff, uniq)
-    hhat_u = h_profile.fourier(uniq)
+    sums = _sums_of_squares(n, (band * m) // 2)
+    xi = 2.0 * math.pi / L * np.sqrt(sums)
+    lhat = np.zeros(sums[-1] + 1)
+    hhat = np.zeros(sums[-1] + 1)
+    lhat[sums] = error_field_fourier(params, cutoff, xi)
+    hhat[sums] = h_profile.fourier(xi)
+    aliases = _alias_mode_norms(n, m, band)
     scale = (m / L) ** n
 
-    def materialise(coef_u: np.ndarray) -> np.ndarray:
-        coef = coef_u[inverse].reshape(xi.shape).astype(complex)
+    def materialise(table: np.ndarray) -> np.ndarray:
+        coef = sum(table[qsq] for qsq in aliases)
         return np.fft.irfftn(coef, s=(m,) * n, axes=tuple(range(n))) * scale
 
     dist = _displacement_distances(geometry, m)
     gammas = []
     layers = []
-    cur = -lhat_u
+    cur = -lhat
     for i in range(1, depth + 1):
         gammas.append(materialise(cur))
         if i < depth:
-            layer = materialise(cur * hhat_u)
+            layer = materialise(cur * hhat)
             layer[dist > (i + 1) * cutoff.tau0] = 0.0
             layers.append(layer)
-        if i < depth:
-            cur = cur * (-lhat_u)
-    # uniq holds xi = 2 pi |q| / L, so the mode multiplier is (xi^2 + alpha)^k
-    mult_u = (uniq**2 + params.alpha) ** params.k
-    u_vals = materialise(cur / mult_u)
+            cur = cur * (-lhat)
+    # the mode multiplier is (xi^2 + alpha)^k with xi = 2 pi |q| / L
+    mult = ((2.0 * math.pi / L) ** 2 * np.arange(sums[-1] + 1) + params.alpha) ** params.k
+    u_vals = materialise(cur / mult)
     return gammas, layers, u_vals
 
 
@@ -430,11 +462,12 @@ def run_pipeline(
     """Execute H -> l -> Gamma iterates -> layers -> gamma -> u.
 
     Convolutions use exact semi-analytic Fourier coefficients of l (no
-    sampling aliasing); fields are materialised at ``eval_band`` times the
-    pipeline grid and downsampled, so grid values carry the wide-band
-    accuracy.  The spectral-tail guard is still enforced on the coefficient
-    arrays at the pipeline band: at the default threshold a grid that
-    under-resolves the annulus is refused.
+    sampling aliasing) over the band ``eval_band`` times the pipeline grid;
+    those coefficients are folded onto the grid and transformed at the grid
+    size, so grid values carry the wide-band accuracy while no transform or
+    array exceeds the grid.  The spectral-tail guard is still enforced on
+    the coefficient arrays at the pipeline band: at the default threshold a
+    grid that under-resolves the annulus is refused.
     """
     n = geometry.n
     depth = n // 2 + 1  # 2N > n
@@ -462,15 +495,12 @@ def run_pipeline(
                 error_estimate=tail,
             )
 
-    m2 = eval_band * grid
     gam_vals, layer_vals, u_vals = _fields_from_coefficients(
-        params, geometry, cut, h_profile, m2, depth
+        params, geometry, cut, h_profile, grid, depth, eval_band
     )
-    step = eval_band
-    sl = tuple(slice(None, None, step) for _ in range(n))
-    gammas = [torus.TorusField(geometry, grid, g[sl]) for g in gam_vals]
-    layers = [torus.TorusField(geometry, grid, g[sl]) for g in layer_vals]
-    u_field = torus.TorusField(geometry, grid, u_vals[sl])
+    gammas = [torus.TorusField(geometry, grid, g) for g in gam_vals]
+    layers = [torus.TorusField(geometry, grid, g) for g in layer_vals]
+    u_field = torus.TorusField(geometry, grid, u_vals)
     envelopes = giraud.iterate_error_envelope(
         n, params.k, Fraction(cut.tau0).limit_denominator(10**9), depth
     )

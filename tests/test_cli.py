@@ -191,6 +191,51 @@ class TestExitCodes:
         assert json.loads(out)["schema"] == "polygreen-report/1"
 
 
+class TestConfigPrecedence:
+    VERIFY = ["torus", "verify", "--n", "3", "--k", "1", "--alpha", "2000"]
+
+    @staticmethod
+    def config(tmp_path, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        return ["--config", str(cfg)]
+
+    def test_config_beats_default(self, tmp_path):
+        args = cli.parse_args(self.config(tmp_path, {"grid": 16}) + self.VERIFY)
+        assert args.grid == 16
+
+    def test_flag_beats_config(self, tmp_path):
+        cfg = self.config(tmp_path, {"grid": 16, "tol": 1e-3})
+        assert cli.parse_args(cfg + self.VERIFY + ["--grid", "8"]).grid == 8
+        # a flag equal to the parser default still wins over the config
+        assert cli.parse_args(cfg + self.VERIFY + ["--grid", "128"]).grid == 128
+
+    def test_default_without_key(self, tmp_path):
+        args = cli.parse_args(self.config(tmp_path, {"tol": 1e-3}) + self.VERIFY)
+        assert args.grid == 128
+        assert args.tol == 1e-3
+
+    def test_required_flag_from_config(self, tmp_path):
+        argv = self.config(tmp_path, {"alpha": 2000}) + self.VERIFY[:-2]
+        assert cli.parse_args(argv).alpha == 2000.0
+
+    @pytest.mark.parametrize(
+        "values", [{"grids": 16}, {"func": "x"}, {"command": "mass"}, {"format": "xml"}]
+    )
+    def test_bad_key_is_usage_error(self, tmp_path, capsys, values):
+        code, out, err = run_cli(self.config(tmp_path, values) + self.VERIFY, capsys)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err and next(iter(values)) in err
+
+    def test_key_of_another_command_is_usage_error(self, tmp_path, capsys):
+        argv = self.config(tmp_path, {"grid": 16}) + [
+            "mass", "sweep", "--n", "3", "--k", "1", "--alphas", "100"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "grid" in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "polygreen.cli", "kernel", "eval",

@@ -291,6 +291,50 @@ class TestPipeline:
         # edge; the acceptance configuration at grid 128 holds 1e-2 with margin
         assert report.max_rel_error < 5e-2
 
+    def test_folded_fields_match_downsampled_band(self):
+        # reference: materialise at 64^3 from coefficients at the distinct
+        # radii and keep every second sample, the route the fold replaces
+        m, band, depth = 32, 2, 2
+        cut = cutoff_for(3, 1, 1.0)
+        h = parametrix.build_H(P2000, G3, cut)
+        gammas, layers, u = parametrix._fields_from_coefficients(
+            P2000, G3, cut, h, m, depth, band
+        )
+        big = band * m
+        freqs = [np.fft.fftfreq(big, d=1.0 / big)] * 2 + [np.fft.rfftfreq(big, d=1.0 / big)]
+        qsq = sum(g * g for g in np.meshgrid(*freqs, indexing="ij"))
+        xi = 2.0 * math.pi * np.sqrt(qsq)
+        uniq, inverse = np.unique(np.round(xi, 10), return_inverse=True)
+        lhat = parametrix.error_field_fourier(P2000, cut, uniq)
+        hhat = h.fourier(uniq)
+
+        def sampled(coef_u):
+            coef = coef_u[inverse].reshape(xi.shape)
+            field = np.fft.irfftn(coef, s=(big,) * 3, axes=(0, 1, 2)) * big**3
+            return field[::band, ::band, ::band]
+
+        dist = parametrix._displacement_distances(G3, m)
+        layer_ref = sampled(-lhat * hhat)
+        layer_ref[dist > 2 * cut.tau0] = 0.0
+        refs = [sampled(-lhat), sampled(lhat**2), layer_ref,
+                sampled(lhat**2 / (uniq**2 + P2000.alpha))]
+        for got, ref in zip(gammas + layers + [u], refs):
+            assert got.shape == (m,) * 3
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_pipeline_transforms_at_grid_size(self, monkeypatch):
+        shapes = []
+        irfftn = np.fft.irfftn
+
+        def recording(a, s=None, *args, **kwargs):
+            shapes.append(tuple(s))
+            return irfftn(a, s, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfftn", recording)
+        with pytest.warns(RuntimeWarning):
+            parametrix.run_pipeline(P2000, G3, grid=32, alias_limit=1.0)
+        assert shapes and all(s == (32,) * 3 for s in shapes)
+
     def test_tau0_guard(self):
         cut = CutoffSpec(tau0=0.2, smoothness=4)  # 0.2 >= i_g/(n+2) = 0.1
         with pytest.raises(PreconditionError):
