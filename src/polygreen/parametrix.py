@@ -258,11 +258,9 @@ def error_field(
             RuntimeWarning,
         )
     profile = error_field_profile(params, cutoff)
-    dist = _displacement_distances(geometry, grid)
-    vals = np.zeros_like(dist)
-    mask = dist > 0
-    vals[mask] = profile(dist[mask])
-    return torus.TorusField(geometry, grid, vals)
+    # l is radial, so it is sampled on the orthant and unfolded
+    vals = profile(torus.orthant_distances(geometry, grid))
+    return torus.TorusField(geometry, grid, torus.unfold_orthant(vals, grid))
 
 
 def error_field_fourier(
@@ -271,13 +269,6 @@ def error_field_fourier(
     """lhat(|xi|) by semi-analytic radial quadrature over the annulus."""
     profile = error_field_profile(params, cutoff)
     return _radial_fourier(params.n, profile, cutoff.half, cutoff.tau0, xi)
-
-
-def _displacement_distances(geometry: torus.TorusGeometry, m: int) -> np.ndarray:
-    coords = torus.grid_coordinates(geometry, m)
-    reps = np.mod(coords + geometry.L / 2.0, geometry.L) - geometry.L / 2.0
-    mesh = np.meshgrid(*([reps] * geometry.n), indexing="ij")
-    return np.sqrt(sum(g * g for g in mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +355,7 @@ class ParametrixState:
 
     def green_values(self) -> np.ndarray:
         """H + sum of correction layers + u over the displacement grid."""
-        dist = _displacement_distances(self.geometry, self.grid)
+        dist = torus.displacement_distances(self.geometry, self.grid)
         vals = np.array(self.u.values)
         pos = dist > 0
         hvals = np.zeros_like(dist)
@@ -434,7 +425,7 @@ def _fields_from_coefficients(
         coef = sum(table[qsq] for qsq in aliases)
         return np.fft.irfftn(coef, s=(m,) * n, axes=tuple(range(n))) * scale
 
-    dist = _displacement_distances(geometry, m)
+    dist = torus.displacement_distances(geometry, m)
     gammas = []
     layers = []
     cur = -lhat
@@ -545,7 +536,7 @@ def assemble_and_compare(
     """
     geom = state.geometry
     m = state.grid
-    dist = _displacement_distances(geom, m)
+    dist = torus.displacement_distances(geom, m)
     spacing = geom.L / m
     lo = max(d_range[0], 2.0 * spacing)
     candidates = np.argwhere((dist >= lo) & (dist <= d_range[1]))

@@ -266,6 +266,53 @@ def grid_coordinates(geometry: TorusGeometry, m: int) -> np.ndarray:
     return np.arange(m) * (geometry.L / m)
 
 
+# ---------------------------------------------------------------------------
+# Displacement grid
+# ---------------------------------------------------------------------------
+
+def _orthant_rows(geometry: TorusGeometry, m: int) -> np.ndarray:
+    """Nearest-representative displacements of the grid indices 0 <= j_a <= m//2.
+
+    Shape ((m//2 + 1)^n, n).  Index m - j is the mirror image of index j, so
+    these rows fix every function of the displacement grid that is even in
+    each coordinate.
+    """
+    L = geometry.L
+    reps = np.mod(grid_coordinates(geometry, m)[: m // 2 + 1] + L / 2.0, L) - L / 2.0
+    mesh = np.meshgrid(*([reps] * geometry.n), indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, geometry.n)
+
+
+def unfold_orthant(table: np.ndarray, m: int) -> np.ndarray:
+    """The m-grid array of an even function from its orthant values.
+
+    A coordinate sign flip maps grid index j to m - j, so index j reads the
+    orthant entry min(j, m - j).
+    """
+    j = np.arange(m)
+    fold = np.minimum(j, m - j)
+    return table[np.ix_(*[fold] * table.ndim)]
+
+
+@lru_cache(maxsize=8)
+def orthant_distances(geometry: TorusGeometry, m: int) -> np.ndarray:
+    """|v| over the orthant rows, shape (m//2 + 1,)*n; read-only, cached."""
+    rows = _orthant_rows(geometry, m)
+    dist = np.sqrt(sum(rows[:, a] ** 2 for a in range(geometry.n)))
+    dist = dist.reshape((m // 2 + 1,) * geometry.n)
+    dist.flags.writeable = False
+    return dist
+
+
+def displacement_distances(geometry: TorusGeometry, m: int) -> np.ndarray:
+    """|v| over the nearest-representative displacement grid.
+
+    Unfolded from the cached orthant table on each call rather than cached
+    itself, so that no full-grid array outlives its caller.
+    """
+    return unfold_orthant(orthant_distances(geometry, m), m)
+
+
 def spectral_solve(
     params: ProblemParams,
     geometry: TorusGeometry,
@@ -358,9 +405,9 @@ def plane_wave_spherical_mean(n: int, z) -> np.ndarray:
 
 def _grid_sum_with_estimate(values: np.ndarray, weight: np.ndarray, spacing: float, n: int) -> tuple[float, float]:
     """Periodic rectangle-rule sum with a half-resolution error estimate."""
-    full = float(np.sum(values * weight)) * spacing**n
-    sl = tuple(slice(None, None, 2) for _ in range(n))
-    half = float(np.sum((values * weight)[sl])) * (2 * spacing) ** n
+    weighted = values * weight
+    full = float(np.sum(weighted)) * spacing**n
+    half = float(np.sum(weighted[(slice(None, None, 2),) * n])) * (2 * spacing) ** n
     return full, abs(full - half)
 
 
@@ -379,7 +426,15 @@ def representation_check(
     subtracting the cutoff parametrix chi(d) c_{n,k} d^{2k-n} (integrated
     against phi by exact per-mode radial quadrature), and the remaining
     continuous part is integrated by the periodic rectangle rule on the
-    grid.  Returns (defect, quadrature error estimate).
+    grid.  Returns (defect, quadrature error estimate).  The estimate
+    compares with the half-resolution grid, so ``grid`` must be even.
+
+    The continuous part is even in each coordinate of the displacement v:
+    the lattice L Z^n and the image box are invariant under each coordinate
+    sign flip, so the periodised kernel, d = |v| and the parametrix are too.
+    It is therefore evaluated on the orthant 0 <= j_a <= grid//2 only and
+    unfolded onto the grid; phi, which has no such symmetry, is sampled on
+    the whole grid.
 
     Requires n = 2k + 1, where the subtracted integrand extends continuously
     to the diagonal (limit -c_{n,k} sqrt(alpha) plus the nonzero images).
@@ -388,6 +443,12 @@ def representation_check(
         raise DomainError("representation check requires n = 2k + 1")
     if params.n != geometry.n:
         raise DomainError("params and geometry dimensions differ")
+    if grid % 2:
+        raise DomainError(
+            f"representation check needs an even grid, got {grid}: its error "
+            "estimate compares with every second sample, a half-resolution "
+            "grid only when the grid is even"
+        )
     x = np.asarray(x, dtype=float)
     n, L = geometry.n, geometry.L
     m = grid
@@ -395,20 +456,16 @@ def representation_check(
     c = euclid.c_nk(n, params.k)
     gap = params.n - 2 * params.k  # = 1
 
-    # displacement grid mapped to nearest representatives
-    coords = grid_coordinates(geometry, m)
-    reps = np.mod(coords + L / 2.0, L) - L / 2.0
-    rows = np.stack(np.meshgrid(*([reps] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    dist = np.sqrt(sum(rows[:, a] ** 2 for a in range(n))).reshape((m,) * n)
-
-    # periodised kernel on the grid; the diagonal cell sums the nonzero images
-    smooth = _image_sum(params, geometry, rows, tol)[0].reshape((m,) * n)
-    del rows  # frees m^n x n floats before the mode evaluation below
+    # periodised kernel on the orthant; the diagonal cell sums the nonzero images
+    dist = orthant_distances(geometry, m)
+    smooth = _image_sum(params, geometry, _orthant_rows(geometry, m), tol)[0]
+    smooth = smooth.reshape(dist.shape)
     zero_mask = dist == 0.0
     # subtract the cutoff parametrix; diagonal cell gets the analytic limit
     safe = np.where(zero_mask, 1.0, dist)
     smooth -= np.where(zero_mask, 0.0, cut.chi(safe) * c * safe ** (-gap))
     smooth[zero_mask] += -c * params.sqrt_alpha
+    smooth = unfold_orthant(smooth, m)
 
     phi_vals = eval_modes_on_grid(geometry, phi_hat, m, x)
     grid_part, grid_err = _grid_sum_with_estimate(smooth, phi_vals, L / m, n)

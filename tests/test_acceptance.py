@@ -265,7 +265,7 @@ def test_criterion_7c_remainder_ratio(state_2000, state_8000):
     """
     eps = 0.1
     k = state_2000.params.k
-    dist = parametrix._displacement_distances(G3, state_2000.grid)
+    dist = torus.displacement_distances(G3, state_2000.grid)
     vals = {}
     consts = {}
     dstars = {}

@@ -95,6 +95,14 @@ class TestTorusCommands:
         )
         assert code == 0
 
+    def test_verify_odd_grid_is_domain_error(self, capsys):
+        code, _, err = run_cli(
+            ["torus", "verify", "--n", "3", "--k", "1", "--alpha", "2000", "--grid", "63"],
+            capsys,
+        )
+        assert code == 1
+        assert "even grid" in err
+
 
 class TestParametrixCommand:
     @pytest.mark.slow

@@ -236,7 +236,7 @@ class TestPipeline:
         assert state64.gamma.values[0, 0, 0] == pytest.approx(oracle, rel=2e-3)
 
     def test_gamma_support(self, state64):
-        dist = parametrix._displacement_distances(G3, 64)
+        dist = torus.displacement_distances(G3, 64)
         sup = np.max(np.abs(state64.gamma.values))
         outside = np.abs(state64.gamma.values[dist > 2 * state64.cutoff.tau0 + 0.02])
         assert np.max(outside) <= 1e-4 * sup
@@ -276,7 +276,7 @@ class TestPipeline:
         for alpha in (2000.0, 8000.0):
             p = ProblemParams(3, 1, alpha)
             st = parametrix.run_pipeline(p, G3, grid=64, alias_limit=0.6)
-            dist = parametrix._displacement_distances(G3, 64)
+            dist = torus.displacement_distances(G3, 64)
             psi = np.array(
                 [psi_value(0.1, alpha, float(dd), 0.5) for dd in dist.ravel()]
             ).reshape(dist.shape)
@@ -313,7 +313,7 @@ class TestPipeline:
             field = np.fft.irfftn(coef, s=(big,) * 3, axes=(0, 1, 2)) * big**3
             return field[::band, ::band, ::band]
 
-        dist = parametrix._displacement_distances(G3, m)
+        dist = torus.displacement_distances(G3, m)
         layer_ref = sampled(-lhat * hhat)
         layer_ref[dist > 2 * cut.tau0] = 0.0
         refs = [sampled(-lhat), sampled(lhat**2), layer_ref,

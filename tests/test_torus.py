@@ -182,15 +182,17 @@ class TestSpectralSolve:
 
 class TestRepresentation:
     @pytest.mark.parametrize(
-        "phi",
+        "phi, x",
         [
-            {(0, 0, 0): 1.0},
-            {(1, 0, 0): 0.5, (-1, 0, 0): 0.5},
+            pytest.param({(0, 0, 0): 1.0}, (0.0, 0.0, 0.0), id="phi0"),
+            pytest.param({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, (0.0, 0.0, 0.0), id="phi1"),
+            pytest.param({(0, 0, 0): 1.0}, (0.3, 0.7, 0.1), id="phi0-x1"),
+            pytest.param({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, (0.3, 0.7, 0.1), id="phi1-x1"),
         ],
     )
-    def test_defect_small(self, phi):
+    def test_defect_small(self, phi, x):
         p = ProblemParams(3, 1, 2000.0)
-        defect, est = torus.representation_check(p, G3, phi, np.zeros(3), grid=64)
+        defect, est = torus.representation_check(p, G3, phi, np.array(x), grid=64)
         assert defect < 5e-4
 
     def test_constant_mode_identity(self):
@@ -210,6 +212,44 @@ class TestRepresentation:
             torus.representation_check(
                 p, torus.TorusGeometry(4, 1.0), {(0, 0, 0, 0): 1.0}, np.zeros(4), grid=8
             )
+
+    def test_odd_grid_rejected(self):
+        # every second sample of an odd periodic grid is no half-resolution
+        # grid, so the error estimate would be meaningless
+        p = ProblemParams(3, 1, 2000.0)
+        with pytest.raises(DomainError, match="even grid"):
+            torus.representation_check(p, G3, {(0, 0, 0): 1.0}, np.zeros(3), grid=63)
+
+    @pytest.mark.parametrize(
+        "n, k, alpha, m", [(3, 1, 2000.0, 32), (3, 1, 50.0, 33), (5, 2, 300.0, 8), (5, 2, 300.0, 7)]
+    )
+    def test_orthant_unfolds_to_full_grid(self, n, k, alpha, m):
+        p = ProblemParams(n, k, alpha)
+        geom = torus.TorusGeometry(n, 1.0)
+        reps = np.mod(torus.grid_coordinates(geom, m) + 0.5, 1.0) - 0.5
+        rows = np.stack(np.meshgrid(*([reps] * n), indexing="ij"), axis=-1).reshape(-1, n)
+        full = torus._image_sum(p, geom, rows, 1e-10)[0].reshape((m,) * n)
+        orthant = torus._image_sum(p, geom, torus._orthant_rows(geom, m), 1e-10)[0]
+        unfolded = torus.unfold_orthant(orthant.reshape((m // 2 + 1,) * n), m)
+        assert np.max(np.abs(unfolded - full) / full) <= 1e-13
+        dist = torus.displacement_distances(geom, m)
+        np.testing.assert_allclose(dist, np.linalg.norm(rows, axis=1).reshape((m,) * n), rtol=1e-14)
+        orthant_dist = torus.orthant_distances(geom, m)
+        assert not orthant_dist.flags.writeable
+        assert torus.orthant_distances(geom, m) is orthant_dist
+
+    def test_image_sum_runs_on_orthant(self, monkeypatch):
+        calls = []
+        image_sum = torus._image_sum
+
+        def recording(params, geometry, V, tol):
+            calls.append(V.shape)
+            return image_sum(params, geometry, V, tol)
+
+        monkeypatch.setattr(torus, "_image_sum", recording)
+        p = ProblemParams(3, 1, 2000.0)
+        torus.representation_check(p, G3, {(1, 0, 0): 1.0}, np.zeros(3), grid=32)
+        assert calls == [(17**3, 3)]
 
 
 class TestScan:
