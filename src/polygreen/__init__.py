@@ -12,7 +12,6 @@ from .besselk import bessel_k, bessel_k_scaled, gamma_fn
 from .euclid import (
     RadialKernel,
     c_nk,
-    envelope_bound,
     eta,
     green_radial_kernel,
     kernel_alpha,
@@ -42,7 +41,7 @@ from .torus import (
     symmetry_positivity_scan,
     torus_distance,
 )
-from .parametrix import ParametrixState, build_H, error_field, gamma_iterate, run_pipeline
+from .parametrix import ParametrixState, build_H, error_field, run_pipeline
 from .mass import MassReport, euclid_remainder_at_zero, mass_sweep, torus_mass
 
 __version__ = "0.1.0"
@@ -67,11 +66,9 @@ __all__ = [
     "compose_alpha",
     "compose_euclid",
     "compose_psi",
-    "envelope_bound",
     "error_field",
     "eta",
     "gamma_fn",
-    "gamma_iterate",
     "green_lattice_sum",
     "green_radial_kernel",
     "kernel_alpha",

@@ -14,14 +14,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import euclid, giraud, mass, parametrix, torus
-from .cutoff import CutoffSpec, auto_tau0
+from .cutoff import CutoffSpec
 from .errors import ConvergenceError, DomainError
 from .params import ProblemParams
 
@@ -110,7 +109,8 @@ def _write(args, rows, default_fmt="csv") -> None:
 def _cmd_kernel_eval(args) -> int:
     p = _params(args)
     val = euclid.kernel_alpha(p, args.r)
-    env = euclid.envelope_bound(p, args.r)
+    envelope = giraud.kernel_far_envelope(p.n, p.k)
+    env = giraud.envelope_value(envelope, p.n, p.alpha, args.r)
     rows = [{
         "alpha": p.alpha,
         "d": args.r,

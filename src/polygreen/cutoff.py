@@ -83,12 +83,6 @@ class CutoffSpec:
             out[inside] = -poly(u[inside]) / self.half**order
         return out if out.shape else float(out)
 
-    def transition_polynomial(self, order: int) -> Polynomial:
-        """-d^order S/du^order as a polynomial in u (chain-rule factors excluded)."""
-        if order > self.step.degree():
-            return Polynomial([0.0])
-        return -self._derivs[order]
-
 
 def auto_tau0(n: int, L: float) -> float:
     """Default localisation radius 0.9 * (L/2) / (n + 2), inside i_g/(n+2)."""

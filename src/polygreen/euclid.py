@@ -19,12 +19,12 @@ its derivatives stay finite linear combinations of such terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .besselk import UNDERFLOW_ARG, bessel_k_array, bessel_k_scaled_array, gamma_fn
+from .besselk import UNDERFLOW_ARG, bessel_k_scaled_array, gamma_fn
 from .errors import DomainError, OutOfRegimeError, UnsupportedOrderError
 from .params import ProblemParams
 
@@ -192,28 +192,8 @@ def kernel_gradient_terms(params: ProblemParams, l: int) -> list[tuple[float, fl
 
 
 # ---------------------------------------------------------------------------
-# Two-regime envelope and near-diagonal remainder diagnostics
+# Near-diagonal remainder diagnostics
 # ---------------------------------------------------------------------------
-
-def envelope_bound(params: ProblemParams, r: float) -> float:
-    """Constant-free two-regime bound shape for the kernel.
-
-    r^{2k-n} when sqrt(alpha) r <= 1, else
-    alpha^{k(n-3)/4} r^{((k-2)n+k)/2} e^{-sqrt(alpha) r}.
-    """
-    if r <= 0:
-        raise DomainError(f"need r > 0, got r={r}")
-    n, k, a = params.n, params.k, params.alpha
-    t = params.sqrt_alpha * r
-    if t <= 1.0:
-        return r ** (2 * k - n)
-    return a ** (k * (n - 3) / 4.0) * r ** (((k - 2) * n + k) / 2.0) * math.exp(-t) if t <= UNDERFLOW_ARG else 0.0
-
-
-def far_field_exponents(n: int, k: int) -> tuple[float, float]:
-    """(alpha power, r power) of the far regime: (k(n-3)/4, ((k-2)n+k)/2)."""
-    return k * (n - 3) / 4.0, ((k - 2) * n + k) / 2.0
-
 
 def remainder_ratio(params: ProblemParams, r: float) -> float:
     """|G / (c_{n,k} r^{2k-n}) - 1| / eta(sqrt(alpha) r), near regime only."""

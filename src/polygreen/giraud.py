@@ -26,7 +26,7 @@ half the injectivity radius).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -38,7 +38,6 @@ from .errors import (
     EstimateNotApplicableError,
 )
 from .euclid import RadialKernel, sphere_area
-from .params import ProblemParams
 
 FractionLike = Fraction | int | str
 

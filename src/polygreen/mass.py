@@ -55,13 +55,11 @@ def euclid_remainder_at_zero(params: ProblemParams, levels: int = 4) -> float:
 def torus_mass(
     params: ProblemParams,
     geometry: torus.TorusGeometry,
-    x=None,
     tol: float = 1e-12,
 ) -> float:
     """mu_x(x) = Euclidean diagonal remainder + nonzero lattice images.
 
-    Translation invariance makes the result independent of the base point;
-    ``x`` is accepted for interface symmetry only.
+    Translation invariance makes the result independent of the base point x.
     """
     if params.n != 2 * params.k + 1:
         raise DomainError(

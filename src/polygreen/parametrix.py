@@ -10,19 +10,16 @@ correction layers against H; Step 3 solves the spectral remainder problem
 for the final iterate; Step 4 assembles G = H + sum_i layer_i + u for
 cross-validation against the lattice-sum oracle.
 
-Two numerical routes are provided for the convolutions:
-
-* ``gamma_iterate`` convolves sampled fields by FFT with the L^n/m^n
-  quadrature weight, guarded by the spectral-tail check;
-* the pipeline itself works with exact Fourier coefficients of l, computed
-  by semi-analytic radial quadrature exactly like Hhat (the error field is
-  a sharp annulus shell whose pointwise samples alias badly, while its
-  radial Fourier transform is cheap at any band), so the convolution
-  theorem applies without discretisation error.  Fields carry twice the
-  grid's band: the coefficients are radial, hence tables indexed by the
-  integer |q|^2, and each field folds them onto the grid (every grid mode
-  sums its aliases) before one transform at the grid size, which gives the
-  band-2 field at the grid points.
+The convolutions work with exact Fourier coefficients of l, computed by
+semi-analytic radial quadrature exactly like Hhat (the error field is a
+sharp annulus shell whose pointwise samples alias badly, while its radial
+Fourier transform is cheap at any band), so the convolution theorem applies
+without discretisation error.  Fields carry twice the grid's band: the
+coefficients are radial, hence tables indexed by the integer |q|^2, and
+each field folds them onto the grid (every grid mode sums its aliases)
+before one transform at the grid size, which gives the band-2 field at the
+grid points.  The remainder u is solved on the same coefficients, mode by
+mode.
 
 The error field itself comes from a closed radial operator algebra: on the
 annulus every intermediate is a finite sum q(u) r^{p} K_{m}(sqrt(alpha) r)
@@ -49,6 +46,7 @@ from .params import ProblemParams
 
 ALIAS_FRACTION = 2.0 / 3.0
 ALIAS_LIMIT = 1e-8
+EVAL_BAND = 2  # coefficient band, in grid bands, that each field is folded from
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,7 @@ def _radial_fourier(
     xi_max = float(np.max(np.abs(xi))) if xi.size else 0.0
     cycles = xi_max * (r_hi - r_lo) / (2.0 * math.pi)
     count = int(min(4000, max(240, 24 * cycles)))
-    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes, weights = torus.gauss_legendre(count)
     r = 0.5 * (r_hi - r_lo) * (nodes + 1.0) + r_lo
     w = 0.5 * (r_hi - r_lo) * weights
     radial = radial_values(r) * r ** (n - 1) * w
@@ -272,66 +270,8 @@ def error_field_fourier(
 
 
 # ---------------------------------------------------------------------------
-# Step 2, sampled-field route: FFT convolution with the aliasing guard
+# Steps 2 to 4: iterates, layers and remainder from exact coefficients
 # ---------------------------------------------------------------------------
-
-def spectral_tail_fraction(field_hat: np.ndarray, m: int, n: int) -> float:
-    """Energy fraction of the modes above 2/3 of the Nyquist band."""
-    qsq = torus._mode_norm_sq(n, m)
-    cut = (ALIAS_FRACTION * (m / 2.0)) ** 2
-    energy = np.abs(field_hat) ** 2
-    total = float(np.sum(energy))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(energy[qsq > cut])) / total
-
-
-def gamma_iterate(
-    l_field: torus.TorusField, depth: int, alias_limit: float = ALIAS_LIMIT
-) -> list[torus.TorusField]:
-    """Iterates Gamma^(1) = -l, Gamma^(i+1) = Gamma^(i) * Gamma^(1) (periodic).
-
-    Convolutions run through the FFT with the L^n/m^n quadrature weight; a
-    resolution error is raised when the spectral energy of an iterate above
-    2/3 of the Nyquist band exceeds ``alias_limit`` of its total.
-    """
-    geom = l_field.geometry
-    m = l_field.grid_size
-    weight = (geom.L / m) ** geom.n
-    first = -l_field.values
-    first_hat = np.fft.fftn(first)
-    tail = spectral_tail_fraction(first_hat, m, geom.n)
-    if tail > alias_limit:
-        raise ConvergenceError(
-            f"spectral tail of the error field is {tail:.3e} of its energy "
-            f"(limit {alias_limit:g}); grid {m} under-resolves the cutoff annulus",
-            error_estimate=tail,
-        )
-    fields = [torus.TorusField(geom, m, first)]
-    cur_hat = first_hat
-    for _ in range(1, depth):
-        cur_hat = cur_hat * first_hat * weight
-        vals = np.real(np.fft.ifftn(cur_hat))
-        tail = spectral_tail_fraction(cur_hat, m, geom.n)
-        if tail > alias_limit:
-            raise ConvergenceError(
-                f"spectral tail {tail:.3e} beyond 2/3 Nyquist exceeds {alias_limit:g}",
-                error_estimate=tail,
-            )
-        fields.append(torus.TorusField(geom, m, vals))
-    return fields
-
-
-# ---------------------------------------------------------------------------
-# Steps 3 and 4: remainder solve and assembly
-# ---------------------------------------------------------------------------
-
-def solve_remainder(
-    params: ProblemParams, geometry: torus.TorusGeometry, gamma: torus.TorusField
-) -> torus.TorusField:
-    """u with (Delta + alpha)^k u = gamma, by the per-mode spectral solve."""
-    return torus.spectral_solve(params, geometry, gamma)
-
 
 @dataclass
 class ParametrixState:
@@ -448,16 +388,15 @@ def run_pipeline(
     grid: int,
     cutoff: Optional[CutoffSpec] = None,
     alias_limit: float = ALIAS_LIMIT,
-    eval_band: int = 2,
 ) -> ParametrixState:
     """Execute H -> l -> Gamma iterates -> layers -> gamma -> u.
 
     Convolutions use exact semi-analytic Fourier coefficients of l (no
-    sampling aliasing) over the band ``eval_band`` times the pipeline grid;
+    sampling aliasing) over ``EVAL_BAND`` times the band of the pipeline grid;
     those coefficients are folded onto the grid and transformed at the grid
     size, so grid values carry the wide-band accuracy while no transform or
-    array exceeds the grid.  The spectral-tail guard is still enforced on
-    the coefficient arrays at the pipeline band: at the default threshold a
+    array exceeds the grid.  The spectral-tail guard is enforced on the
+    coefficient arrays at the pipeline band: at the default threshold a
     grid that under-resolves the annulus is refused.
     """
     n = geometry.n
@@ -487,7 +426,7 @@ def run_pipeline(
             )
 
     gam_vals, layer_vals, u_vals = _fields_from_coefficients(
-        params, geometry, cut, h_profile, grid, depth, eval_band
+        params, geometry, cut, h_profile, grid, depth, EVAL_BAND
     )
     gammas = [torus.TorusField(geometry, grid, g) for g in gam_vals]
     layers = [torus.TorusField(geometry, grid, g) for g in layer_vals]

@@ -53,14 +53,3 @@ class BesselOrder:
             raise DomainError("twice_nu must be an integer")
         if self.twice_nu < 0:
             raise DomainError(f"negative Bessel order: nu = {self.twice_nu}/2")
-
-    @property
-    def nu(self) -> float:
-        return self.twice_nu / 2.0
-
-    @property
-    def is_half_integer(self) -> bool:
-        return self.twice_nu % 2 == 1
-
-    def __add__(self, j: int) -> "BesselOrder":
-        return BesselOrder(self.twice_nu + 2 * j)

@@ -251,14 +251,7 @@ def green_lattice_sum_many(
 # Spectral route
 # ---------------------------------------------------------------------------
 
-def _mode_norm_sq(n: int, m: int) -> np.ndarray:
-    """Integer |q|^2 over the FFT mode grid of shape (m,)*n."""
-    q = np.fft.fftfreq(m, d=1.0 / m)
-    grids = np.meshgrid(*([q] * n), indexing="ij")
-    return sum(g * g for g in grids)
-
-
-def _multiplier(params: ProblemParams, geometry: TorusGeometry, qsq: np.ndarray) -> np.ndarray:
+def _multiplier(params: ProblemParams, geometry: TorusGeometry, qsq: float) -> float:
     return ((2.0 * math.pi / geometry.L) ** 2 * qsq + params.alpha) ** params.k
 
 
@@ -316,24 +309,16 @@ def displacement_distances(geometry: TorusGeometry, m: int) -> np.ndarray:
 def spectral_solve(
     params: ProblemParams,
     geometry: TorusGeometry,
-    phi,
-    grid: Optional[int] = None,
+    phi: dict,
+    grid: int,
 ) -> TorusField:
     """Solve (Delta + alpha)^k u = phi exactly per Fourier mode.
 
-    ``phi`` is either a dict {integer mode tuple: coefficient} describing the
-    trigonometric polynomial sum_q c_q e^{2 pi i q.y / L}, or a TorusField of
-    samples (dense FFT route).  The operator is strictly positive, so the
-    solve never fails.
+    ``phi`` is a dict {integer mode tuple: coefficient} describing the
+    trigonometric polynomial sum_q c_q e^{2 pi i q.y / L}; u is sampled on
+    the ``grid``-point displacement grid.  The operator is strictly
+    positive, so the solve never fails.
     """
-    if isinstance(phi, TorusField):
-        field = phi
-        qsq = _mode_norm_sq(geometry.n, field.grid_size)
-        u_hat = np.fft.fftn(field.values) / _multiplier(params, geometry, qsq)
-        vals = np.real(np.fft.ifftn(u_hat))
-        return TorusField(geometry, field.grid_size, vals)
-    if grid is None:
-        raise DomainError("grid size required when phi is a mode dictionary")
     u_hat = {}
     for q, coeff in phi.items():
         if len(q) != geometry.n:
@@ -373,6 +358,15 @@ def eval_modes_on_grid(geometry: TorusGeometry, phi: dict, m: int, origin) -> np
 # ---------------------------------------------------------------------------
 # Representation formula check
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=16)
+def gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]; read-only, cached."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
 
 def plane_wave_spherical_mean(n: int, z) -> np.ndarray:
     """Mean of e^{i z <omega, e>} over the unit sphere S^{n-1}, odd n only.
@@ -471,7 +465,7 @@ def representation_check(
     grid_part, grid_err = _grid_sum_with_estimate(smooth, phi_vals, L / m, n)
 
     # singular part, mode by mode: c omega_{n-1} int chi r^{2k-1} mean(2 pi |q| r / L) dr
-    nodes, weights = np.polynomial.legendre.leggauss(320)
+    nodes, weights = gauss_legendre(320)
     r_nodes = 0.5 * cut.tau0 * (nodes + 1.0)
     r_w = 0.5 * cut.tau0 * weights
     chi_vals = cut.chi(r_nodes)

@@ -132,13 +132,14 @@ def test_criterion_4_far_field_slope():
     ok = True
     details = []
     for n, k in ((5, 2), (7, 2)):
+        spec = giraud.kernel_far_envelope(n, k)
         expected_rpow = ((k - 2) * n + k) / 2.0
         expected_apow = k * (n - 3) / 4.0
         intercepts = {}
         for alpha in (1e2, 1e4):
             p = ProblemParams(n, k, alpha)
             rs = np.geomspace(2.0 / p.sqrt_alpha, 20.0 / p.sqrt_alpha, 40)
-            env = np.array([euclid.envelope_bound(p, float(r)) for r in rs])
+            env = np.array([giraud.envelope_value(spec, n, alpha, float(r)) for r in rs])
             slope, intercept = giraud.fit_far_slope(rs, env, p.sqrt_alpha)
             ok &= abs(slope - expected_rpow) <= 0.25
             intercepts[alpha] = intercept

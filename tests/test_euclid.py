@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polygreen import euclid
+from polygreen import euclid, giraud
 from polygreen.errors import DomainError, OutOfRegimeError, UnsupportedOrderError
 from polygreen.giraud import radial_convolve
 from polygreen.params import ProblemParams
 
 PI = math.pi
+
+
+def kernel_envelope(p, r):
+    return giraud.envelope_value(giraud.kernel_far_envelope(p.n, p.k), p.n, p.alpha, r)
 
 
 class TestConstants:
@@ -194,15 +198,15 @@ class TestRadialDerivative:
 class TestEnvelope:
     def test_near_regime(self):
         p = ProblemParams(3, 1, 100.0)
-        assert euclid.envelope_bound(p, 0.05) == pytest.approx(20.0, rel=1e-14)
+        assert kernel_envelope(p, 0.05) == pytest.approx(20.0, rel=1e-14)
 
     def test_far_regime_n3(self):
         p = ProblemParams(3, 1, 100.0)
-        assert euclid.envelope_bound(p, 1.0) == pytest.approx(math.exp(-10), rel=1e-13)
+        assert kernel_envelope(p, 1.0) == pytest.approx(math.exp(-10), rel=1e-13)
 
     def test_far_regime_positive_power(self):
         p = ProblemParams(5, 2, 4.0)
-        assert euclid.envelope_bound(p, 1.0) == pytest.approx(4 * math.exp(-2), rel=1e-13)
+        assert kernel_envelope(p, 1.0) == pytest.approx(4 * math.exp(-2), rel=1e-13)
 
     @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (7, 2)])
     def test_domination_with_stable_constant(self, n, k):
@@ -212,7 +216,7 @@ class TestEnvelope:
             p = ProblemParams(n, k, alpha)
             rs = np.geomspace(0.05 / p.sqrt_alpha, 200.0 / p.sqrt_alpha, 96)
             vals = euclid.kernel_alpha_array(p, rs)
-            env = np.array([euclid.envelope_bound(p, float(r)) for r in rs])
+            env = np.array([kernel_envelope(p, float(r)) for r in rs])
             keep = env > 0
             cs.append(float(np.max(vals[keep] / env[keep])))
         c_all = max(cs)

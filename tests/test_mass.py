@@ -50,12 +50,6 @@ class TestTorusMass:
         mu = mass.torus_mass(ProblemParams(3, 1, 100.0), G3)
         assert -mu * 4 * PI / 10.0 == pytest.approx(1.0 - 2.787e-5, abs=2e-6)
 
-    def test_base_point_independent(self):
-        p = ProblemParams(3, 1, 400.0)
-        a = mass.torus_mass(p, G3, x=[0.1, 0.2, 0.3])
-        b = mass.torus_mass(p, G3, x=[0.7, 0.9, 0.05])
-        assert a == pytest.approx(b, abs=1e-12)
-
     def test_budget_exhaustion_is_typed(self):
         with pytest.raises(BudgetError):
             mass.torus_mass(ProblemParams(3, 1, 1e-6), G3)

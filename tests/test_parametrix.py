@@ -1,5 +1,5 @@
 """Parametrix pipeline tests: cutoff, exact error field, iterate envelopes,
-defining identities, remainder solve, assembly against the lattice oracle.
+defining identities, remainder bound, assembly against the lattice oracle.
 
 The manual k = 1 product-rule formula l = G (-chi'' - (n-1) chi'/r) - 2 chi' G'
 serves as the independent oracle for the operator algebra; the per-mode
@@ -181,31 +181,39 @@ class TestErrorField:
 
 
 class TestGammaIterateSampled:
-    def test_convolution_matches_direct_sum(self):
-        # well-resolved smooth field on a small grid: FFT route equals the
-        # O(m^2n) direct periodic convolution
+    def test_convolution_matches_direct_sum(self, monkeypatch):
+        # coefficients zero for |q| >= m/2 leave each grid mode one nonzero
+        # alias, so the coefficient route's Gamma^(2) is exactly the direct
+        # O(m^2n) periodic sum Gamma^(1) (*) Gamma^(1) (L/m)^n
         m = 8
-        rng = np.random.default_rng(1)
-        base = rng.normal(size=(m, m, m))
-        smooth = np.real(np.fft.ifftn(np.fft.fftn(base) * np.exp(-torus._mode_norm_sq(3, m))))
-        field = torus.TorusField(G3, m, smooth)
-        gam = parametrix.gamma_iterate(field, 2, alias_limit=1.0)
-        w = (1.0 / m) ** 3
+        cut = cutoff_for(3, 1, 1.0)
+        h = parametrix.build_H(P2000, G3, cut)
+        lhat = parametrix.error_field_fourier
+
+        def band_limited(params, cutoff, xi):
+            qn = xi * G3.L / (2.0 * math.pi)
+            return np.where(qn < m / 2 - 0.25, lhat(params, cutoff, xi), 0.0)
+
+        monkeypatch.setattr(parametrix, "error_field_fourier", band_limited)
+        gammas, _, _ = parametrix._fields_from_coefficients(
+            P2000, G3, cut, h, m, 2, parametrix.EVAL_BAND
+        )
+        g1 = gammas[0]
+        w = (G3.L / m) ** 3
         direct = np.zeros((m, m, m))
-        neg = -smooth
+        rev = g1[::-1, ::-1, ::-1]
         for i in range(m):
             for j in range(m):
                 for k in range(m):
-                    rolled = np.roll(np.roll(np.roll(neg[::-1, ::-1, ::-1], i + 1, 0), j + 1, 1), k + 1, 2)
-                    direct[i, j, k] = np.sum(neg * rolled) * w
-        np.testing.assert_allclose(gam[1].values, direct, atol=1e-12)
+                    rolled = np.roll(rev, (i + 1, j + 1, k + 1), axis=(0, 1, 2))
+                    direct[i, j, k] = np.sum(g1 * rolled) * w
+        assert np.max(np.abs(gammas[1] - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_gate_trips_on_underresolved_annulus(self):
-        cut = cutoff_for(3, 1, 1.0)
         with pytest.warns(RuntimeWarning):
-            l_field = parametrix.error_field(P2000, G3, cut, 32)
-        with pytest.raises(ConvergenceError):
-            parametrix.gamma_iterate(l_field, 2)  # spec-default 1e-8 gate
+            with pytest.raises(ConvergenceError) as err:
+                parametrix.run_pipeline(P2000, G3, grid=32)  # spec-default 1e-8 gate
+        assert err.value.error_estimate > parametrix.ALIAS_LIMIT
 
     def test_young_bound(self, state64):
         g1 = state64.gammas[0].values
@@ -240,21 +248,6 @@ class TestPipeline:
         sup = np.max(np.abs(state64.gamma.values))
         outside = np.abs(state64.gamma.values[dist > 2 * state64.cutoff.tau0 + 0.02])
         assert np.max(outside) <= 1e-4 * sup
-
-    def test_remainder_solve_roundtrip(self, state64):
-        # (Delta + alpha)^k applied spectrally to the solve recovers gamma
-        u = parametrix.solve_remainder(P2000, G3, state64.gamma)
-        qsq = torus._mode_norm_sq(3, 64)
-        mult = ((2 * math.pi) ** 2 * qsq + P2000.alpha) ** 1
-        back = np.real(np.fft.ifftn(np.fft.fftn(u.values) * mult))
-        np.testing.assert_allclose(
-            back, state64.gamma.values, atol=1e-10 * np.max(np.abs(state64.gamma.values))
-        )
-
-    def test_constant_gamma_solves_to_constant(self):
-        gam = torus.TorusField(G3, 8, np.full((8, 8, 8), 3.0))
-        u = parametrix.solve_remainder(P2000, G3, gam)
-        np.testing.assert_allclose(u.values, 3.0 / 2000.0, rtol=1e-12)
 
     def test_spectral_multiplier_inequality(self, state64):
         assert np.max(np.abs(state64.u.values)) <= np.max(np.abs(state64.gamma.values)) / P2000.alpha

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from polygreen import euclid, torus
 from polygreen.errors import BudgetError, DomainError
-from polygreen.giraud import psi_value
 from polygreen.params import ProblemParams
 
 PI = math.pi
@@ -171,12 +170,17 @@ class TestSpectralSolve:
         np.testing.assert_allclose(u.values[:, 0, 0], expected, atol=1e-15)
 
     def test_k2_factorisation(self):
+        # the k = 2 solve equals the k = 1 solve of the k = 1 coefficients
         geom = torus.TorusGeometry(5, 1.0)
+        alpha = 3.0
         rng = np.random.default_rng(3)
-        f = torus.TorusField(geom, 8, rng.normal(size=(8,) * 5))
-        p1, p2 = ProblemParams(5, 1, 3.0), ProblemParams(5, 2, 3.0)
-        once = torus.spectral_solve(p2, geom, f)
-        twice = torus.spectral_solve(p1, geom, torus.spectral_solve(p1, geom, f))
+        modes = {tuple(int(c) for c in rng.integers(-2, 3, size=5)): float(rng.normal())
+                 for _ in range(6)}
+        p1, p2 = ProblemParams(5, 1, alpha), ProblemParams(5, 2, alpha)
+        inner = {q: c / ((2 * PI * math.sqrt(sum(a * a for a in q))) ** 2 + alpha)
+                 for q, c in modes.items()}
+        once = torus.spectral_solve(p2, geom, modes, grid=8)
+        twice = torus.spectral_solve(p1, geom, inner, grid=8)
         np.testing.assert_allclose(once.values, twice.values, atol=1e-16)
 
 
@@ -237,6 +241,23 @@ class TestRepresentation:
         orthant_dist = torus.orthant_distances(geom, m)
         assert not orthant_dist.flags.writeable
         assert torus.orthant_distances(geom, m) is orthant_dist
+
+    def test_gauss_legendre_rule_computed_once(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def recording(count):
+            calls.append(count)
+            return leggauss(count)
+
+        torus.gauss_legendre.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", recording)
+        p = ProblemParams(3, 1, 2000.0)
+        for _ in range(2):
+            torus.representation_check(p, G3, {(1, 0, 0): 1.0}, np.zeros(3), grid=16)
+        assert calls == [320]
+        nodes, weights = torus.gauss_legendre(320)
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_image_sum_runs_on_orthant(self, monkeypatch):
         calls = []
