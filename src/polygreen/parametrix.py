@@ -43,6 +43,7 @@ from . import euclid, giraud, torus
 from .cutoff import CutoffSpec, cutoff_for
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .params import ProblemParams
+from .torus import _radial_fourier
 
 ALIAS_FRACTION = 2.0 / 3.0
 ALIAS_LIMIT = 1e-8
@@ -158,30 +159,6 @@ def error_field_profile(
 # ---------------------------------------------------------------------------
 # Step 1: cutoff parametrix and its error field
 # ---------------------------------------------------------------------------
-
-def _radial_fourier(
-    n: int,
-    radial_values: Callable[[np.ndarray], np.ndarray],
-    r_lo: float,
-    r_hi: float,
-    xi: np.ndarray,
-) -> np.ndarray:
-    """omega_{n-1} int_{r_lo}^{r_hi} f(r) r^{n-1} mean_n(xi r) dr, vectorised in xi."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    xi_max = float(np.max(np.abs(xi))) if xi.size else 0.0
-    cycles = xi_max * (r_hi - r_lo) / (2.0 * math.pi)
-    count = int(min(4000, max(240, 24 * cycles)))
-    nodes, weights = torus.gauss_legendre(count)
-    r = 0.5 * (r_hi - r_lo) * (nodes + 1.0) + r_lo
-    w = 0.5 * (r_hi - r_lo) * weights
-    radial = radial_values(r) * r ** (n - 1) * w
-    out = np.empty_like(xi)
-    chunk = max(1, int(6e6 / count))
-    for i in range(0, len(xi), chunk):
-        mean = torus.plane_wave_spherical_mean(n, np.outer(xi[i : i + chunk], r))
-        out[i : i + chunk] = mean @ radial
-    return euclid.sphere_area(n) * out
-
 
 @dataclass
 class HProfile:

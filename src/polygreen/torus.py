@@ -18,7 +18,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def _box_cap(n: int) -> int:
 
 
 # Kernel points per call of the batched image sum.  It bounds the scratch
-# arrays, including the integer-order Bessel quadrature's 641 nodes per point.
+# arrays: the radii, the kernel values and the Bessel evaluator's temporaries.
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -397,6 +397,30 @@ def plane_wave_spherical_mean(n: int, z) -> np.ndarray:
     return out
 
 
+def _radial_fourier(
+    n: int,
+    radial_values: Callable[[np.ndarray], np.ndarray],
+    r_lo: float,
+    r_hi: float,
+    xi: np.ndarray,
+) -> np.ndarray:
+    """omega_{n-1} int_{r_lo}^{r_hi} f(r) r^{n-1} mean_n(xi r) dr, vectorised in xi."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi_max = float(np.max(np.abs(xi))) if xi.size else 0.0
+    cycles = xi_max * (r_hi - r_lo) / (2.0 * math.pi)
+    count = int(min(4000, max(240, 24 * cycles)))
+    nodes, weights = gauss_legendre(count)
+    r = 0.5 * (r_hi - r_lo) * (nodes + 1.0) + r_lo
+    w = 0.5 * (r_hi - r_lo) * weights
+    radial = radial_values(r) * r ** (n - 1) * w
+    out = np.empty_like(xi)
+    chunk = max(1, int(6e6 / count))
+    for i in range(0, len(xi), chunk):
+        mean = plane_wave_spherical_mean(n, np.outer(xi[i : i + chunk], r))
+        out[i : i + chunk] = mean @ radial
+    return euclid.sphere_area(n) * out
+
+
 def _grid_sum_with_estimate(values: np.ndarray, weight: np.ndarray, spacing: float, n: int) -> tuple[float, float]:
     """Periodic rectangle-rule sum with a half-resolution error estimate."""
     weighted = values * weight
@@ -464,18 +488,17 @@ def representation_check(
     phi_vals = eval_modes_on_grid(geometry, phi_hat, m, x)
     grid_part, grid_err = _grid_sum_with_estimate(smooth, phi_vals, L / m, n)
 
-    # singular part, mode by mode: c omega_{n-1} int chi r^{2k-1} mean(2 pi |q| r / L) dr
-    nodes, weights = gauss_legendre(320)
-    r_nodes = 0.5 * cut.tau0 * (nodes + 1.0)
-    r_w = 0.5 * cut.tau0 * weights
-    chi_vals = cut.chi(r_nodes)
-    omega = euclid.sphere_area(n)
-    singular_part = 0.0 + 0.0j
-    for q, coeff in phi_hat.items():
-        qn = math.sqrt(float(sum(cc * cc for cc in q)))
-        mean = plane_wave_spherical_mean(n, 2.0 * math.pi * qn * r_nodes / L)
-        radial = float(np.sum(r_w * chi_vals * r_nodes ** (2 * params.k - 1) * mean))
-        singular_part += coeff * np.exp(2j * math.pi * np.dot(q, x) / L) * c * omega * radial
+    # singular part, mode by mode: the radial Fourier transform of the
+    # subtracted parametrix c chi(r) r^{2k-n} at |xi| = 2 pi |q| / L
+    modes = list(phi_hat.items())
+    qn = np.array([math.sqrt(float(sum(cc * cc for cc in q))) for q, _ in modes])
+    radial = _radial_fourier(
+        n, lambda r: c * cut.chi(r) * r ** (-gap), 0.0, cut.tau0, 2.0 * math.pi * qn / L
+    )
+    singular_part = sum(
+        coeff * np.exp(2j * math.pi * np.dot(q, x) / L) * radial_q
+        for (q, coeff), radial_q in zip(modes, radial)
+    )
 
     u_x = solve_value_at(params, geometry, phi_hat, x)
     defect = abs(grid_part + float(np.real(singular_part)) - u_x)

@@ -14,6 +14,7 @@ import pytest
 from polygreen import besselk
 from polygreen.besselk import (
     EULER_GAMMA,
+    MAX_TWICE_NU,
     bessel_k,
     bessel_k_array,
     bessel_k_scaled,
@@ -118,10 +119,14 @@ class TestBesselK:
     @pytest.mark.parametrize(
         "twice_nu,x,expected",
         [
+            (0, 0.999, 0.42162685730813516),
+            (0, 1.001, 0.42042304210549163),
             (0, 5.999, 0.001245338981992395),
             (0, 6.001, 0.0012426511420149516),
             (0, 15.999, 3.503020684126026e-8),
             (0, 16.001, 3.4958063686062823e-8),
+            (2, 0.999, 0.60293127632301204),
+            (2, 1.001, 0.60088541081968234),
             (2, 5.999, 0.0013453885119458836),
             (2, 6.001, 0.0013424525494396229),
             (2, 15.999, 3.6108839042044634e-8),
@@ -129,7 +134,8 @@ class TestBesselK:
         ],
     )
     def test_region_joins(self, twice_nu, x, expected):
-        # frozen references straddling the series/quadrature/asymptotic joins
+        # frozen references straddling the series/trapezoid seam at x = 1 and
+        # the former quadrature and asymptotic joins at 6 and 16
         assert bessel_k(twice_nu, x) == pytest.approx(expected, rel=1e-10)
 
     def test_scaled_consistency(self):
@@ -168,27 +174,28 @@ class TestBesselK:
             sing = np.array([bessel_k(twice_nu, float(x)) for x in xs])
             np.testing.assert_allclose(arr, sing, rtol=1e-13)
 
-    def test_mid_band_blocks_match_one_table(self):
-        # several blocks of the quadrature table against the unblocked product
-        x = np.linspace(6.001, 15.999, 3 * besselk._MID_BLOCK + 17)
-        k0, k1 = besselk._k01_mid_scaled(x)
-        expf = np.exp(-np.outer(x, besselk._MID_COSHM1))
-        ref0 = expf @ besselk._MID_W
-        ref1 = expf @ (besselk._MID_W * np.cosh(besselk._MID_NODES))
-        assert np.max(np.abs(k0 - ref0) / ref0) <= 1e-15
-        assert np.max(np.abs(k1 - ref1) / ref1) <= 1e-15
+    def test_trapezoid_blocks_match_one_table(self, monkeypatch):
+        # several blocks of the trapezoid rule against one unblocked evaluation
+        x = np.linspace(1.001, 700.0, 3 * besselk._TRAP_BLOCK + 17)
+        for order in range(MAX_TWICE_NU // 2 + 1):
+            blocked = besselk._k_trapezoid_scaled(order, x)
+            with monkeypatch.context() as m:
+                m.setattr(besselk, "_TRAP_BLOCK", x.size)
+                whole = besselk._k_trapezoid_scaled(order, x)
+            assert np.max(np.abs(blocked - whole) / whole) <= 1e-15, order
 
 
-# The README's relative accuracy for K_nu.  The largest error sits just below
-# the series cut at x = 6, where the ascending series cancels: 9.0e-11 for
-# K_0 at x = 5.9703 in a 40-digit scan of 6000 points over [5.5, 6].
-BESSEL_REL_ERROR = 1e-10
+# The README's relative accuracy for K_nu, rounded up.  Against 40-digit
+# mpmath the largest error on the grid below is 2.1e-15 (K_0 at x = 1.001);
+# a denser scan of 1,062 points over [1e-3, 700] found 2.5e-15 (K_6, x = 173).
+BESSEL_REL_ERROR = 1e-14
 
 
 def test_region_seams_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
-    xs = np.concatenate([np.linspace(5.8, 6.2, 81), np.linspace(15.8, 16.2, 21)])
+    # [1e-3, 700] and the series/trapezoid seam at x = 1
+    xs = np.concatenate([np.geomspace(1e-3, 700.0, 160), np.linspace(0.99, 1.01, 21)])
     refs = {twice_nu: [] for twice_nu in range(14)}
     for x in xs:
         X = mpmath.mpf(float(x))

@@ -255,8 +255,8 @@ class TestRepresentation:
         p = ProblemParams(3, 1, 2000.0)
         for _ in range(2):
             torus.representation_check(p, G3, {(1, 0, 0): 1.0}, np.zeros(3), grid=16)
-        assert calls == [320]
-        nodes, weights = torus.gauss_legendre(320)
+        assert len(calls) == 1
+        nodes, weights = torus.gauss_legendre(calls[0])
         assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_image_sum_runs_on_orthant(self, monkeypatch):
@@ -419,9 +419,12 @@ def test_k2_factorization_against_convolution():
     kern = euclid.green_radial_kernel(p1)
     v = np.array([0.3, 0.1, 0.0, 0.0, 0.0])
     direct, _ = torus.green_lattice_sum(p2, geom, np.zeros(5), v, tol=1e-12)
+    # the 243 images have only 29 distinct radii: convolve each once
+    radii, counts = np.unique(
+        np.linalg.norm(v + torus._lattice_box(5, 1) * geom.L, axis=1), return_counts=True
+    )
     total = 0.0
-    for shift in torus._lattice_box(5, 1) * geom.L:
-        r = float(np.linalg.norm(v + shift))
-        val, _ = radial_convolve(kern, kern, 5, r, tol=1e-9)
-        total += val
+    for r, count in zip(radii, counts):
+        val, _ = radial_convolve(kern, kern, 5, float(r), tol=1e-9)
+        total += count * val
     assert total == pytest.approx(direct, rel=1e-4)
