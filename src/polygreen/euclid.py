@@ -11,9 +11,9 @@ test suite against three independent oracles: the k = 1 Bessel kernel, the
 small-r normalisation r^{n-2k} G -> c_{n,k}, and numerical radial
 self-convolution.
 
-Radial derivatives are exact: d/dr maps a term c r^p K_m(s r) to
-(p + m) c r^{p-1} K_m(s r) - c s r^p K_{m+1}(s r), so the profile and all
-its derivatives stay finite linear combinations of such terms.
+Radial derivatives are exact: ``RadialTerms`` keeps finite sums of
+q(u) r^p K_m(s r) terms, q polynomial, closed under d/dr; the kernel
+derivatives (``kernel_terms``) and the parametrix error field both use it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .besselk import UNDERFLOW_ARG, bessel_k_scaled_array, gamma_fn
 from .errors import DomainError, OutOfRegimeError, UnsupportedOrderError
@@ -118,48 +119,87 @@ def kernel_alpha(params: ProblemParams, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact radial derivatives via the term algebra c * r^p * K_m(s r)
+# Exact radial derivatives via the term algebra q(u) r^p K_m(s r)
 # ---------------------------------------------------------------------------
 
-def profile_terms(params: ProblemParams) -> list[tuple[float, float, int]]:
-    """The kernel profile as [(coef, rpow, twice_order)] with argument scale sqrt(alpha)."""
-    nu = 0.5 * params.twice_nu
-    coef = closed_form_constant(params.n, params.k) * params.alpha ** (0.5 * nu)
-    return [(coef, -nu, params.twice_nu)]
+class RadialTerms:
+    """Sum of q(u) r^p K_m(s r) terms with u = (r - r0)/h, exact under d/dr.
 
+    Keys are (2p, 2m) with integral values; each q is a numpy Polynomial in u.
+    """
 
-def differentiate_terms(
-    terms: list[tuple[float, float, int]], s: float
-) -> list[tuple[float, float, int]]:
-    """One d/dr applied to a sum of c r^p K_m(s r) terms."""
-    out: dict[tuple[float, int], float] = {}
-    for coef, p, twice_m in terms:
-        a = coef * (p + 0.5 * twice_m)
-        if a != 0.0:
-            key = (p - 1.0, twice_m)
-            out[key] = out.get(key, 0.0) + a
-        key = (p, twice_m + 2)
-        out[key] = out.get(key, 0.0) - coef * s
-    return [(c, p, m) for (p, m), c in out.items() if c != 0.0]
+    def __init__(self, entries: dict, s: float, r0: float = 0.0, h: float = 1.0):
+        self.entries = entries
+        self.s = s
+        self.r0 = r0
+        self.h = h
 
+    def _with(self, entries: dict) -> "RadialTerms":
+        return RadialTerms(entries, self.s, self.r0, self.h)
 
-def evaluate_terms_array(
-    terms: list[tuple[float, float, int]], s: float, r: np.ndarray
-) -> np.ndarray:
-    """Evaluate a term sum at radii r, sharing one exponential factor."""
-    r = np.asarray(r, dtype=float)
-    x = s * r
-    out = np.zeros_like(r)
-    ok = x <= UNDERFLOW_ARG
-    if not np.any(ok):
+    @staticmethod
+    def _accumulate(acc: dict, key, poly: Polynomial):
+        acc[key] = acc[key] + poly if key in acc else poly
+
+    def derivative(self) -> "RadialTerms":
+        """d/dr, by d/dr [r^p K_m(s r)] = (p + m) r^{p-1} K_m - s r^p K_{m+1}."""
+        acc: dict = {}
+        for (tp, tm), q in self.entries.items():
+            dq = q.deriv()
+            if dq.degree() > 0 or abs(dq.coef[0]) > 0:
+                self._accumulate(acc, (tp, tm), dq / self.h)
+            pm = 0.5 * (tp + tm)
+            if pm != 0.0:
+                self._accumulate(acc, (tp - 2, tm), q * pm)
+            self._accumulate(acc, (tp, tm + 2), q * (-self.s))
+        return self._with(acc)
+
+    def divide_r(self) -> "RadialTerms":
+        return self._with({(tp - 2, tm): q for (tp, tm), q in self.entries.items()})
+
+    def scale(self, factor: float) -> "RadialTerms":
+        return self._with({key: q * factor for key, q in self.entries.items()})
+
+    def add(self, other: "RadialTerms") -> "RadialTerms":
+        acc = dict(self.entries)
+        for key, q in other.entries.items():
+            self._accumulate(acc, key, q)
+        return self._with(acc)
+
+    def apply_operator(self, n: int, alpha: float) -> "RadialTerms":
+        """(Delta + alpha) f = -f'' - (n-1)/r f' + alpha f."""
+        d1 = self.derivative()
+        d2 = d1.derivative()
+        return d2.scale(-1.0).add(d1.divide_r().scale(-(n - 1))).add(self.scale(alpha))
+
+    def evaluate(self, r: np.ndarray) -> np.ndarray:
+        """The sum at radii r, sharing one exponential factor.
+
+        Radii with s r > 700 return exact 0.0 (underflow policy)."""
+        r = np.asarray(r, dtype=float)
+        x = self.s * r
+        out = np.zeros_like(r)
+        ok = x <= UNDERFLOW_ARG
+        if not np.any(ok):
+            return out
+        xs = x[ok]
+        rs = r[ok]
+        u = (rs - self.r0) / self.h
+        acc = np.zeros_like(rs)
+        for (tp, tm), q in self.entries.items():
+            acc += q(u) * rs ** (0.5 * tp) * bessel_k_scaled_array(tm, xs)
+        out[ok] = acc * np.exp(-xs)
         return out
-    xs = x[ok]
-    rs = r[ok]
-    acc = np.zeros_like(rs)
-    for coef, p, twice_m in terms:
-        acc += coef * rs**p * bessel_k_scaled_array(twice_m, xs)
-    out[ok] = acc * np.exp(-xs)
-    return out
+
+
+def kernel_terms(params: ProblemParams, l: int = 0, gap: int = 0) -> RadialTerms:
+    """d^l/dr^l (r^gap G_alpha) as a RadialTerms sum with constant coefficients."""
+    nu2 = params.twice_nu
+    coef = closed_form_constant(params.n, params.k) * params.alpha ** (0.25 * nu2)
+    terms = RadialTerms({(2 * gap - nu2, nu2): Polynomial([coef])}, params.sqrt_alpha)
+    for _ in range(l):
+        terms = terms.derivative()
+    return terms
 
 
 def kernel_radial_derivative(params: ProblemParams, r: float, l: int) -> float:
@@ -176,19 +216,7 @@ def kernel_radial_derivative(params: ProblemParams, r: float, l: int) -> float:
         )
     if r <= 0:
         raise DomainError(f"need r > 0, got r={r}")
-    terms = profile_terms(params)
-    s = params.sqrt_alpha
-    for _ in range(l):
-        terms = differentiate_terms(terms, s)
-    return float(evaluate_terms_array(terms, s, np.array([float(r)]))[0])
-
-
-def kernel_gradient_terms(params: ProblemParams, l: int) -> list[tuple[float, float, int]]:
-    """Term list of the l-th derivative, for vectorised evaluation elsewhere."""
-    terms = profile_terms(params)
-    for _ in range(l):
-        terms = differentiate_terms(terms, params.sqrt_alpha)
-    return terms
+    return float(kernel_terms(params, l).evaluate(np.array([float(r)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +248,8 @@ def differentiated_remainder_ratio(params: ProblemParams, r: float, l: int) -> f
         raise OutOfRegimeError(
             f"differentiated remainder defined for 0 < sqrt(alpha) r <= 1, got {t}"
         )
-    gap = params.n - 2 * params.k
-    terms = [(c, p + gap, m) for c, p, m in profile_terms(params)]
-    s = params.sqrt_alpha
-    for _ in range(l):
-        terms = differentiate_terms(terms, s)
-    val = float(evaluate_terms_array(terms, s, np.array([float(r)]))[0])
+    terms = kernel_terms(params, l, gap=params.n - 2 * params.k)
+    val = float(terms.evaluate(np.array([float(r)]))[0])
     return abs(val) * r**l / eta(t, params.n, params.k)
 
 
@@ -250,7 +274,6 @@ class RadialKernel:
     support_radius: Optional[float] = None
     decay_rate: float = 0.0          # kernel ~ r^rho e^{-decay_rate * r} far out
     semigroup_order: Optional[int] = None
-    envelope: Optional[object] = None
 
     def __call__(self, r):
         scalar = np.isscalar(r)
@@ -258,7 +281,7 @@ class RadialKernel:
         return float(vals[0]) if scalar else vals
 
 
-def green_radial_kernel(params: ProblemParams, envelope: Optional[object] = None) -> RadialKernel:
+def green_radial_kernel(params: ProblemParams) -> RadialKernel:
     """RadialKernel wrapper of G_alpha^(k), tagged with its semigroup order."""
     return RadialKernel(
         evaluator=lambda r: kernel_alpha_array(params, r),
@@ -267,5 +290,4 @@ def green_radial_kernel(params: ProblemParams, envelope: Optional[object] = None
         support_radius=None,
         decay_rate=params.sqrt_alpha,
         semigroup_order=params.k,
-        envelope=envelope,
     )

@@ -21,10 +21,11 @@ before one transform at the grid size, which gives the band-2 field at the
 grid points.  The remainder u is solved on the same coefficients, mode by
 mode.
 
-The error field itself comes from a closed radial operator algebra: on the
-annulus every intermediate is a finite sum q(u) r^{p} K_{m}(sqrt(alpha) r)
-with q polynomial in the scaled annulus coordinate u, and both d/dr and
-division by r keep that form, so (Delta + alpha)^k applies exactly.
+The error field itself comes from the closed radial operator algebra
+``euclid.RadialTerms``: on the annulus every intermediate is a finite sum
+q(u) r^{p} K_{m}(sqrt(alpha) r) with q polynomial in the scaled annulus
+coordinate u = (r - tau0/2)/(tau0/2), and both d/dr and division by r keep
+that form, so (Delta + alpha)^k applies exactly to chi G.
 """
 
 from __future__ import annotations
@@ -51,81 +52,8 @@ EVAL_BAND = 2  # coefficient band, in grid bands, that each field is folded from
 
 
 # ---------------------------------------------------------------------------
-# Radial operator algebra on the cutoff annulus
+# Step 1: cutoff parametrix and its error field
 # ---------------------------------------------------------------------------
-
-class _AnnulusExpr:
-    """Sum of q(u) r^{p} K_{m}(s r) terms on the annulus, exact under d/dr.
-
-    Keys are (2p, 2m) with integral values; u = (r - tau0/2)/(tau0/2).
-    """
-
-    def __init__(self, entries: dict, cutoff: CutoffSpec, s: float):
-        self.entries = entries
-        self.cutoff = cutoff
-        self.s = s
-
-    def _add(self, acc: dict, key, poly: Polynomial):
-        if key in acc:
-            acc[key] = acc[key] + poly
-        else:
-            acc[key] = poly
-
-    def derivative(self) -> "_AnnulusExpr":
-        acc: dict = {}
-        h = self.cutoff.half
-        for (tp, tm), q in self.entries.items():
-            dq = q.deriv()
-            if dq.degree() > 0 or abs(dq.coef[0]) > 0:
-                self._add(acc, (tp, tm), dq / h)
-            pm = 0.5 * (tp + tm)
-            if pm != 0.0:
-                self._add(acc, (tp - 2, tm), q * pm)
-            self._add(acc, (tp, tm + 2), q * (-self.s))
-        return _AnnulusExpr(acc, self.cutoff, self.s)
-
-    def divide_r(self) -> "_AnnulusExpr":
-        return _AnnulusExpr(
-            {(tp - 2, tm): q for (tp, tm), q in self.entries.items()},
-            self.cutoff,
-            self.s,
-        )
-
-    def scale(self, factor: float) -> "_AnnulusExpr":
-        return _AnnulusExpr(
-            {key: q * factor for key, q in self.entries.items()}, self.cutoff, self.s
-        )
-
-    def add(self, other: "_AnnulusExpr") -> "_AnnulusExpr":
-        acc = dict(self.entries)
-        for key, q in other.entries.items():
-            self._add(acc, key, q)
-        return _AnnulusExpr(acc, self.cutoff, self.s)
-
-    def apply_operator(self, n: int, alpha: float) -> "_AnnulusExpr":
-        """(Delta + alpha) f = -f'' - (n-1)/r f' + alpha f."""
-        d1 = self.derivative()
-        d2 = d1.derivative()
-        return d2.scale(-1.0).add(d1.divide_r().scale(-(n - 1))).add(self.scale(alpha))
-
-    def evaluate(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        u = self.cutoff.scaled(r)
-        x = self.s * r
-        out = np.zeros_like(r)
-        expf = np.exp(-x)
-        for (tp, tm), q in self.entries.items():
-            out += q(u) * r ** (0.5 * tp) * euclid.bessel_k_scaled_array(tm, x)
-        return out * expf
-
-
-def _kernel_times_cutoff(params: ProblemParams, cutoff: CutoffSpec) -> _AnnulusExpr:
-    """chi(r) G_alpha(r) on the annulus as an algebra element."""
-    nu2 = params.twice_nu
-    d_alpha = euclid.closed_form_constant(params.n, params.k) * params.alpha ** (0.25 * nu2)
-    chi_poly = Polynomial([1.0]) - cutoff.step  # chi in the annulus variable u
-    return _AnnulusExpr({(-nu2, nu2): chi_poly * d_alpha}, cutoff, params.sqrt_alpha)
-
 
 def error_field_profile(
     params: ProblemParams, cutoff: CutoffSpec
@@ -139,7 +67,10 @@ def error_field_profile(
     """
     if params.k > 3:
         raise DomainError("symbolic radial pipeline supports k <= 3")
-    expr = _kernel_times_cutoff(params, cutoff)
+    kernel = euclid.kernel_terms(params)
+    chi = Polynomial([1.0]) - cutoff.step  # chi in the annulus variable u
+    entries = {key: chi * q for key, q in kernel.entries.items()}
+    expr = euclid.RadialTerms(entries, kernel.s, cutoff.half, cutoff.half)
     for _ in range(params.k):
         expr = expr.apply_operator(params.n, params.alpha)
 
@@ -155,10 +86,6 @@ def error_field_profile(
 
     return profile
 
-
-# ---------------------------------------------------------------------------
-# Step 1: cutoff parametrix and its error field
-# ---------------------------------------------------------------------------
 
 @dataclass
 class HProfile:
@@ -353,8 +280,7 @@ def _fields_from_coefficients(
             layer[dist > (i + 1) * cutoff.tau0] = 0.0
             layers.append(layer)
             cur = cur * (-lhat)
-    # the mode multiplier is (xi^2 + alpha)^k with xi = 2 pi |q| / L
-    mult = ((2.0 * math.pi / L) ** 2 * np.arange(sums[-1] + 1) + params.alpha) ** params.k
+    mult = torus._multiplier(params, geometry, np.arange(sums[-1] + 1))
     u_vals = materialise(cur / mult)
     return gammas, layers, u_vals
 

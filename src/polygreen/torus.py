@@ -251,7 +251,8 @@ def green_lattice_sum_many(
 # Spectral route
 # ---------------------------------------------------------------------------
 
-def _multiplier(params: ProblemParams, geometry: TorusGeometry, qsq: float) -> float:
+def _multiplier(params: ProblemParams, geometry: TorusGeometry, qsq):
+    """(xi^2 + alpha)^k at xi = 2 pi |q| / L, for |q|^2 a number or an array."""
     return ((2.0 * math.pi / geometry.L) ** 2 * qsq + params.alpha) ** params.k
 
 
@@ -339,20 +340,21 @@ def solve_value_at(params: ProblemParams, geometry: TorusGeometry, phi: dict, x)
 
 
 def eval_modes_on_grid(geometry: TorusGeometry, phi: dict, m: int, origin) -> np.ndarray:
-    """Samples of sum_q c_q e^{2 pi i q.(origin + u)/L} over the displacement grid."""
+    """Samples of Re sum_q c_q e^{2 pi i q.(origin + u)/L} over the displacement grid.
+
+    Each mode's complex phase spans the first n - 1 axes only; the last
+    axis enters through cos and sin, so the one m^n array is real."""
     coords = grid_coordinates(geometry, m)
     origin = np.asarray(origin, dtype=float)
-    vals = np.zeros((m,) * geometry.n, dtype=complex)
+    vals = np.zeros((m,) * geometry.n)
     for q, coeff in phi.items():
-        base = coeff * np.exp(2j * math.pi * np.dot(q, origin) / geometry.L)
-        phase = np.array([1.0 + 0.0j])
-        for axis in range(geometry.n):
-            ax_phase = np.exp(2j * math.pi * q[axis] * coords / geometry.L)
-            shape = [1] * geometry.n
-            shape[axis] = m
-            phase = phase * ax_phase.reshape(shape)
-        vals = vals + base * phase
-    return np.real(vals)
+        phase = np.asarray(coeff * np.exp(2j * math.pi * np.dot(q, origin) / geometry.L))
+        for axis in range(geometry.n - 1):
+            phase = np.multiply.outer(phase, np.exp(2j * math.pi * q[axis] * coords / geometry.L))
+        last = 2.0 * math.pi * q[-1] * coords / geometry.L
+        vals += np.multiply.outer(phase.real, np.cos(last))
+        vals -= np.multiply.outer(phase.imag, np.sin(last))
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -588,15 +590,15 @@ def _directional_derivatives(
     w = v[None, :] + shifts
     s = np.linalg.norm(w, axis=1)
     b = shifts @ vhat  # s_m(t)^2 = t^2 + 2 t b + |Lm|^2, evaluated at t = d
-    f1 = euclid.evaluate_terms_array(euclid.kernel_gradient_terms(params, 1), params.sqrt_alpha, s)
+    f1 = euclid.kernel_terms(params, 1).evaluate(s)
     s1 = (d + b) / s
     if l == 1:
         return float(np.sum(f1 * s1))
-    f2 = euclid.evaluate_terms_array(euclid.kernel_gradient_terms(params, 2), params.sqrt_alpha, s)
+    f2 = euclid.kernel_terms(params, 2).evaluate(s)
     s2 = (1.0 - s1 * s1) / s
     if l == 2:
         return float(np.sum(f2 * s1 * s1 + f1 * s2))
-    f3 = euclid.evaluate_terms_array(euclid.kernel_gradient_terms(params, 3), params.sqrt_alpha, s)
+    f3 = euclid.kernel_terms(params, 3).evaluate(s)
     s3 = -3.0 * s1 * s2 / s
     return float(np.sum(f3 * s1**3 + 3.0 * f2 * s1 * s2 + f1 * s3))
 
@@ -634,7 +636,7 @@ def green_gradient(
     m_max, _ = image_radius(params, geometry, tol)
     w = v[None, :] + geometry.L * _lattice_box(geometry.n, m_max + 1)
     s = np.linalg.norm(w, axis=1)
-    f1 = euclid.evaluate_terms_array(euclid.kernel_gradient_terms(params, 1), params.sqrt_alpha, s)
+    f1 = euclid.kernel_terms(params, 1).evaluate(s)
     return np.sum((f1 / s)[:, None] * w, axis=0)
 
 

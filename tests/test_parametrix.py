@@ -131,22 +131,21 @@ class TestErrorField:
         assert np.all(np.isfinite(ann))
         assert np.any(ann != 0.0)
 
-    def test_k2_operator_annihilates_kernel(self):
+    @pytest.mark.parametrize(
+        "n,k,alpha",
+        [(n, k, a) for k in (1, 2, 3) for n in range(2 * k + 1, 8) for a in (100.0, 2000.0)],
+    )
+    def test_k2_operator_annihilates_kernel(self, n, k, alpha):
         # the algebra applied to the bare kernel (chi = 1 plateau) cancels:
-        # (Delta + alpha)^k G = 0 away from the pole, up to rounding
-        from numpy.polynomial import Polynomial
-
-        p = ProblemParams(5, 2, 100.0)
-        cut = CutoffSpec(tau0=0.2, smoothness=6)
-        nu2 = p.twice_nu
-        d_alpha = euclid.closed_form_constant(p.n, p.k) * p.alpha ** (0.25 * nu2)
-        expr = parametrix._AnnulusExpr(
-            {(-nu2, nu2): Polynomial([d_alpha])}, cut, p.sqrt_alpha
-        )
-        for _ in range(p.k):
-            expr = expr.apply_operator(p.n, p.alpha)
-        r = np.array([0.05, 0.08])
-        scale = euclid.kernel_alpha_array(p, r) * p.alpha**p.k
+        # (Delta + alpha)^k G = 0 away from the pole, up to rounding that
+        # grows like (sqrt(alpha) r)^{-2k} toward the pole
+        p = ProblemParams(n, k, alpha)
+        expr = euclid.kernel_terms(p)
+        for _ in range(k):
+            expr = expr.apply_operator(n, alpha)
+        t = np.array([0.3, 0.5, 0.8, 1.2, 2.0, 3.0])  # sqrt(alpha) r
+        r = t / p.sqrt_alpha
+        scale = euclid.kernel_alpha_array(p, r) * alpha**k * np.maximum(1.0, t ** (-2 * k))
         assert np.all(np.abs(expr.evaluate(r)) <= 1e-10 * scale)
 
     def test_depth_cap(self):
