@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -459,14 +460,25 @@ _CONFIG_PARSER = _Parser(add_help=False)
 _CONFIG_PARSER.add_argument("--config", type=str, default=None)
 
 
+@functools.lru_cache(maxsize=1)
+def _plain_parser() -> argparse.ArgumentParser:
+    """The parser with its own defaults, built once: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """Parse the command line: explicit flag > --config key > parser default.
 
     A config key that names no flag of the chosen command is a usage error.
     """
-    parser = build_parser()
     path = _CONFIG_PARSER.parse_known_args(argv)[0].config
-    config = _apply_config(parser, path) if path else {}
+    if path:
+        # _apply_config rewrites flag defaults, so a config run gets its own parser
+        parser = build_parser()
+        config = _apply_config(parser, path)
+    else:
+        parser = _plain_parser()
+        config = {}
     args = parser.parse_args(argv)
     flags = set(vars(args)) - {"func", "command", "sub", "config"}
     unknown = sorted(set(config) - flags)

@@ -590,15 +590,17 @@ def _directional_derivatives(
     w = v[None, :] + shifts
     s = np.linalg.norm(w, axis=1)
     b = shifts @ vhat  # s_m(t)^2 = t^2 + 2 t b + |Lm|^2, evaluated at t = d
-    f1 = euclid.kernel_terms(params, 1).evaluate(s)
+    terms1 = euclid.kernel_terms(params, 1)
+    f1 = terms1.evaluate(s)
     s1 = (d + b) / s
     if l == 1:
         return float(np.sum(f1 * s1))
-    f2 = euclid.kernel_terms(params, 2).evaluate(s)
+    terms2 = terms1.derivative()
+    f2 = terms2.evaluate(s)
     s2 = (1.0 - s1 * s1) / s
     if l == 2:
         return float(np.sum(f2 * s1 * s1 + f1 * s2))
-    f3 = euclid.kernel_terms(params, 3).evaluate(s)
+    f3 = terms2.derivative().evaluate(s)
     s3 = -3.0 * s1 * s2 / s
     return float(np.sum(f3 * s1**3 + 3.0 * f2 * s1 * s2 + f1 * s3))
 

@@ -227,6 +227,16 @@ class TestConfigPrecedence:
         argv = self.config(tmp_path, {"alpha": 2000}) + self.VERIFY[:-2]
         assert cli.parse_args(argv).alpha == 2000.0
 
+    def test_config_run_leaves_plain_run_defaults(self, tmp_path, capsys):
+        fresh = vars(cli.build_parser().parse_args(self.VERIFY))
+        assert vars(cli.parse_args(self.VERIFY)) == fresh
+        cfg = self.config(tmp_path, {"grid": 16, "tol": 1e-3, "alpha": 2000})
+        assert cli.parse_args(cfg + self.VERIFY[:-2]).grid == 16
+        # the plain run after a config run sees the parser defaults again
+        assert vars(cli.parse_args(self.VERIFY)) == fresh
+        code, out, err = run_cli(self.VERIFY[:-2], capsys)
+        assert code == 1 and "--alpha" in err
+
     @pytest.mark.parametrize(
         "values", [{"grids": 16}, {"func": "x"}, {"command": "mass"}, {"format": "xml"}]
     )

@@ -5,6 +5,7 @@ for unit balls; convolution identities use the closed-form kernels as the
 independent oracle.
 """
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -270,6 +271,33 @@ class TestRadialConvolve:
         a, _ = giraud.radial_convolve(f, g, 3, 0.6, tol=tol)
         b, _ = giraud.radial_convolve(g, f, 3, 0.6, tol=tol)
         assert abs(a - b) <= 2 * tol
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 2.0])
+    def test_error_estimate_dominates_closed_form(self, n, r):
+        kern = euclid.green_radial_kernel(ProblemParams(n, 1, 1.0))
+        val, err = giraud.radial_convolve(kern, kern, n, r, tol=1e-8)
+        assert err >= abs(val - euclid.kernel_closed_form(n, 2, r))
+
+    @pytest.mark.parametrize(
+        "kern,n,r",
+        [
+            (euclid.green_radial_kernel(ProblemParams(5, 1, 1.0)), 5, 1.0),
+            (ball_kernel(), 3, 1.0),
+        ],
+        ids=["green", "ball"],
+    )
+    def test_kernel_calls_are_batched(self, kern, n, r):
+        calls = []
+
+        def counted(t):
+            calls.append(t.size)
+            return kern.evaluator(t)
+
+        counting = dataclasses.replace(kern, evaluator=counted)
+        giraud.radial_convolve(counting, counting, n, r, tol=1e-8)
+        # one f call per outer panel and one g call on all its polar nodes
+        assert len(calls) <= 200
 
     def test_nonintegrable_rejected(self):
         bad = euclid.RadialKernel(
