@@ -120,7 +120,6 @@ def power_envelope(
     p: FractionLike,
     rho: FractionLike,
     support: Optional[FractionLike] = None,
-    rate: FractionLike = 1,
 ) -> EnvelopeSpec:
     """Envelope with a plain power near regime d^{beta-n}."""
     beta = _frac(beta)
@@ -130,7 +129,6 @@ def power_envelope(
         near=NearRegime("power", beta=beta),
         p=_frac(p),
         rho=_frac(rho),
-        rate=_frac(rate),
         support=None if support is None else _frac(support),
     )
 
@@ -361,10 +359,8 @@ def envelope_value(spec: EnvelopeSpec, n: int, alpha: float, r: float) -> float:
     return alpha ** float(spec.p) * r ** float(spec.rho) * math.exp(-arg)
 
 
-def fit_far_slope(
-    r: np.ndarray, values: np.ndarray, sqrt_alpha: float, rate: float = 1.0
-) -> tuple[float, float]:
-    """Least-squares slope of log(v) + rate sqrt(alpha) r against log r.
+def fit_far_slope(r: np.ndarray, values: np.ndarray, sqrt_alpha: float) -> tuple[float, float]:
+    """Least-squares slope of log(v) + sqrt(alpha) r against log r.
 
     Returns (slope, intercept); points with nonpositive values are rejected.
     """
@@ -372,7 +368,7 @@ def fit_far_slope(
     values = np.asarray(values, dtype=float)
     if np.any(values <= 0):
         raise DomainError("far-field fit requires positive samples")
-    y = np.log(values) + rate * sqrt_alpha * r
+    y = np.log(values) + sqrt_alpha * r
     a = np.vstack([np.log(r), np.ones_like(r)]).T
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     return float(coef[0]), float(coef[1])
@@ -401,7 +397,6 @@ def _adaptive_segments(
     breaks: Sequence[float],
     tol_abs: float,
     tol_rel: float,
-    max_intervals: int = 4000,
 ) -> tuple[float, float]:
     """Adaptive Gauss-Legendre on [a, b] with forced breakpoints.
 
@@ -409,7 +404,8 @@ def _adaptive_segments(
     its own error at each node.  A panel is split until its 15-node value
     and the sum over its two halves agree; an accepted panel contributes
     that gap plus the halves' integrated node error, floored at 50 machine
-    epsilons of its value for rounding.  Returns (value, error estimate).
+    epsilons of its value for rounding.  Returns (value, error estimate);
+    raises ConvergenceError beyond 4000 panels.
     """
 
     def gl(lo: float, hi: float) -> np.ndarray:
@@ -437,7 +433,7 @@ def _adaptive_segments(
             err += max(delta + fine[1], rounding)
             continue
         count += 2
-        if count > max_intervals:
+        if count > 4000:
             raise ConvergenceError(
                 "adaptive quadrature exceeded its interval budget",
                 best_estimate=value + fine[0] + sum(v[0] for _, _, v, _ in stack),
@@ -454,7 +450,6 @@ def radial_convolve(
     n: int,
     r: float,
     tol: float = 1e-6,
-    tol_rel: float = 1e-5,
 ) -> tuple[float, float]:
     """(f * g)(r) for radial f, g on R^n in polar coordinates about the origin.
 
@@ -483,8 +478,9 @@ def radial_convolve(
     plus the gap between the 48- and 24-node inner values integrated with
     the outer weights, floored at 50 machine epsilons of each panel for
     rounding.  Raises ConvergenceError when that error exceeds four times
-    max(tol, tol_rel |value|).
+    max(tol, tol_rel |value|), with the relative tolerance tol_rel = 1e-5.
     """
+    tol_rel = 1e-5
     if n < 2:
         raise DomainError(f"radial convolution needs n >= 2, got n={n}")
     if r <= 0:
@@ -588,15 +584,14 @@ def certify_bound(
     n: int,
     alpha_list: Sequence[float],
     r_grid: Sequence[float],
-    drift_factor: float = 2.0,
-    tol: float = 1e-8,
 ) -> CertificationReport:
     """Fit the minimal C with conv <= C * composed on the grid, per alpha.
 
-    Fails (with a counterexample) if the convolution is nonzero where the
-    composed envelope vanishes, or if the fitted constant drifts by more
-    than ``drift_factor`` across ``alpha_list``.
+    Fails (with a counterexample) if a convolution, computed to absolute
+    tolerance 1e-8, is nonzero where the composed envelope vanishes, or if
+    the fitted constant drifts by more than a factor 2 across the alphas.
     """
+    tol = 1e-8
     fitted: dict = {}
     for alpha in alpha_list:
         fx = x_family(alpha)
@@ -618,4 +613,4 @@ def certify_bound(
         fitted[alpha] = worst
     values = [v for v in fitted.values() if v > 0]
     drift = max(values) / min(values) if values else 1.0
-    return CertificationReport(fitted=fitted, passed=drift <= drift_factor, drift=drift)
+    return CertificationReport(fitted=fitted, passed=drift <= 2.0, drift=drift)

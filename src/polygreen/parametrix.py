@@ -93,7 +93,6 @@ class HProfile:
 
     params: ProblemParams
     cutoff: CutoffSpec
-    near_constant: float  # c_{n,k}: H ~ c_{n,k} r^{2k-n} at the diagonal
 
     def __call__(self, r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -139,7 +138,7 @@ def build_H(
             f"precondition 1/sqrt(alpha) < tau0/2 violated: "
             f"1/sqrt({params.alpha}) = {1.0 / params.sqrt_alpha:.6g} >= {cut.tau0 / 2.0:.6g}"
         )
-    return HProfile(params=params, cutoff=cut, near_constant=euclid.c_nk(params.n, params.k))
+    return HProfile(params=params, cutoff=cut)
 
 
 def error_field(
@@ -314,9 +313,9 @@ def run_pipeline(
     l_field = error_field(params, geometry, cut, grid)
 
     # aliasing guard on the exact coefficients at the pipeline band
-    qs = np.arange(0, int(math.isqrt(3 * (grid // 2) ** 2)) + 2, dtype=float)
+    qs = np.arange(0, int(math.isqrt(n * (grid // 2) ** 2)) + 2, dtype=float)
     lh_shells = error_field_fourier(params, cut, 2.0 * math.pi / geometry.L * qs)
-    shell_w = qs * qs + 1.0
+    shell_w = qs ** (n - 1) + 1.0
     band = qs <= ALIAS_FRACTION * (grid / 2.0)
     for i in range(1, depth + 1):
         energy = shell_w * np.abs(lh_shells) ** (2 * i)

@@ -18,12 +18,12 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import euclid
-from .cutoff import CutoffSpec, cutoff_for
+from .cutoff import cutoff_for
 from .errors import BudgetError, DomainError
 from .params import ProblemParams
 
@@ -91,6 +91,12 @@ class TorusField:
         return TorusField(TorusGeometry(int(n), float(L)), int(m), data.reshape((m,) * n))
 
 
+def check_dimensions(params: ProblemParams, geometry: TorusGeometry) -> None:
+    """Raise DomainError unless the operator and the torus share the dimension n."""
+    if params.n != geometry.n:
+        raise DomainError("params and geometry dimensions differ")
+
+
 def torus_distance(geometry: TorusGeometry, x, y) -> tuple[float, np.ndarray]:
     """Geodesic distance and the shortest displacement of y - x.
 
@@ -123,19 +129,17 @@ def _box_cap(n: int) -> int:
     return max(3, int(0.5 * ((3.0e6) ** (1.0 / n) - 1.0)))
 
 
-# Kernel points per call of the batched image sum.  It bounds the scratch
-# arrays: the radii, the kernel values and the Bessel evaluator's temporaries.
+# Points per block of the batched image sum and of the radial transform; it
+# bounds their scratch arrays (radii, kernel values, Bessel temporaries, means).
 _BLOCK_ELEMENTS = 1 << 14
 
 
-def _certified_tail(
-    params: ProblemParams, geometry: TorusGeometry, m_max: int, shells: int = 200
-) -> float:
+def _certified_tail(params: ProblemParams, geometry: TorusGeometry, m_max: int) -> float:
     """Upper bound on the images dropped beyond sup-norm radius m_max.
 
     Images with sup-norm j sit at distance >= L (j - 1/2) and the kernel is
     decreasing, so the shell terms t_j = c_j G_alpha(L (j - 1/2)) bound the
-    tail.  ``shells`` of them are summed explicitly and the rest is closed
+    tail.  200 of them are summed explicitly and the rest is closed
     by a geometric series.  G_alpha is a multiple of r^{-nu} K_nu(sqrt(alpha) r)
     with nu = n/2 - k >= 1/2, whose logarithmic derivative is
     -sqrt(alpha) K_{nu+1} / K_nu <= -sqrt(alpha), so consecutive shells
@@ -147,7 +151,7 @@ def _certified_tail(
     is infinite when rho_J >= 1.
     """
     n, L = geometry.n, geometry.L
-    js = np.arange(m_max + 1, m_max + 2 + shells)
+    js = np.arange(m_max + 1, m_max + 202)
     counts = np.array([_shell_count(n, int(j)) for j in js], dtype=float)
     terms = counts[:-1] * euclid.kernel_alpha_array(params, L * (js[:-1] - 0.5))
     rho = math.exp(-params.sqrt_alpha * L) * counts[-1] / counts[-2]
@@ -215,8 +219,7 @@ def green_lattice_sum(
     and when the tolerance is unreachable within the image budget (small
     alpha on a small torus).
     """
-    if params.n != geometry.n:
-        raise DomainError("params and geometry dimensions differ")
+    check_dimensions(params, geometry)
     d, v = torus_distance(geometry, x, y)
     if d == 0.0:
         raise DomainError("Green's function is singular on the diagonal x = y")
@@ -235,8 +238,7 @@ def green_lattice_sum_many(
     Each row is reduced to its nearest representative, as in
     ``torus_distance``; rows on the lattice (the diagonal) are rejected.
     """
-    if params.n != geometry.n:
-        raise DomainError("params and geometry dimensions differ")
+    check_dimensions(params, geometry)
     v = np.asarray(displacements, dtype=float)
     if v.ndim != 2 or v.shape[1] != geometry.n:
         raise DomainError(f"displacements must be rows of {geometry.n}-vectors")
@@ -322,8 +324,6 @@ def spectral_solve(
     """
     u_hat = {}
     for q, coeff in phi.items():
-        if len(q) != geometry.n:
-            raise DomainError(f"mode {q} does not match dimension {geometry.n}")
         u_hat[q] = coeff / _multiplier(params, geometry, float(sum(c * c for c in q)))
     vals = eval_modes_on_grid(geometry, u_hat, grid, np.zeros(geometry.n))
     return TorusField(geometry, grid, vals)
@@ -348,6 +348,8 @@ def eval_modes_on_grid(geometry: TorusGeometry, phi: dict, m: int, origin) -> np
     origin = np.asarray(origin, dtype=float)
     vals = np.zeros((m,) * geometry.n)
     for q, coeff in phi.items():
+        if len(q) != geometry.n:
+            raise DomainError(f"mode {q} does not match dimension {geometry.n}")
         phase = np.asarray(coeff * np.exp(2j * math.pi * np.dot(q, origin) / geometry.L))
         for axis in range(geometry.n - 1):
             phase = np.multiply.outer(phase, np.exp(2j * math.pi * q[axis] * coords / geometry.L))
@@ -416,7 +418,7 @@ def _radial_fourier(
     w = 0.5 * (r_hi - r_lo) * weights
     radial = radial_values(r) * r ** (n - 1) * w
     out = np.empty_like(xi)
-    chunk = max(1, int(6e6 / count))
+    chunk = max(1, _BLOCK_ELEMENTS // count)
     for i in range(0, len(xi), chunk):
         mean = plane_wave_spherical_mean(n, np.outer(xi[i : i + chunk], r))
         out[i : i + chunk] = mean @ radial
@@ -437,8 +439,6 @@ def representation_check(
     phi_hat: dict,
     x,
     grid: int = 128,
-    tol: float = 1e-10,
-    cutoff: Optional[CutoffSpec] = None,
 ) -> tuple[float, float]:
     """Defect |int_T G(x, .) phi - u(x)| for a trigonometric polynomial phi.
 
@@ -461,8 +461,7 @@ def representation_check(
     """
     if params.n != 2 * params.k + 1:
         raise DomainError("representation check requires n = 2k + 1")
-    if params.n != geometry.n:
-        raise DomainError("params and geometry dimensions differ")
+    check_dimensions(params, geometry)
     if grid % 2:
         raise DomainError(
             f"representation check needs an even grid, got {grid}: its error "
@@ -472,13 +471,13 @@ def representation_check(
     x = np.asarray(x, dtype=float)
     n, L = geometry.n, geometry.L
     m = grid
-    cut = cutoff if cutoff is not None else cutoff_for(n, params.k, L)
+    cut = cutoff_for(n, params.k, L)
     c = euclid.c_nk(n, params.k)
     gap = params.n - 2 * params.k  # = 1
 
     # periodised kernel on the orthant; the diagonal cell sums the nonzero images
     dist = orthant_distances(geometry, m)
-    smooth = _image_sum(params, geometry, _orthant_rows(geometry, m), tol)[0]
+    smooth = _image_sum(params, geometry, _orthant_rows(geometry, m), 1e-10)[0]
     smooth = smooth.reshape(dist.shape)
     zero_mask = dist == 0.0
     # subtract the cutoff parametrix; diagonal cell gets the analytic limit
@@ -580,12 +579,13 @@ def _directional_derivatives(
     geometry: TorusGeometry,
     v: np.ndarray,
     l: int,
-    tol: float,
 ) -> float:
-    """d^l/dt^l of t -> sum_m f(|t vhat + L m|) at t = |v|, term by term."""
+    """d^l/dt^l of t -> sum_m f(|t vhat + L m|) at t = |v|, term by term.
+
+    The images run one shell past the box of the 1e-10 lattice sum."""
     d = float(np.linalg.norm(v))
     vhat = v / d
-    m_max, _ = image_radius(params, geometry, tol)
+    m_max, _ = image_radius(params, geometry, 1e-10)
     shifts = geometry.L * _lattice_box(geometry.n, m_max + 1)
     w = v[None, :] + shifts
     s = np.linalg.norm(w, axis=1)
@@ -611,7 +611,6 @@ def green_derivative(
     x,
     y,
     l: int,
-    tol: float = 1e-10,
 ) -> float:
     """Magnitude of the l-th radial derivative of G along the geodesic.
 
@@ -622,34 +621,32 @@ def green_derivative(
         raise DomainError(f"need 1 <= l <= 2k-1 = {2 * params.k - 1}, got {l}")
     if l > 3:
         raise DomainError("directional derivatives implemented up to order 3")
+    check_dimensions(params, geometry)
     d, v = torus_distance(geometry, x, y)
     if d == 0.0:
         raise DomainError("derivative singular on the diagonal")
-    return abs(_directional_derivatives(params, geometry, v, l, tol))
+    return abs(_directional_derivatives(params, geometry, v, l))
 
 
-def green_gradient(
-    params: ProblemParams, geometry: TorusGeometry, x, y, tol: float = 1e-10
-) -> np.ndarray:
+def green_gradient(params: ProblemParams, geometry: TorusGeometry, x, y) -> np.ndarray:
     """Full gradient vector of y -> G(x, y), term-by-term over images."""
+    check_dimensions(params, geometry)
     d, v = torus_distance(geometry, x, y)
     if d == 0.0:
         raise DomainError("gradient singular on the diagonal")
-    m_max, _ = image_radius(params, geometry, tol)
+    m_max, _ = image_radius(params, geometry, 1e-10)
     w = v[None, :] + geometry.L * _lattice_box(geometry.n, m_max + 1)
     s = np.linalg.norm(w, axis=1)
     f1 = euclid.kernel_terms(params, 1).evaluate(s)
     return np.sum((f1 / s)[:, None] * w, axis=0)
 
 
-def green_product_derivative(
-    params: ProblemParams, geometry: TorusGeometry, x, y, tol: float = 1e-10
-) -> float:
+def green_product_derivative(params: ProblemParams, geometry: TorusGeometry, x, y) -> float:
     """|d/dt ( t^{n-2k} G ) | along the geodesic at t = d(x, y)."""
     d, v = torus_distance(geometry, x, y)
     if d == 0.0:
         raise DomainError("singular on the diagonal")
     gap = params.n - 2 * params.k
-    g, _ = green_lattice_sum(params, geometry, x, y, tol=tol)
-    gprime = _directional_derivatives(params, geometry, v, 1, tol)
+    g, _ = green_lattice_sum(params, geometry, x, y)
+    gprime = _directional_derivatives(params, geometry, v, 1)
     return abs(gap * d ** (gap - 1) * g + d**gap * gprime)

@@ -246,6 +246,21 @@ class TestConfigPrecedence:
         assert out == ""
         assert "usage error" in err and next(iter(values)) in err
 
+    def test_config_after_command_is_usage_error(self, tmp_path, capsys):
+        argv = self.VERIFY[:2] + self.config(tmp_path, {"grid": 16}) + self.VERIFY[2:]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == "" and "--config" in err
+
+    def test_abbreviated_key_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run_cli(self.config(tmp_path, {"gri": 16}) + self.VERIFY, capsys)
+        assert code == 1
+        assert out == "" and "gri" in err
+
+    def test_config_equals_form(self, tmp_path):
+        path = self.config(tmp_path, {"grid": 16})[1]
+        assert cli.parse_args([f"--config={path}"] + self.VERIFY).grid == 16
+
     def test_key_of_another_command_is_usage_error(self, tmp_path, capsys):
         argv = self.config(tmp_path, {"grid": 16}) + [
             "mass", "sweep", "--n", "3", "--k", "1", "--alphas", "100"]

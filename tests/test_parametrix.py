@@ -214,6 +214,26 @@ class TestGammaIterateSampled:
                 parametrix.run_pipeline(P2000, G3, grid=32)  # spec-default 1e-8 gate
         assert err.value.error_estimate > parametrix.ALIAS_LIMIT
 
+    @pytest.mark.parametrize("n, k, grid", [(5, 1, 16), (5, 2, 16), (3, 1, 64)])
+    def test_gate_counts_n_dimensional_shells(self, n, k, grid):
+        # the gate's tail fraction bounds, and stays close to, the fraction
+        # of the first iterate's energy above 2/3 Nyquist counted over every
+        # mode of the grid's cube, shell by shell
+        p = ProblemParams(n, k, 2000.0)
+        geom = torus.TorusGeometry(n, 1.0)
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(ConvergenceError) as err:
+                parametrix.run_pipeline(p, geom, grid=grid)
+        h = grid // 2
+        counts = np.ones(1)
+        for _ in range(n):
+            counts = sum(np.pad(counts, (q * q, h * h - q * q)) for q in range(-h, h + 1))
+        qsq = np.flatnonzero(counts)
+        xi = 2.0 * math.pi * np.sqrt(qsq)
+        energy = counts[qsq] * parametrix.error_field_fourier(p, cutoff_for(n, k, 1.0), xi) ** 2
+        exact = energy[qsq > (2.0 / 3.0 * h) ** 2].sum() / energy.sum()
+        assert exact <= err.value.error_estimate <= 1.15 * exact
+
     def test_young_bound(self, state64):
         g1 = state64.gammas[0].values
         g2 = state64.gammas[1].values

@@ -363,6 +363,28 @@ class TestDerivatives:
         )
 
 
+class TestDimensionChecks:
+    P5 = ProblemParams(5, 2, 300.0)
+    Y = np.array([0.15, 0.05, 0.0])
+
+    def test_derivative_dimension_mismatch(self):
+        with pytest.raises(DomainError):
+            torus.green_derivative(self.P5, G3, np.zeros(3), self.Y, 1)
+
+    def test_gradient_dimension_mismatch(self):
+        with pytest.raises(DomainError):
+            torus.green_gradient(self.P5, G3, np.zeros(3), self.Y)
+
+    def test_representation_mode_length(self):
+        p = ProblemParams(3, 1, 2000.0)
+        with pytest.raises(DomainError):
+            torus.representation_check(p, G3, {(1, 0): 1.0}, np.zeros(3), grid=16)
+
+    def test_spectral_solve_mode_length(self):
+        with pytest.raises(DomainError):
+            torus.spectral_solve(ProblemParams(3, 1, 2000.0), G3, {(1, 0): 1.0}, grid=8)
+
+
 class TestPsiEnvelopeOfDerivatives:
     def test_three_regime_derivative_bound(self):
         # |grad G| <= C (rate-0.9) three-regime shape with d^{-(n-2k+1)} near
