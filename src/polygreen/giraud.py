@@ -284,17 +284,17 @@ class PsiEnvelope:
     alpha_exp: Fraction = Fraction(0)
 
 
-def psi_value(eps: float, alpha: float, d: float, injectivity_radius: float) -> float:
-    """Pointwise Psi_{eps,alpha}(d): three regimes, saturated at d >= i_g/2."""
+def psi_value(eps: float, alpha: float, d, injectivity_radius: float):
+    """Psi_{eps,alpha}(d), elementwise for an array d: three regimes,
+    saturated at d >= i_g/2.  A scalar d gives a float."""
     if not 0 < eps < 1:
         raise DomainError(f"need eps in (0,1), got {eps}")
     s = math.sqrt(alpha)
     half = injectivity_radius / 2.0
-    if d >= half:
-        return math.exp(-(1 - eps) * s * half)
-    if s * d >= 1.0:
-        return math.exp(-(1 - eps) * s * d)
-    return math.exp(-(1 - eps))
+    d = np.asarray(d, dtype=float)
+    rate = -(1 - eps) * s
+    arg = np.where(d >= half, rate * half, np.where(s * d >= 1.0, rate * d, -(1 - eps)))
+    return math.exp(arg) if arg.ndim == 0 else np.exp(arg)
 
 
 def compose_psi(

@@ -18,8 +18,10 @@ without discretisation error.  Fields carry twice the grid's band: the
 coefficients are radial, hence tables indexed by the integer |q|^2, and
 each field folds them onto the grid (every grid mode sums its aliases)
 before one transform at the grid size, which gives the band-2 field at the
-grid points.  The remainder u is solved on the same coefficients, mode by
-mode.
+grid points.  The tables come from the Chebyshev interpolant of the radial
+transforms in |xi| (``torus._radial_fourier``), so the quadrature runs at a
+few hundred nodes, not at every distinct |q|^2.  The remainder u is solved
+on the same coefficients, mode by mode.
 
 The error field itself comes from the closed radial operator algebra
 ``euclid.RadialTerms``: on the annulus every intermediate is a finite sum
@@ -247,9 +249,10 @@ def _fields_from_coefficients(
     """Gamma iterates, layers and u at grid m from exact band*m coefficients.
 
     Coefficients are radial, so each is a table indexed by the integer
-    |q|^2 of the band*m spectrum (transforms are evaluated only at the
-    distinct values); folding the table onto the m-grid rfft layout and
-    transforming at m gives the band*m field at every band-th sample.
+    |q|^2 of the band*m spectrum, filled at the distinct values from the
+    Chebyshev interpolant of the transforms; folding the table onto the
+    m-grid rfft layout and transforming at m gives the band*m field at
+    every band-th sample.
     Layers are support-zeroed outside d > (i+1) tau0 where they vanish
     identically (support additivity), removing series ringing.
     """

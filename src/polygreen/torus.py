@@ -24,7 +24,7 @@ import numpy as np
 
 from . import euclid
 from .cutoff import cutoff_for
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, ConvergenceError, DomainError
 from .params import ProblemParams
 
 TFLD_MAGIC = b"TFLD"
@@ -385,10 +385,19 @@ def plane_wave_spherical_mean(n: int, z) -> np.ndarray:
     if el > 2:
         raise DomainError(f"dimension n = {n} not supported (need n <= 7)")
     out = np.empty_like(z)
-    small = np.abs(z) < 1e-4
+    # the closed forms for l >= 1 cancel like eps / z^(2l) toward 0, so
+    # below |z| = 2 they give way to the series 0F1(; n/2; -z^2/4)
+    small = np.abs(z) < (1e-4 if el == 0 else 2.0)
     zs = z[small]
-    # Taylor: 1 - z^2/(2n) + 3 z^4 / (8 n (n+2) ... ) truncated; O(z^6) error
-    out[small] = 1.0 - zs * zs / (2.0 * n) + zs**4 * (3.0 / (8.0 * n * (n + 2)))
+    if el == 0:
+        # Taylor: 1 - z^2/(2n) + 3 z^4 / (8 n (n+2) ... ) truncated; O(z^6) error
+        out[small] = 1.0 - zs * zs / (2.0 * n) + zs**4 * (3.0 / (8.0 * n * (n + 2)))
+    else:
+        x = -0.25 * zs * zs
+        series = np.ones_like(zs)
+        for j in range(14, 0, -1):  # terms below 1e-20 beyond j = 14 for |z| < 2
+            series = 1.0 + series * x / (j * (j - 1 + 0.5 * n))
+        out[small] = series
     zb = z[~small]
     s, c = np.sin(zb), np.cos(zb)
     if el == 0:
@@ -401,16 +410,18 @@ def plane_wave_spherical_mean(n: int, z) -> np.ndarray:
     return out
 
 
-def _radial_fourier(
+def _radial_quadrature(
     n: int,
     radial_values: Callable[[np.ndarray], np.ndarray],
     r_lo: float,
     r_hi: float,
     xi: np.ndarray,
+    xi_max: float,
 ) -> np.ndarray:
-    """omega_{n-1} int_{r_lo}^{r_hi} f(r) r^{n-1} mean_n(xi r) dr, vectorised in xi."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    xi_max = float(np.max(np.abs(xi))) if xi.size else 0.0
+    """omega_{n-1} int_{r_lo}^{r_hi} f(r) r^{n-1} mean_n(xi r) dr at each xi.
+
+    Gauss-Legendre in r, its node count set by the oscillation at xi_max.
+    """
     cycles = xi_max * (r_hi - r_lo) / (2.0 * math.pi)
     count = int(min(4000, max(240, 24 * cycles)))
     nodes, weights = gauss_legendre(count)
@@ -423,6 +434,50 @@ def _radial_fourier(
         mean = plane_wave_spherical_mean(n, np.outer(xi[i : i + chunk], r))
         out[i : i + chunk] = mean @ radial
     return euclid.sphere_area(n) * out
+
+
+def _radial_fourier(
+    n: int,
+    radial_values: Callable[[np.ndarray], np.ndarray],
+    r_lo: float,
+    r_hi: float,
+    xi: np.ndarray,
+) -> np.ndarray:
+    """The radial transform of ``_radial_quadrature`` at every |xi|.
+
+    f is supported in [r_lo, r_hi], so the transform is an entire function
+    of xi of exponential type r_hi; on [0, xi_max] its Chebyshev
+    coefficients decay faster than geometrically once the degree passes
+    xi_max r_hi / 2 (Trefethen, ATAP, ch. 8).  Longer tables than
+    N = ceil(xi_max r_hi) + 16 nodes, twice that bound plus 16, are
+    therefore interpolated: the quadrature runs at the N first-kind
+    Chebyshev nodes (with the Gauss count of xi_max), a DCT gives the
+    coefficients and Clenshaw's recurrence evaluates them.  The largest of
+    the last five coefficients over the largest estimates the interpolation
+    error; above 1e-12 (or NaN) it raises ConvergenceError.  Shorter tables
+    are evaluated directly.
+    """
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi_max = float(np.max(np.abs(xi))) if xi.size else 0.0
+    count = math.ceil(xi_max * r_hi) + 16
+    if xi.size <= count or xi_max == 0.0:
+        return _radial_quadrature(n, radial_values, r_lo, r_hi, xi, xi_max)
+    angles = math.pi * (np.arange(count) + 0.5) / count
+    nodes = 0.5 * xi_max * (1.0 + np.cos(angles))
+    values = _radial_quadrature(n, radial_values, r_lo, r_hi, nodes, xi_max)
+    coef = np.cos(np.outer(np.arange(count), angles)) @ values * (2.0 / count)
+    coef[0] *= 0.5
+    out = np.polynomial.chebyshev.chebval(2.0 * np.abs(xi) / xi_max - 1.0, coef)
+    tail = float(np.max(np.abs(coef[-5:])))
+    scale = float(np.max(np.abs(coef)))
+    if not tail <= 1e-12 * scale:
+        raise ConvergenceError(
+            f"Chebyshev interpolant of the radial transform unresolved at "
+            f"{count} nodes: trailing coefficients {tail:.3e} against {scale:.3e}",
+            best_estimate=out,
+            error_estimate=tail / scale,
+        )
+    return out
 
 
 def _grid_sum_with_estimate(values: np.ndarray, weight: np.ndarray, spacing: float, n: int) -> tuple[float, float]:

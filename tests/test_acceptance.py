@@ -272,9 +272,7 @@ def test_criterion_7c_remainder_ratio(state_2000, state_8000):
     dstars = {}
     for state in (state_2000, state_8000):
         a = state.params.alpha
-        psi = np.array(
-            [psi_value(eps, a, float(d), G3.injectivity_radius) for d in dist.ravel()]
-        ).reshape(dist.shape)
+        psi = psi_value(eps, a, dist, G3.injectivity_radius)
         ratio = np.abs(state.u.values) * a**k / psi
         i = int(np.argmax(ratio))
         dstars[a] = float(dist.ravel()[i])

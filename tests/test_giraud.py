@@ -218,6 +218,17 @@ class TestPsi:
             math.exp(-0.9 * 20 * 0.25)
         )
 
+    def test_psi_value_array_matches_scalar(self):
+        # same branch per element as the scalar call, equal to rounding of exp
+        d = np.array([[0.0, 0.01, 0.05], [0.1, 0.25, 0.4]])
+        got = giraud.psi_value(0.1, 400.0, d, 0.5)
+        assert got.shape == d.shape
+        want = [giraud.psi_value(0.1, 400.0, float(x), 0.5) for x in d.ravel()]
+        np.testing.assert_allclose(got.ravel(), want, rtol=4e-16, atol=0.0)
+        assert isinstance(giraud.psi_value(0.1, 400.0, 0.1, 0.5), float)
+        with pytest.raises(DomainError):
+            giraud.psi_value(1.0, 400.0, d, 0.5)
+
 
 class TestSerialization:
     def test_roundtrip_power(self):

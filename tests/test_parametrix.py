@@ -179,6 +179,48 @@ class TestErrorField:
         assert cs[1] <= 1.1 * cs[0]
 
 
+class TestRadialInterpolant:
+    @pytest.mark.parametrize("transform", ["lhat", "Hhat"])
+    @pytest.mark.parametrize(
+        "n, k, alpha, m",
+        [(3, 1, 2000.0, 64), (3, 1, 8000.0, 64), (3, 1, 2000.0, 128), (3, 1, 8000.0, 128),
+         (5, 2, 2000.0, 16)],
+    )
+    def test_matches_direct_quadrature(self, n, k, alpha, m, transform):
+        # the pipeline's |q|^2 tables, interpolated, against the quadrature
+        # run at each xi with the same Gauss rule (a seeded subset at 128^3)
+        p = ProblemParams(n, k, alpha)
+        cut = cutoff_for(n, k, 1.0)
+        xi = 2.0 * math.pi * np.sqrt(parametrix._sums_of_squares(n, parametrix.EVAL_BAND * m // 2))
+        assert len(xi) > math.ceil(xi[-1] * cut.tau0) + 16  # interpolated, not direct
+        if transform == "lhat":
+            got = parametrix.error_field_fourier(p, cut, xi)
+            profile, r_lo = parametrix.error_field_profile(p, cut), cut.half
+        else:
+            got = parametrix.HProfile(p, cut).fourier(xi)
+            profile, r_lo = parametrix.HProfile(p, cut), 0.0
+        pick = np.arange(len(xi))
+        if m == 128:
+            rng = np.random.default_rng(11)
+            pick = np.union1d([0, len(xi) - 1], rng.choice(len(xi), 500, replace=False))
+        want = torus._radial_quadrature(n, profile, r_lo, cut.tau0, xi[pick], xi[-1])
+        assert np.max(np.abs(got[pick] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_short_tables_are_direct(self):
+        cut = cutoff_for(3, 1, 1.0)
+        h = parametrix.HProfile(P2000, cut)
+        xi = np.linspace(0.0, 1000.0, 50)
+        assert np.array_equal(h.fourier(xi), torus._radial_quadrature(3, h, 0.0, cut.tau0, xi, 1000.0))
+        assert h.integral() == torus._radial_quadrature(3, h, 0.0, cut.tau0, np.zeros(1), 0.0)[0]
+
+    def test_nan_profile_raises_with_estimate(self):
+        xi = np.linspace(0.0, 1000.0, 400)
+        with pytest.raises(ConvergenceError) as err:
+            torus._radial_fourier(3, lambda r: np.full_like(r, np.nan), 0.0, 0.09, xi)
+        assert err.value.error_estimate is not None
+        assert err.value.best_estimate.shape == xi.shape
+
+
 class TestGammaIterateSampled:
     def test_convolution_matches_direct_sum(self, monkeypatch):
         # coefficients zero for |q| >= m/2 leave each grid mode one nonzero
@@ -289,9 +331,7 @@ class TestPipeline:
             p = ProblemParams(3, 1, alpha)
             st = parametrix.run_pipeline(p, G3, grid=64, alias_limit=0.6)
             dist = torus.displacement_distances(G3, 64)
-            psi = np.array(
-                [psi_value(0.1, alpha, float(dd), 0.5) for dd in dist.ravel()]
-            ).reshape(dist.shape)
+            psi = psi_value(0.1, alpha, dist, 0.5)
             vals[alpha] = float(np.max(np.abs(st.u.values) / psi))
         assert vals[8000.0] <= 1.1 * vals[2000.0]
 

@@ -242,6 +242,17 @@ class TestRepresentation:
         assert not orthant_dist.flags.writeable
         assert torus.orthant_distances(geom, m) is orthant_dist
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_plane_wave_mean_against_mpmath(self, n):
+        # mean_n(z) = 0F1(; n/2; -z^2/4); the closed forms for n = 5 and 7
+        # cancel toward z = 0, where the radial interpolant puts its nodes
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        z = np.array([0.0, 5e-5, 1.01e-4, 3e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 1.99, 2.01, 5.0, 30.0])
+        got = torus.plane_wave_spherical_mean(n, z)
+        want = np.array([float(mpmath.hyp0f1(mpmath.mpf(n) / 2, -mpmath.mpf(x) ** 2 / 4)) for x in z])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
     def test_gauss_legendre_rule_computed_once(self, monkeypatch):
         calls = []
         leggauss = np.polynomial.legendre.leggauss
