@@ -37,7 +37,6 @@ from .torus import (
     TorusGeometry,
     green_lattice_sum,
     representation_check,
-    spectral_solve,
     symmetry_positivity_scan,
     torus_distance,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "remainder_ratio",
     "representation_check",
     "run_pipeline",
-    "spectral_solve",
     "symmetry_positivity_scan",
     "torus_distance",
     "torus_mass",

@@ -46,7 +46,7 @@ from . import euclid, giraud, torus
 from .cutoff import CutoffSpec, cutoff_for
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .params import ProblemParams
-from .torus import _radial_fourier
+from .torus import _radial_fourier, _sums_of_squares
 
 ALIAS_FRACTION = 2.0 / 3.0
 ALIAS_LIMIT = 1e-8
@@ -209,15 +209,6 @@ class ParametrixState:
         for layer in self.layers:
             vals = vals + layer.values
         return vals
-
-
-def _sums_of_squares(n: int, h: int) -> np.ndarray:
-    """Sorted distinct values of q_1^2 + ... + q_n^2 over integers |q_a| <= h."""
-    squares = np.arange(h + 1) ** 2
-    sums = np.zeros(1, dtype=np.intp)
-    for _ in range(n):
-        sums = np.flatnonzero(np.bincount(np.add.outer(sums, squares).ravel()))
-    return sums
 
 
 def _alias_mode_norms(n: int, m: int, band: int) -> list[np.ndarray]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,8 +129,8 @@ def _box_cap(n: int) -> int:
     return max(3, int(0.5 * ((3.0e6) ** (1.0 / n) - 1.0)))
 
 
-# Points per block of the batched image sum and of the radial transform; it
-# bounds their scratch arrays (radii, kernel values, Bessel temporaries, means).
+# Points per block of the image sums and of the radial transform; it bounds
+# their scratch arrays (radii, kernel values, Bessel temporaries, means).
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -258,6 +258,30 @@ def _multiplier(params: ProblemParams, geometry: TorusGeometry, qsq):
     return ((2.0 * math.pi / geometry.L) ** 2 * qsq + params.alpha) ** params.k
 
 
+def _shifted_modes(geometry: TorusGeometry, phi: dict, x) -> tuple[np.ndarray, np.ndarray]:
+    """The modes q of phi = sum_q c_q e^{2 pi i q.y / L}, as rows, and c_q e^{2 pi i q.x/L}.
+
+    ``phi`` is a dict {integer mode tuple: c_q}.  Raises DomainError unless
+    x is an n-vector and every mode an integer n-tuple.
+    """
+    n = geometry.n
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise DomainError(f"point must be an {n}-vector, got shape {x.shape}")
+    if not all(np.shape(q) == (n,) and np.array_equal(q, np.round(q)) for q in phi):
+        raise DomainError(f"modes must be integer {n}-tuples, got {list(phi)}")
+    q = np.array(list(phi), dtype=np.intp).reshape(-1, n)
+    coeffs = np.array(list(phi.values()), dtype=complex)
+    return q, coeffs * np.exp(2j * math.pi * (q @ x) / geometry.L)
+
+
+def solve_value_at(params: ProblemParams, geometry: TorusGeometry, phi: dict, x) -> float:
+    """u(x) for (Delta + alpha)^k u = phi, exactly per mode; the multiplier is positive."""
+    check_dimensions(params, geometry)
+    q, shifted = _shifted_modes(geometry, phi, x)
+    return float(np.sum(shifted.real / _multiplier(params, geometry, np.sum(q * q, axis=1))))
+
+
 def grid_coordinates(geometry: TorusGeometry, m: int) -> np.ndarray:
     return np.arange(m) * (geometry.L / m)
 
@@ -265,19 +289,6 @@ def grid_coordinates(geometry: TorusGeometry, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Displacement grid
 # ---------------------------------------------------------------------------
-
-def _orthant_rows(geometry: TorusGeometry, m: int) -> np.ndarray:
-    """Nearest-representative displacements of the grid indices 0 <= j_a <= m//2.
-
-    Shape ((m//2 + 1)^n, n).  Index m - j is the mirror image of index j, so
-    these rows fix every function of the displacement grid that is even in
-    each coordinate.
-    """
-    L = geometry.L
-    reps = np.mod(grid_coordinates(geometry, m)[: m // 2 + 1] + L / 2.0, L) - L / 2.0
-    mesh = np.meshgrid(*([reps] * geometry.n), indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, geometry.n)
-
 
 def unfold_orthant(table: np.ndarray, m: int) -> np.ndarray:
     """The m-grid array of an even function from its orthant values.
@@ -292,10 +303,15 @@ def unfold_orthant(table: np.ndarray, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def orthant_distances(geometry: TorusGeometry, m: int) -> np.ndarray:
-    """|v| over the orthant rows, shape (m//2 + 1,)*n; read-only, cached."""
-    rows = _orthant_rows(geometry, m)
-    dist = np.sqrt(sum(rows[:, a] ** 2 for a in range(geometry.n)))
-    dist = dist.reshape((m // 2 + 1,) * geometry.n)
+    """|v| on the orthant 0 <= j_a <= m//2 of the displacement grid; read-only, cached.
+
+    v is the nearest representative of each index, shape (m//2 + 1,)*n.
+    Index m - j is the mirror image of index j, so the orthant fixes every
+    function of the displacement grid that is even in each coordinate.
+    """
+    L = geometry.L
+    reps = np.mod(grid_coordinates(geometry, m)[: m // 2 + 1] + L / 2.0, L) - L / 2.0
+    dist = np.sqrt(reduce(np.add.outer, [reps**2] * geometry.n))
     dist.flags.writeable = False
     return dist
 
@@ -309,54 +325,60 @@ def displacement_distances(geometry: TorusGeometry, m: int) -> np.ndarray:
     return unfold_orthant(orthant_distances(geometry, m), m)
 
 
-def spectral_solve(
-    params: ProblemParams,
-    geometry: TorusGeometry,
-    phi: dict,
-    grid: int,
-) -> TorusField:
-    """Solve (Delta + alpha)^k u = phi exactly per Fourier mode.
+def _sums_of_squares(n: int, h: int) -> np.ndarray:
+    """Sorted distinct values of q_1^2 + ... + q_n^2 over integers |q_a| <= h."""
+    squares = np.arange(h + 1) ** 2
+    sums = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        sums = np.flatnonzero(np.bincount(np.add.outer(sums, squares).ravel()))
+    return sums
 
-    ``phi`` is a dict {integer mode tuple: coefficient} describing the
-    trigonometric polynomial sum_q c_q e^{2 pi i q.y / L}; u is sampled on
-    the ``grid``-point displacement grid.  The operator is strictly
-    positive, so the solve never fails.
+
+def _orthant_image_sum(
+    params: ProblemParams, geometry: TorusGeometry, m: int, tol: float
+) -> tuple[np.ndarray, float]:
+    """``_image_sum`` over the orthant of ``orthant_distances``, from integer radii.
+
+    Row j and image M sit at radius (L/m) sqrt(Q) with the integer
+    Q = sum_a (j_a + m M_a)^2 (the representative -m/2 of j_a = m/2 gives
+    the same radii, as the box is symmetric in each M_a).  Per axis, j + m M
+    takes every integer of absolute value <= h = m//2 + m m_max over the
+    image box, so its distinct Q are the sums of n squares up to h^2.  The
+    kernel is evaluated once per distinct Q > 0, in blocks, and each image
+    gathers its Q; Q = 0, the diagonal cell's own image, reads 0.  Returns
+    the (m//2 + 1,)*n table and the tail bound of the image box.
     """
-    u_hat = {}
-    for q, coeff in phi.items():
-        u_hat[q] = coeff / _multiplier(params, geometry, float(sum(c * c for c in q)))
-    vals = eval_modes_on_grid(geometry, u_hat, grid, np.zeros(geometry.n))
-    return TorusField(geometry, grid, vals)
+    n, L = geometry.n, geometry.L
+    m_max, tail = image_radius(params, geometry, tol)
+    sums = _sums_of_squares(n, m // 2 + m * m_max)[1:]
+    table = np.zeros(sums[-1] + 1)
+    for start in range(0, len(sums), _BLOCK_ELEMENTS):
+        q = sums[start : start + _BLOCK_ELEMENTS]
+        table[q] = euclid.kernel_alpha_array(params, (L / m) * np.sqrt(q))
+    squares = np.add.outer(np.arange(m // 2 + 1), m * np.arange(-m_max, m_max + 1)) ** 2
+    out = np.zeros((m // 2 + 1,) * n)
+    for image in _lattice_box(n, m_max) + m_max:
+        out += table[reduce(np.add.outer, squares[:, image].T)]
+    return out, tail
 
 
-def solve_value_at(params: ProblemParams, geometry: TorusGeometry, phi: dict, x) -> float:
-    """u(x) for the trig-polynomial source, exactly per mode."""
-    x = np.asarray(x, dtype=float)
-    total = 0.0 + 0.0j
-    for q, coeff in phi.items():
-        mult = _multiplier(params, geometry, float(sum(c * c for c in q)))
-        total += coeff / mult * np.exp(2j * math.pi * np.dot(q, x) / geometry.L)
-    return float(np.real(total))
+def _folded_modes(q: np.ndarray, shifted: np.ndarray, m: int) -> np.ndarray:
+    """Re phi(x + u) summed over the sign flips of u, on the orthant of the m-grid.
 
-
-def eval_modes_on_grid(geometry: TorusGeometry, phi: dict, m: int, origin) -> np.ndarray:
-    """Samples of Re sum_q c_q e^{2 pi i q.(origin + u)/L} over the displacement grid.
-
-    Each mode's complex phase spans the first n - 1 axes only; the last
-    axis enters through cos and sin, so the one m^n array is real."""
-    coords = grid_coordinates(geometry, m)
-    origin = np.asarray(origin, dtype=float)
-    vals = np.zeros((m,) * geometry.n)
-    for q, coeff in phi.items():
-        if len(q) != geometry.n:
-            raise DomainError(f"mode {q} does not match dimension {geometry.n}")
-        phase = np.asarray(coeff * np.exp(2j * math.pi * np.dot(q, origin) / geometry.L))
-        for axis in range(geometry.n - 1):
-            phase = np.multiply.outer(phase, np.exp(2j * math.pi * q[axis] * coords / geometry.L))
-        last = 2.0 * math.pi * q[-1] * coords / geometry.L
-        vals += np.multiply.outer(phase.real, np.cos(last))
-        vals -= np.multiply.outer(phase.imag, np.sin(last))
-    return vals
+    ``q`` and ``shifted`` come from ``_shifted_modes``.  Per axis, orthant
+    index o stands for the grid indices j with min(j, m - j) = o: two, over
+    which e^{2 pi i q_a j / m} sums to 2 cos(2 pi q_a o / m), but only one at
+    o = 0 and at o = m/2.  Each mode's mirror sum is the outer product of
+    these factors.
+    """
+    o = np.arange(m // 2 + 1)
+    weight = np.where((o == 0) | (2 * o == m), 1.0, 2.0)
+    out = np.zeros((m // 2 + 1,) * q.shape[1])
+    for qq, c in zip(q, shifted.real):
+        factors = weight * np.cos(2.0 * math.pi * (np.multiply.outer(qq, o) % m) / m)
+        factors[0] *= c
+        out += reduce(np.multiply.outer, factors)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +502,6 @@ def _radial_fourier(
     return out
 
 
-def _grid_sum_with_estimate(values: np.ndarray, weight: np.ndarray, spacing: float, n: int) -> tuple[float, float]:
-    """Periodic rectangle-rule sum with a half-resolution error estimate."""
-    weighted = values * weight
-    full = float(np.sum(weighted)) * spacing**n
-    half = float(np.sum(weighted[(slice(None, None, 2),) * n])) * (2 * spacing) ** n
-    return full, abs(full - half)
-
-
 def representation_check(
     params: ProblemParams,
     geometry: TorusGeometry,
@@ -507,9 +521,9 @@ def representation_check(
     The continuous part is even in each coordinate of the displacement v:
     the lattice L Z^n and the image box are invariant under each coordinate
     sign flip, so the periodised kernel, d = |v| and the parametrix are too.
-    It is therefore evaluated on the orthant 0 <= j_a <= grid//2 only and
-    unfolded onto the grid; phi, which has no such symmetry, is sampled on
-    the whole grid.
+    It is therefore summed on the orthant 0 <= j_a <= grid//2 only, against
+    phi(x + .) folded over the sign flips; index grid - j has the parity of
+    j, so the orthant's even indices are the half-resolution samples.
 
     Requires n = 2k + 1, where the subtracted integrand extends continuously
     to the diagonal (limit -c_{n,k} sqrt(alpha) plus the nonzero images).
@@ -523,7 +537,7 @@ def representation_check(
             "estimate compares with every second sample, a half-resolution "
             "grid only when the grid is even"
         )
-    x = np.asarray(x, dtype=float)
+    q, shifted = _shifted_modes(geometry, phi_hat, x)
     n, L = geometry.n, geometry.L
     m = grid
     cut = cutoff_for(n, params.k, L)
@@ -532,33 +546,29 @@ def representation_check(
 
     # periodised kernel on the orthant; the diagonal cell sums the nonzero images
     dist = orthant_distances(geometry, m)
-    smooth = _image_sum(params, geometry, _orthant_rows(geometry, m), 1e-10)[0]
-    smooth = smooth.reshape(dist.shape)
+    smooth = _orthant_image_sum(params, geometry, m, 1e-10)[0]
     zero_mask = dist == 0.0
     # subtract the cutoff parametrix; diagonal cell gets the analytic limit
     safe = np.where(zero_mask, 1.0, dist)
     smooth -= np.where(zero_mask, 0.0, cut.chi(safe) * c * safe ** (-gap))
     smooth[zero_mask] += -c * params.sqrt_alpha
-    smooth = unfold_orthant(smooth, m)
 
-    phi_vals = eval_modes_on_grid(geometry, phi_hat, m, x)
-    grid_part, grid_err = _grid_sum_with_estimate(smooth, phi_vals, L / m, n)
+    weighted = smooth * _folded_modes(q, shifted, m)
+    spacing = L / m
+    grid_part = float(np.sum(weighted)) * spacing**n
+    half = float(np.sum(weighted[(slice(None, None, 2),) * n])) * (2 * spacing) ** n
 
     # singular part, mode by mode: the radial Fourier transform of the
     # subtracted parametrix c chi(r) r^{2k-n} at |xi| = 2 pi |q| / L
-    modes = list(phi_hat.items())
-    qn = np.array([math.sqrt(float(sum(cc * cc for cc in q))) for q, _ in modes])
     radial = _radial_fourier(
-        n, lambda r: c * cut.chi(r) * r ** (-gap), 0.0, cut.tau0, 2.0 * math.pi * qn / L
+        n, lambda r: c * cut.chi(r) * r ** (-gap), 0.0, cut.tau0,
+        2.0 * math.pi * np.sqrt(np.sum(q * q, axis=1)) / L,
     )
-    singular_part = sum(
-        coeff * np.exp(2j * math.pi * np.dot(q, x) / L) * radial_q
-        for (q, coeff), radial_q in zip(modes, radial)
-    )
+    singular_part = float(np.real(np.sum(shifted * radial)))
 
     u_x = solve_value_at(params, geometry, phi_hat, x)
-    defect = abs(grid_part + float(np.real(singular_part)) - u_x)
-    return defect, grid_err
+    defect = abs(grid_part + singular_part - u_x)
+    return defect, abs(grid_part - half)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ class TestRadialInterpolant:
         # run at each xi with the same Gauss rule (a seeded subset at 128^3)
         p = ProblemParams(n, k, alpha)
         cut = cutoff_for(n, k, 1.0)
-        xi = 2.0 * math.pi * np.sqrt(parametrix._sums_of_squares(n, parametrix.EVAL_BAND * m // 2))
+        xi = 2.0 * math.pi * np.sqrt(torus._sums_of_squares(n, parametrix.EVAL_BAND * m // 2))
         assert len(xi) > math.ceil(xi[-1] * cut.tau0) + 16  # interpolated, not direct
         if transform == "lhat":
             got = parametrix.error_field_fourier(p, cut, xi)

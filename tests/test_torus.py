@@ -1,5 +1,5 @@
 """Torus Green's function tests: lattice sums against the frozen image-sum
-oracle, spectral solves, representation formula, symmetry/positivity,
+oracle, the per-mode spectral solve, representation formula, symmetry/positivity,
 derivative envelopes, field serialization."""
 
 import math
@@ -156,21 +156,46 @@ class TestLatticeSum:
         assert max(cs) / min(cs) < 2.0
 
 
+def _orthant_rows(geometry, m):
+    """Nearest-representative displacement rows of the grid indices 0 <= j_a <= m//2."""
+    L = geometry.L
+    reps = np.mod(torus.grid_coordinates(geometry, m)[: m // 2 + 1] + L / 2.0, L) - L / 2.0
+    return np.stack(np.meshgrid(*([reps] * geometry.n), indexing="ij"), axis=-1).reshape(-1, geometry.n)
+
+
+def _modes_on_full_grid(geometry, phi, m, origin):
+    """Re sum_q c_q e^{2 pi i q.(origin + u)/L} sampled at every point u of the m-grid."""
+    coords = torus.grid_coordinates(geometry, m)
+    vals = np.zeros((m,) * geometry.n, dtype=complex)
+    for q, coeff in phi.items():
+        wave = coeff * np.exp(2j * PI * np.dot(q, origin) / geometry.L)
+        for qa in q:
+            wave = np.multiply.outer(wave, np.exp(2j * PI * qa * coords / geometry.L))
+        vals += wave
+    return vals.real
+
+
 class TestSpectralSolve:
+    """The per-mode solve ``solve_value_at`` at grid points."""
+
     def test_constant_mode(self):
         p = ProblemParams(3, 1, 100.0)
-        u = torus.spectral_solve(p, G3, {(0, 0, 0): 1.0}, grid=8)
-        np.testing.assert_allclose(u.values, 0.01, rtol=1e-14)
+        coords = torus.grid_coordinates(G3, 8)
+        u = [torus.solve_value_at(p, G3, {(0, 0, 0): 1.0}, np.array(x))
+             for x in np.stack(np.meshgrid(coords, coords, coords), axis=-1).reshape(-1, 3)]
+        np.testing.assert_allclose(u, 0.01, rtol=1e-14)
 
     def test_single_cosine(self):
         p = ProblemParams(3, 1, 1.0)
-        u = torus.spectral_solve(p, G3, {(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, grid=16)
         coords = np.arange(16) / 16.0
+        u = [torus.solve_value_at(p, G3, {(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, np.array([c, 0.0, 0.0]))
+             for c in coords]
         expected = np.cos(2 * PI * coords) / ((2 * PI) ** 2 + 1.0)
-        np.testing.assert_allclose(u.values[:, 0, 0], expected, atol=1e-15)
+        np.testing.assert_allclose(u, expected, atol=1e-15)
 
     def test_k2_factorisation(self):
-        # the k = 2 solve equals the k = 1 solve of the k = 1 coefficients
+        # the k = 2 solve equals the k = 1 solve of the k = 1 coefficients,
+        # at 64 seeded points of the 8^5 grid
         geom = torus.TorusGeometry(5, 1.0)
         alpha = 3.0
         rng = np.random.default_rng(3)
@@ -179,9 +204,10 @@ class TestSpectralSolve:
         p1, p2 = ProblemParams(5, 1, alpha), ProblemParams(5, 2, alpha)
         inner = {q: c / ((2 * PI * math.sqrt(sum(a * a for a in q))) ** 2 + alpha)
                  for q, c in modes.items()}
-        once = torus.spectral_solve(p2, geom, modes, grid=8)
-        twice = torus.spectral_solve(p1, geom, inner, grid=8)
-        np.testing.assert_allclose(once.values, twice.values, atol=1e-16)
+        points = torus.grid_coordinates(geom, 8)[rng.integers(0, 8, size=(64, 5))]
+        once = [torus.solve_value_at(p2, geom, modes, x) for x in points]
+        twice = [torus.solve_value_at(p1, geom, inner, x) for x in points]
+        np.testing.assert_allclose(once, twice, atol=1e-16)
 
 
 class TestRepresentation:
@@ -233,7 +259,7 @@ class TestRepresentation:
         reps = np.mod(torus.grid_coordinates(geom, m) + 0.5, 1.0) - 0.5
         rows = np.stack(np.meshgrid(*([reps] * n), indexing="ij"), axis=-1).reshape(-1, n)
         full = torus._image_sum(p, geom, rows, 1e-10)[0].reshape((m,) * n)
-        orthant = torus._image_sum(p, geom, torus._orthant_rows(geom, m), 1e-10)[0]
+        orthant = torus._image_sum(p, geom, _orthant_rows(geom, m), 1e-10)[0]
         unfolded = torus.unfold_orthant(orthant.reshape((m // 2 + 1,) * n), m)
         assert np.max(np.abs(unfolded - full) / full) <= 1e-13
         dist = torus.displacement_distances(geom, m)
@@ -271,17 +297,82 @@ class TestRepresentation:
         assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_image_sum_runs_on_orthant(self, monkeypatch):
+        # the periodised kernel comes from one integer-radius table on the
+        # 17^3 orthant; the float-row image sum is not called
         calls = []
-        image_sum = torus._image_sum
+        orthant_image_sum = torus._orthant_image_sum
 
-        def recording(params, geometry, V, tol):
-            calls.append(V.shape)
-            return image_sum(params, geometry, V, tol)
+        def recording(params, geometry, m, tol):
+            out = orthant_image_sum(params, geometry, m, tol)
+            calls.append((m, out[0].shape))
+            return out
 
-        monkeypatch.setattr(torus, "_image_sum", recording)
+        def unexpected(*args):
+            raise AssertionError("representation check called _image_sum")
+
+        monkeypatch.setattr(torus, "_orthant_image_sum", recording)
+        monkeypatch.setattr(torus, "_image_sum", unexpected)
         p = ProblemParams(3, 1, 2000.0)
         torus.representation_check(p, G3, {(1, 0, 0): 1.0}, np.zeros(3), grid=32)
-        assert calls == [(17**3, 3)]
+        assert calls == [(32, (17, 17, 17))]
+
+    @pytest.mark.parametrize(
+        "n, k, alpha, m", [(3, 1, 2000.0, 32), (3, 1, 50.0, 33), (5, 2, 300.0, 8), (5, 2, 300.0, 7)]
+    )
+    def test_integer_table_matches_image_sum(self, n, k, alpha, m):
+        # one kernel value per integer squared radius, gathered per image,
+        # against the float-row image sum; the diagonal cell sums the other images
+        p = ProblemParams(n, k, alpha)
+        geom = torus.TorusGeometry(n, 1.0)
+        table, tail = torus._orthant_image_sum(p, geom, m, 1e-10)
+        rows, row_tail = torus._image_sum(p, geom, _orthant_rows(geom, m), 1e-10)
+        rows = rows.reshape((m // 2 + 1,) * n)
+        assert table.shape == rows.shape
+        assert tail == row_tail
+        assert np.max(np.abs(table - rows) / rows) <= 1e-14
+        assert abs(table.flat[0] - rows.flat[0]) <= 1e-14 * rows.flat[0]
+
+    def test_integer_table_in_blocks(self, monkeypatch):
+        # at alpha = 50 the image radius is 4 and 45,540 distinct Q > 0 are
+        # evaluated: the kernel sees them in blocks, each once
+        p = ProblemParams(3, 1, 50.0)
+        geom = torus.TorusGeometry(3, 1.0)
+        torus.image_radius(p, geom, 1e-10)  # cached, so only the table calls below
+        sizes = []
+        kernel = euclid.kernel_alpha_array
+
+        def recording(params, r):
+            sizes.append(np.size(r))
+            return kernel(params, r)
+
+        monkeypatch.setattr(euclid, "kernel_alpha_array", recording)
+        torus._orthant_image_sum(p, geom, 33, 1e-10)
+        m_max, _ = torus.image_radius(p, geom, 1e-10)
+        distinct = len(torus._sums_of_squares(3, 33 // 2 + 33 * m_max)) - 1
+        assert len(sizes) > 1
+        assert max(sizes) <= torus._BLOCK_ELEMENTS
+        assert sum(sizes) == distinct
+
+    @pytest.mark.parametrize("n, m", [(3, 32), (3, 30), (5, 16), (5, 14)])
+    def test_folded_grid_sum_matches_full_grid(self, n, m):
+        # an even orthant table times the folded modes sums like the
+        # unfolded table times phi(x + .) on the whole grid, and its even
+        # orthant indices sum like the half-resolution grid; a random table
+        # weighs every mode alike
+        geom = torus.TorusGeometry(n, 1.0)
+        rng = np.random.default_rng(n * m)
+        phi = {(3,) + (1,) * (n - 1): 0.5 - 0.25j}
+        for _ in range(4):
+            q = tuple(int(c) for c in rng.integers(-5, 6, size=n))
+            phi[q] = complex(rng.normal(), rng.normal())
+        x = rng.uniform(0.0, 1.0, size=n)
+        smooth = rng.uniform(0.5, 1.5, size=(m // 2 + 1,) * n)
+        q, shifted = torus._shifted_modes(geom, phi, x)
+        folded = smooth * torus._folded_modes(q, shifted, m)
+        full = torus.unfold_orthant(smooth, m) * _modes_on_full_grid(geom, phi, m, x)
+        even = (slice(None, None, 2),) * n
+        for got, want in ((folded, full), (folded[even], full[even])):
+            assert abs(np.sum(got) - np.sum(want)) <= 1e-13 * abs(np.sum(want))
 
 
 class TestScan:
@@ -393,7 +484,23 @@ class TestDimensionChecks:
 
     def test_spectral_solve_mode_length(self):
         with pytest.raises(DomainError):
-            torus.spectral_solve(ProblemParams(3, 1, 2000.0), G3, {(1, 0): 1.0}, grid=8)
+            torus.solve_value_at(ProblemParams(3, 1, 2000.0), G3, {(1, 0): 1.0}, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "phi, x",
+        [
+            pytest.param({(1, 0, 0): 1.0}, np.zeros(2), id="short-point"),
+            pytest.param({(1, 0, 0): 1.0}, np.zeros((1, 3)), id="matrix-point"),
+            pytest.param({(0.5, 0, 0): 1.0}, np.zeros(3), id="fractional-mode"),
+            pytest.param({1: 1.0}, np.zeros(3), id="scalar-mode"),
+        ],
+    )
+    def test_malformed_source_rejected(self, phi, x):
+        p = ProblemParams(3, 1, 2000.0)
+        with pytest.raises(DomainError):
+            torus.solve_value_at(p, G3, phi, x)
+        with pytest.raises(DomainError):
+            torus.representation_check(p, G3, phi, x, grid=16)
 
 
 class TestPsiEnvelopeOfDerivatives:
