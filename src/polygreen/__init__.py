@@ -33,7 +33,6 @@ from .giraud import (
 )
 from .cutoff import CutoffSpec, auto_tau0
 from .torus import (
-    TorusField,
     TorusGeometry,
     green_lattice_sum,
     representation_check,
@@ -54,7 +53,6 @@ __all__ = [
     "ParametrixState",
     "ProblemParams",
     "RadialKernel",
-    "TorusField",
     "TorusGeometry",
     "auto_tau0",
     "bessel_k",

@@ -260,8 +260,8 @@ def _cmd_parametrix_run(args) -> int:
     report = parametrix.assemble_and_compare(
         state, n_pairs=args.pairs, seed=args.seed, tol=args.tol
     )
-    sup_gamma = float(np.max(np.abs(state.gamma.values)))
-    sup_u = float(np.max(np.abs(state.u.values)))
+    sup_gamma = float(np.max(np.abs(state.gamma)))
+    sup_u = float(np.max(np.abs(state.u)))
     payload = {
         "schema": REPORT_SCHEMA,
         "config": {
@@ -269,7 +269,7 @@ def _cmd_parametrix_run(args) -> int:
             "tau0": state.cutoff.tau0, "seed": args.seed,
         },
         "N": state.N,
-        "sup_error_field": float(np.max(np.abs(state.l.values))),
+        "sup_error_field": float(np.max(np.abs(state.l))),
         "sup_gamma": sup_gamma,
         "sup_u": sup_u,
         "comparison": {

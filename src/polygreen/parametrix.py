@@ -148,7 +148,7 @@ def error_field(
     geometry: torus.TorusGeometry,
     cutoff: CutoffSpec,
     grid: int,
-) -> torus.TorusField:
+) -> np.ndarray:
     """Sample l = (Delta + alpha)^k H_x on the displacement grid around x.
 
     Warns when fewer than 4 grid cells span the annulus width tau0/2.
@@ -160,10 +160,9 @@ def error_field(
             "increase the grid for a faithful sampling",
             RuntimeWarning,
         )
+    # l is radial and vanishes at 0, so it is sampled on the orthant and unfolded
     profile = error_field_profile(params, cutoff)
-    # l is radial, so it is sampled on the orthant and unfolded
-    vals = profile(torus.orthant_distances(geometry, grid))
-    return torus.TorusField(geometry, grid, torus.unfold_orthant(vals, grid))
+    return torus.unfold_orthant(torus.sample_radial(profile, geometry, grid), grid)
 
 
 def error_field_fourier(
@@ -187,28 +186,16 @@ class ParametrixState:
     grid: int
     cutoff: CutoffSpec
     H: HProfile
-    l: torus.TorusField
+    l: np.ndarray  # fields on the displacement grid, shape (grid,)*n
     gammas: list
     layers: list
-    u: torus.TorusField
+    u: np.ndarray
     N: int
     envelopes: list  # composed envelope specs of the iterates
 
     @property
-    def gamma(self) -> torus.TorusField:
+    def gamma(self) -> np.ndarray:
         return self.gammas[-1]
-
-    def green_values(self) -> np.ndarray:
-        """H + sum of correction layers + u over the displacement grid."""
-        dist = torus.displacement_distances(self.geometry, self.grid)
-        vals = np.array(self.u.values)
-        pos = dist > 0
-        hvals = np.zeros_like(dist)
-        hvals[pos] = self.H(dist[pos])
-        vals = vals + hvals
-        for layer in self.layers:
-            vals = vals + layer.values
-        return vals
 
 
 def _alias_mode_norms(n: int, m: int, band: int) -> list[np.ndarray]:
@@ -228,33 +215,37 @@ def _alias_mode_norms(n: int, m: int, band: int) -> list[np.ndarray]:
     return aliases
 
 
+def _coefficient_table(
+    transform: Callable[[np.ndarray], np.ndarray], geometry: torus.TorusGeometry, h: int
+) -> np.ndarray:
+    """A radial transform at |xi| = 2 pi |q| / L, indexed by the integer |q|^2 over |q_a| <= h."""
+    sums = _sums_of_squares(geometry.n, h)
+    table = np.zeros(sums[-1] + 1)
+    table[sums] = transform(2.0 * math.pi / geometry.L * np.sqrt(sums))
+    return table
+
+
 def _fields_from_coefficients(
     params: ProblemParams,
     geometry: torus.TorusGeometry,
     cutoff: CutoffSpec,
-    h_profile: HProfile,
+    lhat: np.ndarray,
+    hhat: np.ndarray,
     m: int,
     depth: int,
     band: int,
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Gamma iterates, layers and u at grid m from exact band*m coefficients.
 
-    Coefficients are radial, so each is a table indexed by the integer
-    |q|^2 of the band*m spectrum, filled at the distinct values from the
-    Chebyshev interpolant of the transforms; folding the table onto the
-    m-grid rfft layout and transforming at m gives the band*m field at
-    every band-th sample.
+    ``lhat`` and ``hhat`` are ``_coefficient_table``s of the band*m
+    spectrum, |q_a| <= band*m // 2; folding a table onto the m-grid rfft
+    layout and transforming at m gives the band*m field at every band-th
+    sample.
     Layers are support-zeroed outside d > (i+1) tau0 where they vanish
     identically (support additivity), removing series ringing.
     """
     n = geometry.n
     L = geometry.L
-    sums = _sums_of_squares(n, (band * m) // 2)
-    xi = 2.0 * math.pi / L * np.sqrt(sums)
-    lhat = np.zeros(sums[-1] + 1)
-    hhat = np.zeros(sums[-1] + 1)
-    lhat[sums] = error_field_fourier(params, cutoff, xi)
-    hhat[sums] = h_profile.fourier(xi)
     aliases = _alias_mode_norms(n, m, band)
     scale = (m / L) ** n
 
@@ -273,7 +264,7 @@ def _fields_from_coefficients(
             layer[dist > (i + 1) * cutoff.tau0] = 0.0
             layers.append(layer)
             cur = cur * (-lhat)
-    mult = torus._multiplier(params, geometry, np.arange(sums[-1] + 1))
+    mult = torus._multiplier(params, geometry, np.arange(len(lhat)))
     u_vals = materialise(cur / mult)
     return gammas, layers, u_vals
 
@@ -291,10 +282,13 @@ def run_pipeline(
     sampling aliasing) over ``EVAL_BAND`` times the band of the pipeline grid;
     those coefficients are folded onto the grid and transformed at the grid
     size, so grid values carry the wide-band accuracy while no transform or
-    array exceeds the grid.  The spectral-tail guard is enforced on the
-    coefficient arrays at the pipeline band: at the default threshold a
-    grid that under-resolves the annulus is refused.
+    array exceeds the grid.  The spectral-tail guard reads the same l
+    coefficients over the grid's own cube of modes, |q_a| <= grid // 2:
+    at the default threshold a grid that under-resolves the annulus is
+    refused.
     """
+    if grid < 2:
+        raise DomainError(f"pipeline grid must be at least 2, got {grid}")
     n = geometry.n
     depth = n // 2 + 1  # 2N > n
     cut = cutoff if cutoff is not None else cutoff_for(n, params.k, geometry.L)
@@ -305,14 +299,14 @@ def run_pipeline(
         )
     h_profile = build_H(params, geometry, cut)
     l_field = error_field(params, geometry, cut, grid)
+    h = (EVAL_BAND * grid) // 2
+    lhat = _coefficient_table(lambda xi: error_field_fourier(params, cut, xi), geometry, h)
 
-    # aliasing guard on the exact coefficients at the pipeline band
-    qs = np.arange(0, int(math.isqrt(n * (grid // 2) ** 2)) + 2, dtype=float)
-    lh_shells = error_field_fourier(params, cut, 2.0 * math.pi / geometry.L * qs)
-    shell_w = qs ** (n - 1) + 1.0
-    band = qs <= ALIAS_FRACTION * (grid / 2.0)
+    # aliasing guard: the cube |q_a| <= grid // 2 holds counts[Q] modes of |q|^2 = Q
+    counts = torus._cube_counts(n, grid // 2)
+    band = np.arange(len(counts)) <= (ALIAS_FRACTION * (grid / 2.0)) ** 2
     for i in range(1, depth + 1):
-        energy = shell_w * np.abs(lh_shells) ** (2 * i)
+        energy = counts * np.abs(lhat[: len(counts)]) ** (2 * i)
         tail = float(np.sum(energy[~band]) / np.sum(energy))
         if tail > alias_limit:
             raise ConvergenceError(
@@ -321,12 +315,10 @@ def run_pipeline(
                 error_estimate=tail,
             )
 
-    gam_vals, layer_vals, u_vals = _fields_from_coefficients(
-        params, geometry, cut, h_profile, grid, depth, EVAL_BAND
+    hhat = _coefficient_table(h_profile.fourier, geometry, h)
+    gammas, layers, u = _fields_from_coefficients(
+        params, geometry, cut, lhat, hhat, grid, depth, EVAL_BAND
     )
-    gammas = [torus.TorusField(geometry, grid, g) for g in gam_vals]
-    layers = [torus.TorusField(geometry, grid, g) for g in layer_vals]
-    u_field = torus.TorusField(geometry, grid, u_vals)
     envelopes = giraud.iterate_error_envelope(
         n, params.k, Fraction(cut.tau0).limit_denominator(10**9), depth
     )
@@ -339,7 +331,7 @@ def run_pipeline(
         l=l_field,
         gammas=gammas,
         layers=layers,
-        u=u_field,
+        u=u,
         N=depth,
         envelopes=envelopes,
     )
@@ -372,27 +364,31 @@ def assemble_and_compare(
     geom = state.geometry
     m = state.grid
     dist = torus.displacement_distances(geom, m)
-    spacing = geom.L / m
-    lo = max(d_range[0], 2.0 * spacing)
+    lo = max(d_range[0], 2.0 * geom.L / m)
     candidates = np.argwhere((dist >= lo) & (dist <= d_range[1]))
-    rng = np.random.default_rng(seed)
     take = min(n_pairs, len(candidates))
+    if take < 1:
+        raise DomainError(f"no pairs to compare: {n_pairs} requested of {len(candidates)}")
+    rng = np.random.default_rng(seed)
     chosen = candidates[rng.choice(len(candidates), size=take, replace=False)]
-    approx = state.green_values()
+    at = tuple(chosen.T)
+    d = dist[at]
+    approx = state.u[at] + state.H(d)
+    for layer in state.layers:
+        approx = approx + layer[at]
     coords = torus.grid_coordinates(geom, m)
     displacements = coords[chosen]
     oracles = torus.green_lattice_sum_many(state.params, geom, displacements, tol=1e-14)
     worst = None
     max_rel = 0.0
-    for idx, u_vec, oracle in zip(chosen, displacements, oracles.tolist()):
-        got = approx[tuple(idx)]
+    for i, (got, oracle) in enumerate(zip(approx.tolist(), oracles.tolist())):
         rel = abs(got - oracle) / abs(oracle)
         if rel > max_rel:
             max_rel = rel
             worst = {
-                "displacement": [float(v) for v in u_vec],
-                "d": float(dist[tuple(idx)]),
-                "parametrix": float(got),
+                "displacement": [float(v) for v in displacements[i]],
+                "d": float(d[i]),
+                "parametrix": got,
                 "oracle": float(oracle),
                 "rel_error": float(rel),
             }

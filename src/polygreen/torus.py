@@ -15,7 +15,6 @@ checks) compare the two.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable, Sequence
@@ -26,9 +25,6 @@ from . import euclid
 from .cutoff import cutoff_for
 from .errors import BudgetError, ConvergenceError, DomainError
 from .params import ProblemParams
-
-TFLD_MAGIC = b"TFLD"
-_HEADER_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -47,48 +43,6 @@ class TorusGeometry:
     @property
     def injectivity_radius(self) -> float:
         return self.L / 2.0
-
-
-@dataclass
-class TorusField:
-    """Scalar samples on the regular lattice (j/m) L, periodic indexing."""
-
-    geometry: TorusGeometry
-    grid_size: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.grid_size,) * self.geometry.n
-        if self.values.shape != expected:
-            raise DomainError(
-                f"field shape {self.values.shape} does not match grid {expected}"
-            )
-
-    @property
-    def spacing(self) -> float:
-        return self.geometry.L / self.grid_size
-
-    def integral(self) -> float:
-        return float(np.sum(self.values)) * self.spacing**self.geometry.n
-
-    def write_tfld(self, path) -> None:
-        """Little-endian binary: 32-byte header (magic, n, m, L), then values."""
-        header = TFLD_MAGIC + struct.pack("<II d", self.geometry.n, self.grid_size, self.geometry.L)
-        header = header.ljust(_HEADER_BYTES, b"\0")
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-
-    @staticmethod
-    def read_tfld(path) -> "TorusField":
-        with open(path, "rb") as fh:
-            header = fh.read(_HEADER_BYTES)
-            if header[:4] != TFLD_MAGIC:
-                raise DomainError(f"not a TFLD file: bad magic {header[:4]!r}")
-            n, m = struct.unpack("<II", header[4:12])
-            (L,) = struct.unpack("<d", header[12:20])
-            data = np.frombuffer(fh.read(), dtype="<f8").astype(float)
-        return TorusField(TorusGeometry(int(n), float(L)), int(m), data.reshape((m,) * n))
 
 
 def check_dimensions(params: ProblemParams, geometry: TorusGeometry) -> None:
@@ -302,42 +256,58 @@ def unfold_orthant(table: np.ndarray, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def orthant_distances(geometry: TorusGeometry, m: int) -> np.ndarray:
-    """|v| on the orthant 0 <= j_a <= m//2 of the displacement grid; read-only, cached.
+def _orthant_norms(n: int, m: int) -> np.ndarray:
+    """The integer |j|^2 over the orthant 0 <= j_a <= m//2 of the m-grid; read-only, cached."""
+    qsq = reduce(np.add.outer, [np.arange(m // 2 + 1) ** 2] * n)
+    qsq.flags.writeable = False
+    return qsq
 
-    v is the nearest representative of each index, shape (m//2 + 1,)*n.
-    Index m - j is the mirror image of index j, so the orthant fixes every
-    function of the displacement grid that is even in each coordinate.
+
+def sample_radial(
+    f: Callable[[np.ndarray], np.ndarray], geometry: TorusGeometry, m: int
+) -> np.ndarray:
+    """f(|v|) on the orthant 0 <= j_a <= m//2 of the displacement grid.
+
+    Index j of the m-grid is the displacement v = (L/m) j, or its mirror
+    image j - m, at radius (L/m) sqrt(Q) with the integer Q = |j|^2 on the
+    orthant, so f runs once per distinct Q > 0 and the values are gathered
+    through the cached |j|^2 array.  The cell Q = 0 reads 0; the caller
+    sets it.  Shape (m//2 + 1,)*n; ``unfold_orthant`` gives the grid.
     """
-    L = geometry.L
-    reps = np.mod(grid_coordinates(geometry, m)[: m // 2 + 1] + L / 2.0, L) - L / 2.0
-    dist = np.sqrt(reduce(np.add.outer, [reps**2] * geometry.n))
-    dist.flags.writeable = False
-    return dist
+    sums = _sums_of_squares(geometry.n, m // 2)[1:]
+    table = np.zeros(geometry.n * (m // 2) ** 2 + 1)
+    table[sums] = f((geometry.L / m) * np.sqrt(sums))
+    return table[_orthant_norms(geometry.n, m)]
 
 
 def displacement_distances(geometry: TorusGeometry, m: int) -> np.ndarray:
-    """|v| over the nearest-representative displacement grid.
-
-    Unfolded from the cached orthant table on each call rather than cached
-    itself, so that no full-grid array outlives its caller.
-    """
-    return unfold_orthant(orthant_distances(geometry, m), m)
+    """|v| over the nearest-representative displacement grid."""
+    return unfold_orthant(sample_radial(lambda r: r, geometry, m), m)
 
 
+@lru_cache(maxsize=16)
 def _sums_of_squares(n: int, h: int) -> np.ndarray:
-    """Sorted distinct values of q_1^2 + ... + q_n^2 over integers |q_a| <= h."""
+    """Sorted distinct q_1^2 + ... + q_n^2 over integers |q_a| <= h; read-only, cached."""
     squares = np.arange(h + 1) ** 2
     sums = np.zeros(1, dtype=np.intp)
     for _ in range(n):
         sums = np.flatnonzero(np.bincount(np.add.outer(sums, squares).ravel()))
+    sums.flags.writeable = False
     return sums
+
+
+def _cube_counts(n: int, h: int) -> np.ndarray:
+    """Number of integer vectors q with |q_a| <= h at each |q|^2 = 0, ..., n h^2."""
+    counts = np.ones(1)
+    for _ in range(n):
+        counts = sum(np.pad(counts, (q * q, h * h - q * q)) for q in range(-h, h + 1))
+    return counts
 
 
 def _orthant_image_sum(
     params: ProblemParams, geometry: TorusGeometry, m: int, tol: float
 ) -> tuple[np.ndarray, float]:
-    """``_image_sum`` over the orthant of ``orthant_distances``, from integer radii.
+    """``_image_sum`` over the orthant 0 <= j_a <= m//2 of the m-grid, from integer radii.
 
     Row j and image M sit at radius (L/m) sqrt(Q) with the integer
     Q = sum_a (j_a + m M_a)^2 (the representative -m/2 of j_a = m/2 gives
@@ -531,9 +501,9 @@ def representation_check(
     if params.n != 2 * params.k + 1:
         raise DomainError("representation check requires n = 2k + 1")
     check_dimensions(params, geometry)
-    if grid % 2:
+    if grid < 2 or grid % 2:
         raise DomainError(
-            f"representation check needs an even grid, got {grid}: its error "
+            f"representation check needs an even grid >= 2, got {grid}: its error "
             "estimate compares with every second sample, a half-resolution "
             "grid only when the grid is even"
         )
@@ -544,14 +514,11 @@ def representation_check(
     c = euclid.c_nk(n, params.k)
     gap = params.n - 2 * params.k  # = 1
 
-    # periodised kernel on the orthant; the diagonal cell sums the nonzero images
-    dist = orthant_distances(geometry, m)
+    # periodised kernel on the orthant minus the cutoff parametrix; the
+    # diagonal cell sums the nonzero images and gets the analytic limit
     smooth = _orthant_image_sum(params, geometry, m, 1e-10)[0]
-    zero_mask = dist == 0.0
-    # subtract the cutoff parametrix; diagonal cell gets the analytic limit
-    safe = np.where(zero_mask, 1.0, dist)
-    smooth -= np.where(zero_mask, 0.0, cut.chi(safe) * c * safe ** (-gap))
-    smooth[zero_mask] += -c * params.sqrt_alpha
+    smooth -= sample_radial(lambda r: cut.chi(r) * c * r ** (-gap), geometry, m)
+    smooth[(0,) * n] -= c * params.sqrt_alpha
 
     weighted = smooth * _folded_modes(q, shifted, m)
     spacing = L / m
@@ -603,10 +570,12 @@ def symmetry_positivity_scan(
     """
     if isinstance(sample_pairs, int):
         rng = np.random.default_rng(seed)
-        pts = rng.uniform(0.0, geometry.L, size=(sample_pairs, 2, geometry.n))
+        pts = rng.uniform(0.0, geometry.L, size=(max(sample_pairs, 0), 2, geometry.n))
         pairs = [(p[0], p[1]) for p in pts if np.linalg.norm(p[0] - p[1]) > 0]
     else:
         pairs = list(sample_pairs)
+    if not pairs:
+        raise DomainError("symmetry/positivity scan needs at least one pair")
     shape = (len(pairs), geometry.n)
     xs = np.array([p[0] for p in pairs], dtype=float).reshape(shape)
     ys = np.array([p[1] for p in pairs], dtype=float).reshape(shape)

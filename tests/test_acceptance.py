@@ -239,7 +239,7 @@ def test_criterion_7b_gamma_stability(state_2000, state_8000):
         near = state.envelopes[-1].near
         assert near.kind == "const_alpha"
         assert near.alpha_exp == Fraction(state.geometry.n, 2) - state.N
-        vals[a] = float(np.max(np.abs(state.gamma.values))) * a ** float(-near.alpha_exp)
+        vals[a] = float(np.max(np.abs(state.gamma))) * a ** float(-near.alpha_exp)
     ratio = vals[8000.0] / vals[2000.0]
     report(
         "criterion 7b (gamma envelope constant dominates the ladder)",
@@ -273,7 +273,7 @@ def test_criterion_7c_remainder_ratio(state_2000, state_8000):
     for state in (state_2000, state_8000):
         a = state.params.alpha
         psi = psi_value(eps, a, dist, G3.injectivity_radius)
-        ratio = np.abs(state.u.values) * a**k / psi
+        ratio = np.abs(state.u) * a**k / psi
         i = int(np.argmax(ratio))
         dstars[a] = float(dist.ravel()[i])
         vals[a] = float(ratio.ravel()[i])

@@ -104,6 +104,33 @@ class TestTorusCommands:
         assert "even grid" in err
 
 
+class TestDegenerateRuns:
+    # a grid below 2 or a check over no pairs is a domain error, not a
+    # traceback or a pass
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["torus", "verify", "--grid", "0"],
+            ["torus", "verify", "--grid", "-4"],
+            ["parametrix", "run", "--grid", "0"],
+            ["parametrix", "run", "--grid", "-8"],
+            ["torus", "scan", "--pairs", "0"],
+            pytest.param(
+                ["parametrix", "run", "--grid", "32", "--alias-limit", "1", "--pairs", "0"],
+                marks=pytest.mark.filterwarnings("ignore:error-field annulus:RuntimeWarning"),
+            ),
+        ],
+    )
+    def test_exit_1_with_error_line(self, argv, capsys):
+        code, out, err = run_cli(
+            argv[:2] + ["--n", "3", "--k", "1", "--alpha", "2000"] + argv[2:], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestParametrixCommand:
     @pytest.mark.slow
     def test_run_writes_report(self, tmp_path, capsys):

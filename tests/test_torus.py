@@ -243,6 +243,12 @@ class TestRepresentation:
                 p, torus.TorusGeometry(4, 1.0), {(0, 0, 0, 0): 1.0}, np.zeros(4), grid=8
             )
 
+    @pytest.mark.parametrize("grid", [0, -4])
+    def test_degenerate_grid_rejected(self, grid):
+        p = ProblemParams(3, 1, 2000.0)
+        with pytest.raises(DomainError, match="even grid >= 2"):
+            torus.representation_check(p, G3, {(0, 0, 0): 1.0}, np.zeros(3), grid=grid)
+
     def test_odd_grid_rejected(self):
         # every second sample of an odd periodic grid is no half-resolution
         # grid, so the error estimate would be meaningless
@@ -264,9 +270,47 @@ class TestRepresentation:
         assert np.max(np.abs(unfolded - full) / full) <= 1e-13
         dist = torus.displacement_distances(geom, m)
         np.testing.assert_allclose(dist, np.linalg.norm(rows, axis=1).reshape((m,) * n), rtol=1e-14)
-        orthant_dist = torus.orthant_distances(geom, m)
-        assert not orthant_dist.flags.writeable
-        assert torus.orthant_distances(geom, m) is orthant_dist
+
+    @pytest.mark.parametrize(
+        "n, m, L", [(3, 30, 1.0), (3, 32, 1.0), (3, 33, 1.0), (3, 32, 1.7), (5, 8, 2.0)]
+    )
+    def test_radial_sampler_matches_float_rows(self, n, m, L):
+        # f once per integer |j|^2, gathered on the orthant, against f at the
+        # norms of the nearest-representative rows; the Q = 0 cell reads 0
+        geom = torus.TorusGeometry(n, L)
+
+        def f(r):
+            return np.exp(-3.0 * r) / r
+
+        got = torus.sample_radial(f, geom, m)
+        norms = np.linalg.norm(_orthant_rows(geom, m), axis=1).reshape((m // 2 + 1,) * n)
+        assert got.shape == norms.shape
+        assert got.flat[0] == 0.0
+        np.testing.assert_allclose(got.flat[1:], f(norms.flat[1:]), rtol=1e-14, atol=0.0)
+
+    def test_radial_sampler_evaluates_each_radius_once(self):
+        seen = []
+
+        def f(r):
+            seen.append(r)
+            return r
+
+        torus.sample_radial(f, G3, 32)
+        assert len(seen) == 1
+        assert len(seen[0]) == len(np.unique(seen[0])) == len(torus._sums_of_squares(3, 16)) - 1
+
+    @pytest.mark.parametrize("n, h", [(3, 4), (5, 2), (1, 3)])
+    def test_cube_counts_match_brute_force(self, n, h):
+        axes = np.meshgrid(*([np.arange(-h, h + 1)] * n), indexing="ij")
+        brute = np.bincount(sum(a.ravel() ** 2 for a in axes), minlength=n * h * h + 1)
+        assert np.array_equal(torus._cube_counts(n, h), brute)
+
+    def test_sums_of_squares_cached_read_only(self):
+        sums = torus._sums_of_squares(3, 5)
+        assert torus._sums_of_squares(3, 5) is sums
+        assert not sums.flags.writeable
+        counts = torus._cube_counts(3, 5)
+        assert np.array_equal(sums, np.flatnonzero(counts))
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_plane_wave_mean_against_mpmath(self, n):
@@ -389,6 +433,11 @@ class TestScan:
         report = torus.symmetry_positivity_scan(p, G3, pairs)
         assert report.underflow_pairs == 1
         assert report.all_positive
+
+    @pytest.mark.parametrize("pairs", [0, -3, []])
+    def test_zero_pairs_rejected(self, pairs):
+        with pytest.raises(DomainError, match="at least one pair"):
+            torus.symmetry_positivity_scan(ProblemParams(3, 1, 500.0), G3, pairs)
 
     def test_k2_n5_coarse(self):
         p = ProblemParams(5, 2, 200.0)
@@ -518,28 +567,6 @@ class TestPsiEnvelopeOfDerivatives:
             else:
                 bound = d**-2
             assert val <= 1.0 * bound
-
-
-class TestFieldSerialization:
-    def test_tfld_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        field = torus.TorusField(G3, 8, rng.normal(size=(8, 8, 8)))
-        path = tmp_path / "field.tfld"
-        field.write_tfld(path)
-        back = torus.TorusField.read_tfld(path)
-        assert back.geometry == field.geometry
-        assert back.grid_size == field.grid_size
-        np.testing.assert_array_equal(back.values, field.values)
-        # 32-byte header with the TFLD magic
-        raw = path.read_bytes()
-        assert raw[:4] == b"TFLD"
-        assert len(raw) == 32 + 8 * 8**3
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.tfld"
-        path.write_bytes(b"NOPE" + b"\0" * 28)
-        with pytest.raises(DomainError):
-            torus.TorusField.read_tfld(path)
 
 
 @pytest.mark.slow
