@@ -46,15 +46,11 @@ class CutoffSpec:
     tau0: float
     smoothness: int
     step: Polynomial = field(init=False, repr=False)
-    _derivs: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.tau0 <= 0:
             raise DomainError(f"need tau0 > 0, got {self.tau0}")
         self.step = smoothstep_polynomial(self.smoothness)
-        self._derivs = [self.step]
-        for _ in range(self.step.degree()):
-            self._derivs.append(self._derivs[-1].deriv())
 
     @property
     def half(self) -> float:
@@ -68,19 +64,6 @@ class CutoffSpec:
         r = np.asarray(r, dtype=float)
         u = np.clip(self.scaled(r), 0.0, 1.0)
         out = 1.0 - self.step(u)
-        return out if out.shape else float(out)
-
-    def chi_derivative(self, r, order: int):
-        """Exact d^order/dr^order chi(r), elementwise (0 outside the annulus)."""
-        if order == 0:
-            return self.chi(r)
-        r = np.asarray(r, dtype=float)
-        u = self.scaled(r)
-        inside = (u > 0.0) & (u < 1.0)
-        out = np.zeros_like(r)
-        if order <= self.step.degree():
-            poly = self._derivs[order]
-            out[inside] = -poly(u[inside]) / self.half**order
         return out if out.shape else float(out)
 
 

@@ -15,13 +15,14 @@ semi-analytic radial quadrature exactly like Hhat (the error field is a
 sharp annulus shell whose pointwise samples alias badly, while its radial
 Fourier transform is cheap at any band), so the convolution theorem applies
 without discretisation error.  Fields carry twice the grid's band: the
-coefficients are radial, hence tables indexed by the integer |q|^2, and
-each field folds them onto the grid (every grid mode sums its aliases)
-before one transform at the grid size, which gives the band-2 field at the
-grid points.  The tables come from the Chebyshev interpolant of the radial
-transforms in |xi| (``torus._radial_fourier``), so the quadrature runs at a
-few hundred nodes, not at every distinct |q|^2.  The remainder u is solved
-on the same coefficients, mode by mode.
+coefficients are radial, hence tables indexed by the integer |q|^2; each
+field folds them onto the orthant 0 <= q_a <= grid//2 of the grid's modes
+(every mode sums its aliases), where one cosine transform per axis gives
+the band-2 field on the orthant of the displacement grid, with no FFT.
+The tables come from the Chebyshev interpolant of the radial transforms in
+|xi| (``torus._radial_fourier``), so the quadrature runs at a few hundred
+nodes, not at every distinct |q|^2.  The remainder u is solved on the same
+coefficients, mode by mode.
 
 The error field itself comes from the closed radial operator algebra
 ``euclid.RadialTerms``: on the annulus every intermediate is a finite sum
@@ -149,9 +150,10 @@ def error_field(
     cutoff: CutoffSpec,
     grid: int,
 ) -> np.ndarray:
-    """Sample l = (Delta + alpha)^k H_x on the displacement grid around x.
+    """l = (Delta + alpha)^k H_x on the orthant of the displacement grid around x.
 
-    Warns when fewer than 4 grid cells span the annulus width tau0/2.
+    Shape (grid//2 + 1,)*n (``torus.sample_radial``).  Warns when fewer than
+    4 grid cells span the annulus width tau0/2.
     """
     cells = (cutoff.tau0 - cutoff.half) / (geometry.L / grid)
     if cells < 4.0:
@@ -160,9 +162,7 @@ def error_field(
             "increase the grid for a faithful sampling",
             RuntimeWarning,
         )
-    # l is radial and vanishes at 0, so it is sampled on the orthant and unfolded
-    profile = error_field_profile(params, cutoff)
-    return torus.unfold_orthant(torus.sample_radial(profile, geometry, grid), grid)
+    return torus.sample_radial(error_field_profile(params, cutoff), geometry, grid)
 
 
 def error_field_fourier(
@@ -179,14 +179,19 @@ def error_field_fourier(
 
 @dataclass
 class ParametrixState:
-    """Assembled pipeline artifacts for one base point (translation covers all)."""
+    """Assembled pipeline artifacts for one base point (translation covers all).
+
+    The radial fields l, gammas, layers and u hold the orthant 0 <= j_a <= grid//2
+    of the displacement grid, shape (grid//2 + 1,)*n; ``torus.unfold_orthant``
+    gives the grid.
+    """
 
     params: ProblemParams
     geometry: torus.TorusGeometry
     grid: int
     cutoff: CutoffSpec
     H: HProfile
-    l: np.ndarray  # fields on the displacement grid, shape (grid,)*n
+    l: np.ndarray
     gammas: list
     layers: list
     u: np.ndarray
@@ -196,23 +201,6 @@ class ParametrixState:
     @property
     def gamma(self) -> np.ndarray:
         return self.gammas[-1]
-
-
-def _alias_mode_norms(n: int, m: int, band: int) -> list[np.ndarray]:
-    """|q|^2 of every alias q of the m-grid rfft modes in the band*m spectrum.
-
-    Keeping every band-th sample of a field transformed at band*m equals
-    transforming at m the coefficients summed over the band^n band*m-grid
-    indices congruent to each m-grid index; one integer array per alias.
-    """
-    big = band * m
-    freq_sq = np.fft.fftfreq(big, d=1.0 / big).astype(np.intp) ** 2
-    layout = [np.arange(m)] * (n - 1) + [np.arange(m // 2 + 1)]
-    aliases = []
-    for shift in itertools.product(range(band), repeat=n):
-        parts = [freq_sq[idx + m * t] for idx, t in zip(layout, shift)]
-        aliases.append(sum(np.ix_(*parts)))
-    return aliases
 
 
 def _coefficient_table(
@@ -238,24 +226,31 @@ def _fields_from_coefficients(
     """Gamma iterates, layers and u at grid m from exact band*m coefficients.
 
     ``lhat`` and ``hhat`` are ``_coefficient_table``s of the band*m
-    spectrum, |q_a| <= band*m // 2; folding a table onto the m-grid rfft
-    layout and transforming at m gives the band*m field at every band-th
-    sample.
+    spectrum, |q_a| <= band*m // 2.  Every band-th sample of the band*m
+    field is the m-grid transform of the coefficients folded onto the
+    m-grid's modes, each summing its band^n aliases (one |q|^2 array per
+    alias).  The aliases of q and m - q have the same squares, so the fold is
+    even in each index and kept on the orthant 0 <= q_a <= m//2, where the
+    inverse DFT is C[j, q] = w_q cos(2 pi (j q mod m) / m) per axis; every
+    field comes back on the orthant of the displacement grid.
     Layers are support-zeroed outside d > (i+1) tau0 where they vanish
     identically (support additivity), removing series ringing.
     """
     n = geometry.n
-    L = geometry.L
-    aliases = _alias_mode_norms(n, m, band)
-    scale = (m / L) ** n
+    index = np.arange(m // 2 + 1)
+    squares = [np.minimum(index + m * t, band * m - index - m * t) ** 2 for t in range(band)]
+    shifts = itertools.product(range(band), repeat=n)
+    aliases = [sum(np.ix_(*[squares[t] for t in shift])) for shift in shifts]
+    cosines = torus._mirror_cosines(index, m)  # [j, q]
 
     def materialise(table: np.ndarray) -> np.ndarray:
-        coef = sum(table[qsq] for qsq in aliases)
-        return np.fft.irfftn(coef, s=(m,) * n, axes=tuple(range(n))) * scale
+        field = sum(table[qsq] for qsq in aliases)
+        for _ in range(n):  # contract the leading mode axis, append its grid axis
+            field = np.tensordot(field, cosines, axes=(0, 1))
+        return field * geometry.L ** -n
 
-    dist = torus.displacement_distances(geometry, m)
-    gammas = []
-    layers = []
+    dist = torus.sample_radial(lambda r: r, geometry, m)
+    gammas, layers = [], []
     cur = -lhat
     for i in range(1, depth + 1):
         gammas.append(materialise(cur))
@@ -280,9 +275,9 @@ def run_pipeline(
 
     Convolutions use exact semi-analytic Fourier coefficients of l (no
     sampling aliasing) over ``EVAL_BAND`` times the band of the pipeline grid;
-    those coefficients are folded onto the grid and transformed at the grid
-    size, so grid values carry the wide-band accuracy while no transform or
-    array exceeds the grid.  The spectral-tail guard reads the same l
+    those coefficients are folded onto the orthant of the grid's modes and
+    transformed there, so grid values carry the wide-band accuracy while no
+    array exceeds the orthant.  The spectral-tail guard reads the same l
     coefficients over the grid's own cube of modes, |q_a| <= grid // 2:
     at the default threshold a grid that under-resolves the annulus is
     refused.
@@ -349,6 +344,19 @@ class ComparisonReport:
         return self.max_rel_error <= self.tolerance
 
 
+def _draw_pairs(dist: np.ndarray, m: int, lo: float, hi: float, count: int, seed: int):
+    """Grid indices (rows) of up to count seeded grid points in C order with lo <= |v| <= hi.
+
+    ``dist`` is |v| on the orthant; only the boolean mask is unfolded.
+    """
+    candidates = np.flatnonzero(torus.unfold_orthant((dist >= lo) & (dist <= hi), m))
+    take = min(count, len(candidates))
+    if take < 1:
+        raise DomainError(f"no pairs to compare: {count} requested of {len(candidates)}")
+    picked = np.random.default_rng(seed).choice(candidates, size=take, replace=False)
+    return np.stack(np.unravel_index(picked, (m,) * dist.ndim), axis=-1)
+
+
 def assemble_and_compare(
     state: ParametrixState,
     n_pairs: int = 200,
@@ -359,25 +367,19 @@ def assemble_and_compare(
     """Compare H + layers + u against the lattice-sum oracle on grid pairs.
 
     Pairs are displacement grid points with distance in ``d_range`` and at
-    least two grid spacings off the diagonal.
+    least two grid spacings off the diagonal; the orthant fields are read
+    at min(j, grid - j).
     """
     geom = state.geometry
     m = state.grid
-    dist = torus.displacement_distances(geom, m)
-    lo = max(d_range[0], 2.0 * geom.L / m)
-    candidates = np.argwhere((dist >= lo) & (dist <= d_range[1]))
-    take = min(n_pairs, len(candidates))
-    if take < 1:
-        raise DomainError(f"no pairs to compare: {n_pairs} requested of {len(candidates)}")
-    rng = np.random.default_rng(seed)
-    chosen = candidates[rng.choice(len(candidates), size=take, replace=False)]
-    at = tuple(chosen.T)
+    dist = torus.sample_radial(lambda r: r, geom, m)
+    chosen = _draw_pairs(dist, m, max(d_range[0], 2.0 * geom.L / m), d_range[1], n_pairs, seed)
+    at = tuple(np.minimum(chosen, m - chosen).T)
     d = dist[at]
     approx = state.u[at] + state.H(d)
     for layer in state.layers:
         approx = approx + layer[at]
-    coords = torus.grid_coordinates(geom, m)
-    displacements = coords[chosen]
+    displacements = torus.grid_coordinates(geom, m)[chosen]
     oracles = torus.green_lattice_sum_many(state.params, geom, displacements, tol=1e-14)
     worst = None
     max_rel = 0.0
@@ -392,4 +394,4 @@ def assemble_and_compare(
                 "oracle": float(oracle),
                 "rel_error": float(rel),
             }
-    return ComparisonReport(pairs=take, max_rel_error=max_rel, worst=worst, tolerance=tol)
+    return ComparisonReport(pairs=len(chosen), max_rel_error=max_rel, worst=worst, tolerance=tol)

@@ -252,7 +252,9 @@ def unfold_orthant(table: np.ndarray, m: int) -> np.ndarray:
     """
     j = np.arange(m)
     fold = np.minimum(j, m - j)
-    return table[np.ix_(*[fold] * table.ndim)]
+    for axis in range(table.ndim):  # per-axis gathers beat one np.ix_ gather
+        table = np.take(table, fold, axis=axis)
+    return table
 
 
 @lru_cache(maxsize=8)
@@ -278,11 +280,6 @@ def sample_radial(
     table = np.zeros(geometry.n * (m // 2) ** 2 + 1)
     table[sums] = f((geometry.L / m) * np.sqrt(sums))
     return table[_orthant_norms(geometry.n, m)]
-
-
-def displacement_distances(geometry: TorusGeometry, m: int) -> np.ndarray:
-    """|v| over the nearest-representative displacement grid."""
-    return unfold_orthant(sample_radial(lambda r: r, geometry, m), m)
 
 
 @lru_cache(maxsize=16)
@@ -332,20 +329,29 @@ def _orthant_image_sum(
     return out, tail
 
 
-def _folded_modes(q: np.ndarray, shifted: np.ndarray, m: int) -> np.ndarray:
-    """Re phi(x + u) summed over the sign flips of u, on the orthant of the m-grid.
+def _mirror_cosines(q: np.ndarray, m: int) -> np.ndarray:
+    """w_o cos(2 pi (q o mod m) / m), shape q.shape + (m//2 + 1,), over orthant indices o.
 
-    ``q`` and ``shifted`` come from ``_shifted_modes``.  Per axis, orthant
-    index o stands for the grid indices j with min(j, m - j) = o: two, over
-    which e^{2 pi i q_a j / m} sums to 2 cos(2 pi q_a o / m), but only one at
-    o = 0 and at o = m/2.  Each mode's mirror sum is the outer product of
-    these factors.
+    Orthant index o stands for the w_o m-grid indices j with min(j, m - j) = o
+    (two, but one at o = 0 and at o = m/2), over which e^{2 pi i q j / m} sums
+    to w_o cos(2 pi q o / m); reducing q o mod m keeps the argument below 2 pi.
+    With q and o exchanged, this is the inverse DFT of an even sequence from
+    its orthant (the DCT-I).
     """
     o = np.arange(m // 2 + 1)
     weight = np.where((o == 0) | (2 * o == m), 1.0, 2.0)
+    return weight * np.cos(2.0 * math.pi * (np.multiply.outer(q, o) % m) / m)
+
+
+def _folded_modes(q: np.ndarray, shifted: np.ndarray, m: int) -> np.ndarray:
+    """Re phi(x + u) summed over the sign flips of u, on the orthant of the m-grid.
+
+    ``q`` and ``shifted`` come from ``_shifted_modes``.  Each mode's mirror
+    sum is the outer product of its ``_mirror_cosines`` factors, one per axis.
+    """
     out = np.zeros((m // 2 + 1,) * q.shape[1])
     for qq, c in zip(q, shifted.real):
-        factors = weight * np.cos(2.0 * math.pi * (np.multiply.outer(qq, o) % m) / m)
+        factors = _mirror_cosines(qq, m)
         factors[0] *= c
         out += reduce(np.multiply.outer, factors)
     return out

@@ -266,14 +266,15 @@ def test_criterion_7c_remainder_ratio(state_2000, state_8000):
     """
     eps = 0.1
     k = state_2000.params.k
-    dist = torus.displacement_distances(G3, state_2000.grid)
+    m = state_2000.grid
+    dist = torus.unfold_orthant(torus.sample_radial(lambda r: r, G3, m), m)
     vals = {}
     consts = {}
     dstars = {}
     for state in (state_2000, state_8000):
         a = state.params.alpha
         psi = psi_value(eps, a, dist, G3.injectivity_radius)
-        ratio = np.abs(state.u) * a**k / psi
+        ratio = np.abs(torus.unfold_orthant(state.u, m)) * a**k / psi
         i = int(np.argmax(ratio))
         dstars[a] = float(dist.ravel()[i])
         vals[a] = float(ratio.ravel()[i])

@@ -7,6 +7,8 @@ Fourier identity (xi^2 + alpha) Hhat = 1 + lhat checks the semi-analytic
 transforms against each other.
 """
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +22,46 @@ from polygreen.params import ProblemParams
 
 G3 = torus.TorusGeometry(3, 1.0)
 P2000 = ProblemParams(3, 1, 2000.0)
+
+
+def chi_derivative(cut, r, order):
+    """d^order chi / dr^order inside the annulus, from the smoothstep: chi = 1 - S(u)."""
+    return -cut.step.deriv(order)(cut.scaled(r)) / cut.half**order
+
+
+def displacement_distances(geometry, m):
+    """|v| over the nearest-representative displacement grid, shape (m,)*n."""
+    return torus.unfold_orthant(torus.sample_radial(lambda r: r, geometry, m), m)
+
+
+def fft_route_fields(params, geometry, cutoff, lhat, hhat, m, depth, band):
+    """Gamma iterates, layers and u over the whole m-grid by the full-grid FFT, in one list.
+
+    The tables are folded onto the m-grid's rfft layout (every mode sums its
+    band^n aliases in the band*m spectrum) and inverse-transformed by
+    ``np.fft.irfftn``; the oracle of the orthant cosine transform.
+    """
+    n, L = geometry.n, geometry.L
+    gammas, layers, cur = [], [], -lhat
+    for i in range(1, depth + 1):
+        gammas.append(cur)
+        if i < depth:
+            layers.append(cur * hhat)
+            cur = cur * (-lhat)
+    tables = gammas + layers + [cur / torus._multiplier(params, geometry, np.arange(len(lhat)))]
+    big = band * m
+    freq_sq = np.fft.fftfreq(big, d=1.0 / big).astype(np.intp) ** 2
+    layout = [np.arange(m)] * (n - 1) + [np.arange(m // 2 + 1)]
+    coefs = [np.zeros([len(axis) for axis in layout]) for _ in tables]
+    for shift in itertools.product(range(band), repeat=n):
+        qsq = sum(np.ix_(*[freq_sq[idx + m * t] for idx, t in zip(layout, shift)]))
+        for coef, table in zip(coefs, tables):
+            coef += table[qsq]
+    fields = [np.fft.irfftn(c, s=(m,) * n, axes=tuple(range(n))) * (m / L) ** n for c in coefs]
+    dist = displacement_distances(geometry, m)
+    for i, layer in enumerate(fields[depth : 2 * depth - 1], start=1):
+        layer[dist > (i + 1) * cutoff.tau0] = 0.0
+    return fields
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +96,7 @@ class TestCutoff:
         h = 1e-7
         for r in (0.05, 0.06, 0.08):
             fd = (cut.chi(r + h) - cut.chi(r - h)) / (2 * h)
-            assert cut.chi_derivative(r, 1) == pytest.approx(fd, rel=1e-5)
+            assert chi_derivative(cut, r, 1) == pytest.approx(fd, rel=1e-5)
 
     def test_auto_tau0(self):
         assert auto_tau0(3, 1.0) == pytest.approx(0.09)
@@ -113,8 +155,8 @@ class TestErrorField:
         for r in (0.05, 0.06, 0.0675, 0.085):
             g = euclid.kernel_alpha(P2000, r)
             gp = euclid.kernel_radial_derivative(P2000, r, 1)
-            c1 = cut.chi_derivative(r, 1)
-            c2 = cut.chi_derivative(r, 2)
+            c1 = chi_derivative(cut, r, 1)
+            c2 = chi_derivative(cut, r, 2)
             manual = g * (-c2 - 2.0 / r * c1) - 2.0 * c1 * gp
             assert prof(np.array([r]))[0] == pytest.approx(manual, rel=1e-12)
 
@@ -163,7 +205,8 @@ class TestErrorField:
         expected = P2000.alpha * int_h - 1.0
         # grid-64 samples span the annulus with ~2.9 cells; the semi-
         # analytic identity at xi = 0 is tested exactly elsewhere
-        assert float(np.sum(state64.l)) * (1.0 / 64) ** 3 == pytest.approx(expected, rel=0.05)
+        l_grid = torus.unfold_orthant(state64.l, 64)
+        assert float(np.sum(l_grid)) * (1.0 / 64) ** 3 == pytest.approx(expected, rel=0.05)
 
     def test_sup_bound_constant_non_increasing(self):
         # sup|l| <= C alpha^{k(n+1)/4} (tau0/2)^{((k-2)n+k+4)/2} e^{-sqrt(a) tau0/2}
@@ -243,7 +286,7 @@ class TestGammaIterateSampled:
         gammas, _, _ = parametrix._fields_from_coefficients(
             P2000, G3, cut, lhat_table, hhat_table, m, 2, parametrix.EVAL_BAND
         )
-        g1 = gammas[0]
+        g1 = torus.unfold_orthant(gammas[0], m)
         w = (G3.L / m) ** 3
         direct = np.zeros((m, m, m))
         rev = g1[::-1, ::-1, ::-1]
@@ -252,7 +295,8 @@ class TestGammaIterateSampled:
                 for k in range(m):
                     rolled = np.roll(rev, (i + 1, j + 1, k + 1), axis=(0, 1, 2))
                     direct[i, j, k] = np.sum(g1 * rolled) * w
-        assert np.max(np.abs(gammas[1] - direct)) <= 1e-12 * np.max(np.abs(direct))
+        g2 = torus.unfold_orthant(gammas[1], m)
+        assert np.max(np.abs(g2 - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_gate_trips_on_underresolved_annulus(self):
         with pytest.warns(RuntimeWarning):
@@ -281,8 +325,8 @@ class TestGammaIterateSampled:
         assert err.value.error_estimate == pytest.approx(exact, rel=1e-12)
 
     def test_young_bound(self, state64):
-        g1 = state64.gammas[0]
-        g2 = state64.gammas[1]
+        g1 = torus.unfold_orthant(state64.gammas[0], 64)
+        g2 = torus.unfold_orthant(state64.gammas[1], 64)
         h3 = (1.0 / 64) ** 3
         assert np.max(np.abs(g2)) <= np.max(np.abs(g1)) * np.sum(np.abs(g1)) * h3 * 1.01
 
@@ -309,9 +353,10 @@ class TestPipeline:
         assert state64.gamma[0, 0, 0] == pytest.approx(oracle, rel=2e-3)
 
     def test_gamma_support(self, state64):
-        dist = torus.displacement_distances(G3, 64)
-        sup = np.max(np.abs(state64.gamma))
-        outside = np.abs(state64.gamma[dist > 2 * state64.cutoff.tau0 + 0.02])
+        dist = displacement_distances(G3, 64)
+        gamma = torus.unfold_orthant(state64.gamma, 64)
+        sup = np.max(np.abs(gamma))
+        outside = np.abs(gamma[dist > 2 * state64.cutoff.tau0 + 0.02])
         assert np.max(outside) <= 1e-4 * sup
 
     def test_spectral_multiplier_inequality(self, state64):
@@ -334,9 +379,9 @@ class TestPipeline:
         for alpha in (2000.0, 8000.0):
             p = ProblemParams(3, 1, alpha)
             st = parametrix.run_pipeline(p, G3, grid=64, alias_limit=0.6)
-            dist = torus.displacement_distances(G3, 64)
+            dist = displacement_distances(G3, 64)
             psi = psi_value(0.1, alpha, dist, 0.5)
-            vals[alpha] = float(np.max(np.abs(st.u) / psi))
+            vals[alpha] = float(np.max(np.abs(torus.unfold_orthant(st.u, 64)) / psi))
         assert vals[8000.0] <= 1.1 * vals[2000.0]
 
     def test_assembly_against_lattice_oracle(self, state64):
@@ -373,27 +418,95 @@ class TestPipeline:
             field = np.fft.irfftn(coef, s=(big,) * 3, axes=(0, 1, 2)) * big**3
             return field[::band, ::band, ::band]
 
-        dist = torus.displacement_distances(G3, m)
+        dist = displacement_distances(G3, m)
         layer_ref = sampled(-lhat * hhat)
         layer_ref[dist > 2 * cut.tau0] = 0.0
         refs = [sampled(-lhat), sampled(lhat**2), layer_ref,
                 sampled(lhat**2 / (uniq**2 + P2000.alpha))]
         for got, ref in zip(gammas + layers + [u], refs):
-            assert got.shape == (m,) * 3
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert got.shape == (m // 2 + 1,) * 3
+            assert np.max(np.abs(torus.unfold_orthant(got, m) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_pipeline_transforms_at_grid_size(self, monkeypatch):
-        shapes = []
-        irfftn = np.fft.irfftn
+    def test_pipeline_calls_no_fft(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.fft called")
 
-        def recording(a, s=None, *args, **kwargs):
-            shapes.append(tuple(s))
-            return irfftn(a, s, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "irfftn", recording)
+        for name in np.fft.__all__:
+            monkeypatch.setattr(np.fft, name, refuse)
         with pytest.warns(RuntimeWarning):
-            parametrix.run_pipeline(P2000, G3, grid=32, alias_limit=1.0)
-        assert shapes and all(s == (32,) * 3 for s in shapes)
+            state = parametrix.run_pipeline(P2000, G3, grid=32, alias_limit=1.0)
+        parametrix.assemble_and_compare(state, n_pairs=5, d_range=(0.1, 0.3))
+
+    @pytest.mark.parametrize("n, k, grid", [(3, 1, 32), (3, 1, 33), (5, 2, 15)])
+    def test_state_fields_on_orthant(self, n, k, grid):
+        geom = torus.TorusGeometry(n, 1.0)
+        with pytest.warns(RuntimeWarning):
+            state = parametrix.run_pipeline(ProblemParams(n, k, 2000.0), geom, grid, alias_limit=1.0)
+        fields = [state.l, state.u] + state.gammas + state.layers
+        assert len(fields) == 2 * state.N + 1
+        assert all(f.shape == (grid // 2 + 1,) * n for f in fields)
+
+    @pytest.mark.parametrize("n, k, m", [(3, 1, 32), (3, 1, 33), (5, 2, 16), (5, 2, 15)])
+    def test_cosine_transform_matches_full_grid_fft(self, n, k, m):
+        # Gamma^i, the layers and u on the orthant, unfolded, against the
+        # full-grid alias fold and irfftn at the grid size
+        p = ProblemParams(n, k, 2000.0)
+        geom = torus.TorusGeometry(n, 1.0)
+        cut = cutoff_for(n, k, 1.0)
+        h = parametrix.EVAL_BAND * m // 2
+        lhat = parametrix._coefficient_table(
+            lambda xi: parametrix.error_field_fourier(p, cut, xi), geom, h
+        )
+        hhat = parametrix._coefficient_table(parametrix.build_H(p, geom, cut).fourier, geom, h)
+        depth = n // 2 + 1
+        gammas, layers, u = parametrix._fields_from_coefficients(
+            p, geom, cut, lhat, hhat, m, depth, parametrix.EVAL_BAND
+        )
+        refs = fft_route_fields(p, geom, cut, lhat, hhat, m, depth, parametrix.EVAL_BAND)
+        got = gammas + layers + [u]
+        assert len(got) == len(refs) == 2 * depth
+        for field, ref in zip(got, refs):
+            assert field.shape == (m // 2 + 1,) * n
+            assert np.max(np.abs(torus.unfold_orthant(field, m) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("m", [32, 33, 1000, 1001])
+    def test_mirror_cosines_reduce_the_argument(self, m):
+        # w_o cos(2 pi q o / m) with q o reduced mod m first stays within a
+        # few ulp where q o / m runs to m/4 turns (unreduced, the argument
+        # alone is off by ~ulp(2 pi m / 4), 2.3e-13 at m = 1000), against a
+        # 30-digit cosine of the exactly reduced fraction
+        mpmath = pytest.importorskip("mpmath")
+        q = np.arange(m // 2 + 1)
+        got = torus._mirror_cosines(q, m)
+        o = q if m < 100 else np.array([0, 1, m // 3, m // 2 - 1, m // 2])
+        with mpmath.workdps(30):
+            for j in o:
+                for jj in o:
+                    w = 1 if jj == 0 or 2 * jj == m else 2
+                    want = w * mpmath.cos(2 * mpmath.pi * (int(j) * int(jj) % m) / m)
+                    assert abs(got[j, jj] - float(want)) <= 2e-15
+
+    @pytest.mark.parametrize(
+        "m, digest",
+        [(64, "f7581929b76b5e60a48de5e03425e3b6285f98198901fddc4bdef5dd3a94aabf"),
+         (128, "dba700004ccba80e90f7c2894a3685b39acf44d399687c41d6e9026e9a5fa991")],
+    )
+    def test_pairs_drawn_as_on_the_full_grid(self, m, digest):
+        # sha256 of the (200, 3) int64 grid indices that np.argwhere over the
+        # full float distance grid gave at the acceptance draw (seed 2024)
+        dist = torus.sample_radial(lambda r: r, G3, m)
+        chosen = parametrix._draw_pairs(dist, m, max(0.05, 2.0 / m), 0.45, 200, 2024)
+        assert chosen.shape == (200, 3)
+        assert hashlib.sha256(chosen.astype("<i8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("m, seed", [(33, 3), (40, 7)])
+    def test_pairs_match_argwhere_draw(self, m, seed):
+        full = displacement_distances(G3, m)
+        candidates = np.argwhere((full >= 0.06) & (full <= 0.3))
+        rng = np.random.default_rng(seed)
+        want = candidates[rng.choice(len(candidates), size=60, replace=False)]
+        dist = torus.sample_radial(lambda r: r, G3, m)
+        assert np.array_equal(parametrix._draw_pairs(dist, m, 0.06, 0.3, 60, seed), want)
 
     @pytest.mark.parametrize("n_pairs, d_range", [(0, (0.06, 0.30)), (10, (0.30, 0.06))])
     def test_comparison_without_pairs_rejected(self, state64, n_pairs, d_range):
