@@ -297,7 +297,13 @@ def _cube_counts(n: int, h: int) -> np.ndarray:
     """Number of integer vectors q with |q_a| <= h at each |q|^2 = 0, ..., n h^2."""
     counts = np.ones(1)
     for _ in range(n):
-        counts = sum(np.pad(counts, (q * q, h * h - q * q)) for q in range(-h, h + 1))
+        # one more axis: q and -q both shift the counts by q^2
+        grown = np.zeros(counts.size + h * h)
+        grown[: counts.size] = counts
+        twice = 2.0 * counts
+        for q in range(1, h + 1):
+            grown[q * q : q * q + counts.size] += twice
+        counts = grown
     return counts
 
 

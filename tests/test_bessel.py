@@ -69,6 +69,23 @@ def k0_series_oracle(x: float) -> float:
     return -(math.log(x / 2.0) + EULER_GAMMA) * i0 + s
 
 
+def trapezoid_by_recurrence(order: int, x: np.ndarray) -> np.ndarray:
+    """e^x K_order(x) by the same 33-node rule, with T_order(1 + s^2/x) per node.
+
+    The reference for the moment-matrix sum: the Chebyshev recurrence
+    T_{j+1} = 2u T_j - T_{j-1} runs at every (point, node), with no shared
+    moments and no Horner sum.
+    """
+    xb = np.asarray(x, dtype=float)[:, None]
+    u = 1.0 + besselk._TRAP_S2 / xb
+    weight = 2.0 * besselk._TRAP_W / np.sqrt(2.0 * xb + besselk._TRAP_S2)
+    # T_{-1} = T_1 = u and T_0 = 1
+    t_prev, t = u, np.ones_like(u)
+    for _ in range(order):
+        t_prev, t = t, 2.0 * u * t - t_prev
+    return (t * weight).sum(axis=1)
+
+
 class TestGamma:
     def test_known_values(self):
         assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
@@ -184,10 +201,30 @@ class TestBesselK:
                 whole = besselk._k_trapezoid_scaled(order, x)
             assert np.max(np.abs(blocked - whole) / whole) <= 1e-15, order
 
+    def test_trapezoid_matches_chebyshev_recurrence(self):
+        # the moment-matrix sum against the per-node recurrence of the same
+        # rule, on a grid spanning several blocks
+        x = np.geomspace(1.0 + 1e-9, 700.0, 4 * besselk._TRAP_BLOCK + 5)
+        for order in range(MAX_TWICE_NU // 2 + 1):
+            got = besselk._k_trapezoid_scaled(order, x)
+            want = trapezoid_by_recurrence(order, x)
+            assert np.max(np.abs(got - want) / want) <= 4e-15, order
+
+    def test_chebyshev_monomial_coefficients(self):
+        # a[nu, p] are the monomial coefficients of T_nu(1 + z); all positive,
+        # so the rule's sum has no cancellation
+        cheb = np.polynomial.Chebyshev
+        shift = np.polynomial.Polynomial([1.0, 1.0])
+        for nu in range(MAX_TWICE_NU // 2 + 1):
+            mono = cheb.basis(nu).convert(kind=np.polynomial.Polynomial)(shift).coef
+            a = besselk._T_MONOMIALS[nu]
+            np.testing.assert_array_equal(a[: nu + 1], mono)
+            assert np.all(a[: nu + 1] > 0) and np.all(a[nu + 1 :] == 0), nu
+
 
 # The README's relative accuracy for K_nu, rounded up.  Against 40-digit
-# mpmath the largest error on the grid below is 2.1e-15 (K_0 at x = 1.001);
-# a denser scan of 1,062 points over [1e-3, 700] found 2.5e-15 (K_6, x = 173).
+# mpmath the largest error on the grid below is 2.1e-15 (K_0 at x = 1.007);
+# a denser scan of 1,062 points over [1e-3, 700] found 2.3e-15 (K_0, x = 1.0044).
 BESSEL_REL_ERROR = 1e-14
 
 

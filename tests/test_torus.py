@@ -299,7 +299,7 @@ class TestRepresentation:
         assert len(seen) == 1
         assert len(seen[0]) == len(np.unique(seen[0])) == len(torus._sums_of_squares(3, 16)) - 1
 
-    @pytest.mark.parametrize("n, h", [(3, 4), (5, 2), (1, 3)])
+    @pytest.mark.parametrize("n, h", [(3, 4), (5, 2), (1, 3), (3, 64), (2, 0)])
     def test_cube_counts_match_brute_force(self, n, h):
         axes = np.meshgrid(*([np.arange(-h, h + 1)] * n), indexing="ij")
         brute = np.bincount(sum(a.ravel() ** 2 for a in axes), minlength=n * h * h + 1)
