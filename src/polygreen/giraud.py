@@ -38,6 +38,7 @@ from .errors import (
     EstimateNotApplicableError,
 )
 from .euclid import RadialKernel, sphere_area
+from .torus import gauss_legendre
 
 FractionLike = Fraction | int | str
 
@@ -378,9 +379,9 @@ def fit_far_slope(r: np.ndarray, values: np.ndarray, sqrt_alpha: float) -> tuple
 # Radial convolution engine
 # ---------------------------------------------------------------------------
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
-_X24, _W24 = np.polynomial.legendre.leggauss(24)
-_X48, _W48 = np.polynomial.legendre.leggauss(48)
+_GL_X, _GL_W = gauss_legendre(15)
+_X24, _W24 = gauss_legendre(24)
+_X48, _W48 = gauss_legendre(48)
 # Nodes on [0, 1] of the 24- and 48-node rules for the polar-angle integral;
 # the two weight columns give the 48-node value and its gap to the 24-node one.
 _POLAR_NODES = 0.5 * (np.concatenate([_X24, _X48]) + 1.0)
@@ -404,43 +405,67 @@ def _adaptive_segments(
     its own error at each node.  A panel is split until its 15-node value
     and the sum over its two halves agree; an accepted panel contributes
     that gap plus the halves' integrated node error, floored at 50 machine
-    epsilons of its value for rounding.  Returns (value, error estimate);
-    raises ConvergenceError beyond 4000 panels.
+    epsilons of its value for rounding.  Refinement is level-synchronous:
+    one ``func`` call on the initial panels, then one per level on both
+    halves of every live panel.  A panel's fate does not depend on the
+    order of visits, so the panel tree is that of a depth-first search,
+    and the accepted panels are summed right to left as one would visit
+    them.  Returns (value, error estimate); raises ConvergenceError
+    beyond 4000 panels, with the accepted panels plus the halves of the
+    unresolved ones as best estimate and, as error estimate, the gap of
+    the panel whose split crosses the budget (splits taken right to left).
     """
 
-    def gl(lo: float, hi: float) -> np.ndarray:
+    def gl(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        return half * (func(mid + half * _GL_X) @ _GL_W)
+        nodes = mid[:, None] + half[:, None] * _GL_X
+        return half * (func(nodes.ravel()).reshape(2, lo.size, _GL_X.size) @ _GL_W)
 
-    pts = sorted({a, b, *[p for p in breaks if a < p < b]})
-    stack = [(pts[i], pts[i + 1], gl(pts[i], pts[i + 1]), 0) for i in range(len(pts) - 1)]
-    total = sum(v[0] for _, _, v, _ in stack)
-    value = 0.0
-    err = 0.0
-    count = len(stack)
-    while stack:
-        lo, hi, coarse, depth = stack.pop()
+    pts = np.array(sorted({a, b, *[p for p in breaks if a < p < b]}), dtype=float)
+    lo, hi = pts[:-1], pts[1:]
+    coarse = gl(lo, hi)
+    total = 0.0
+    for v in coarse[0]:
+        total += v
+    tol_floor = max(tol_abs, tol_rel * abs(total))
+    count = lo.size
+    accepted = []  # (lo, hi, value, error) of the panels accepted at each level
+    for depth in range(53):
         mid = 0.5 * (lo + hi)
-        left = gl(lo, mid)
-        right = gl(mid, hi)
-        fine = left + right
-        delta = abs(fine[0] - coarse[0])
-        local_tol = max(tol_abs, tol_rel * abs(total)) * (hi - lo) / (b - a)
-        rounding = 50.0 * _EPS * abs(fine[0])
-        if delta <= max(local_tol, rounding) or depth >= 52:
-            value += fine[0]
-            err += max(delta + fine[1], rounding)
-            continue
-        count += 2
-        if count > 4000:
+        halves = gl(np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel())
+        halves = halves.reshape(2, lo.size, 2)
+        fine = halves.sum(axis=2)
+        delta = np.abs(fine[0] - coarse[0])
+        local_tol = tol_floor * (hi - lo) / (b - a)
+        rounding = 50.0 * _EPS * np.abs(fine[0])
+        done = (delta <= np.maximum(local_tol, rounding)) | (depth >= 52)
+        accepted.append(
+            (lo[done], hi[done], fine[0, done], np.maximum(delta + fine[1], rounding)[done])
+        )
+        split = ~done
+        splits = np.count_nonzero(split)
+        if not splits:
+            break
+        if count + 2 * splits > 4000:
+            best = sum(float(v.sum()) for _, _, v, _ in accepted) + float(fine[0, split].sum())
             raise ConvergenceError(
                 "adaptive quadrature exceeded its interval budget",
-                best_estimate=value + fine[0] + sum(v[0] for _, _, v, _ in stack),
-                error_estimate=delta,
+                best_estimate=best,
+                error_estimate=float(delta[split][::-1][(4000 - count) // 2]),
             )
-        stack.append((lo, mid, left, depth + 1))
-        stack.append((mid, hi, right, depth + 1))
+        count += 2 * splits
+        lo = np.stack([lo[split], mid[split]], axis=1).ravel()
+        hi = np.stack([mid[split], hi[split]], axis=1).ravel()
+        coarse = halves[:, split].reshape(2, -1)
+
+    leaf_lo, leaf_hi, values, errors = (np.concatenate(col) for col in zip(*accepted))
+    order = np.lexsort((leaf_hi, leaf_lo))[::-1]
+    value = 0.0
+    err = 0.0
+    for v, e in zip(values[order].tolist(), errors[order].tolist()):
+        value += v
+        err += e
     return value, err
 
 
@@ -470,8 +495,9 @@ def radial_convolve(
     IJNME 62, 2005) spreads it over v in [0, asinh(theta_max / eps)], where
     fixed 24- and 48-node Gauss-Legendre rules are applied.  The outer
     integral is adaptive in s with breaks at r, geometric breaks toward 0
-    and the support breaks; each outer panel makes one f evaluation on its
-    15 nodes and one g evaluation on all their polar nodes.
+    and the support breaks; each refinement level makes one f evaluation
+    on the 15 nodes of both halves of every live panel and one g
+    evaluation on all their polar nodes.
 
     The returned error is omega_{n-2} times the sum over accepted outer
     panels of the gap between the panel's 15-node value and its two halves,

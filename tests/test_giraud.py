@@ -16,10 +16,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygreen import euclid, giraud
-from polygreen.errors import DomainError, EstimateNotApplicableError
+from polygreen.errors import ConvergenceError, DomainError, EstimateNotApplicableError
 from polygreen.params import ProblemParams
 
 F = Fraction
+
+
+def depth_first_segments(func, a, b, breaks, tol_abs, tol_rel):
+    """Per-panel, depth-first form of giraud._adaptive_segments without its
+    panel budget: (value, error estimate, accepted panels)."""
+
+    def gl(lo, hi):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        return half * (func(mid + half * giraud._GL_X) @ giraud._GL_W)
+
+    pts = sorted({a, b, *[p for p in breaks if a < p < b]})
+    stack = [(pts[i], pts[i + 1], gl(pts[i], pts[i + 1]), 0) for i in range(len(pts) - 1)]
+    total = sum(v[0] for _, _, v, _ in stack)
+    value = 0.0
+    err = 0.0
+    accepted = 0
+    while stack:
+        lo, hi, coarse, depth = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left = gl(lo, mid)
+        right = gl(mid, hi)
+        fine = left + right
+        delta = abs(fine[0] - coarse[0])
+        local_tol = max(tol_abs, tol_rel * abs(total)) * (hi - lo) / (b - a)
+        rounding = 50.0 * giraud._EPS * abs(fine[0])
+        if delta <= max(local_tol, rounding) or depth >= 52:
+            value += fine[0]
+            err += max(delta + fine[1], rounding)
+            accepted += 1
+            continue
+        stack.append((lo, mid, left, depth + 1))
+        stack.append((mid, hi, right, depth + 1))
+    return value, err, accepted
 
 
 def ball_kernel(radius: float = 1.0) -> euclid.RadialKernel:
@@ -291,14 +325,14 @@ class TestRadialConvolve:
         assert err >= abs(val - euclid.kernel_closed_form(n, 2, r))
 
     @pytest.mark.parametrize(
-        "kern,n,r",
+        "kern,n,r,points",
         [
-            (euclid.green_radial_kernel(ProblemParams(5, 1, 1.0)), 5, 1.0),
-            (ball_kernel(), 3, 1.0),
+            (euclid.green_radial_kernel(ProblemParams(5, 1, 1.0)), 5, 1.0, 39420),
+            (ball_kernel(), 3, 1.0, 22995),
         ],
         ids=["green", "ball"],
     )
-    def test_kernel_calls_are_batched(self, kern, n, r):
+    def test_kernel_calls_are_batched(self, kern, n, r, points):
         calls = []
 
         def counted(t):
@@ -307,8 +341,75 @@ class TestRadialConvolve:
 
         counting = dataclasses.replace(kern, evaluator=counted)
         giraud.radial_convolve(counting, counting, n, r, tol=1e-8)
-        # one f call per outer panel and one g call on all its polar nodes
-        assert len(calls) <= 200
+        # one f call and one g call per refinement level; the point count
+        # pins the panel tree
+        assert len(calls) <= 16
+        assert sum(calls) == points
+
+    @pytest.mark.parametrize(
+        "kern,n,r",
+        [
+            *[
+                (euclid.green_radial_kernel(ProblemParams(n, 1, 1.0)), n, r)
+                for n in (5, 6, 7)
+                for r in (0.25, 0.5, 1.0, 2.0)
+            ],
+            *[(ball_kernel(), 3, r) for r in (0.5, 1.0, 1.7)],
+        ],
+    )
+    def test_level_batched_matches_depth_first(self, monkeypatch, kern, n, r):
+        batched = giraud._adaptive_segments
+        seen = []
+
+        def both(func, a, b, breaks, tol_abs, tol_rel):
+            nodes = {"batched": [], "depth_first": []}
+
+            def recording(key):
+                def wrapped(s):
+                    nodes[key].append(np.array(s))
+                    return func(s)
+
+                return wrapped
+
+            value, err = batched(recording("batched"), a, b, breaks, tol_abs, tol_rel)
+            ref_value, ref_err, ref_accepted = depth_first_segments(
+                recording("depth_first"), a, b, breaks, tol_abs, tol_rel
+            )
+            got, want = (np.sort(np.concatenate(nodes[key])) for key in ("batched", "depth_first"))
+            # E evaluated panels from P initial ones and S splits: E = 3P + 4S,
+            # and P + S panels are accepted
+            initial = len({a, b, *[p for p in breaks if a < p < b]}) - 1
+            seen.append((got.size // giraud._GL_X.size + initial) // 4)
+            assert np.array_equal(got, want)
+            assert seen[-1] == ref_accepted
+            assert abs(value - ref_value) <= 4 * np.spacing(abs(ref_value))
+            assert abs(err - ref_err) <= 1e-5 * ref_err
+            return value, err
+
+        monkeypatch.setattr(giraud, "_adaptive_segments", both)
+        giraud.radial_convolve(kern, kern, n, r, tol=1e-8)
+        assert len(seen) == 1
+
+    def test_interval_budget_raises_typed_error(self):
+        # an integrand that never settles exhausts the 4000-panel budget
+        rng = np.random.default_rng(16)
+
+        def noise(s):
+            return np.stack([rng.standard_normal(s.size), np.zeros(s.size)])
+
+        with pytest.raises(ConvergenceError, match="interval budget") as info:
+            giraud._adaptive_segments(noise, 0.0, 1.0, [0.5], 1e-12, 1e-12)
+        assert math.isfinite(info.value.best_estimate)
+        assert math.isfinite(info.value.error_estimate)
+
+    @pytest.mark.parametrize("count", [15, 24, 48])
+    def test_gauss_rules_from_the_shared_table(self, count):
+        rules = {15: (giraud._GL_X, giraud._GL_W), 24: (giraud._X24, giraud._W24),
+                 48: (giraud._X48, giraud._W48)}
+        nodes, weights = rules[count]
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(count)
+        assert np.array_equal(nodes, want_nodes)
+        assert np.array_equal(weights, want_weights)
 
     def test_nonintegrable_rejected(self):
         bad = euclid.RadialKernel(
