@@ -292,9 +292,12 @@ def _cmd_parametrix_run(args) -> int:
 
 
 def _cmd_mass_sweep(args) -> int:
-    p = ProblemParams(args.n, args.k, _floats(args.alphas)[0])
+    alphas = _floats(args.alphas)
+    if not alphas:
+        raise DomainError(f"mass sweep needs at least one alpha, got {args.alphas!r}")
+    p = ProblemParams(args.n, args.k, alphas[0])
     geom = torus.TorusGeometry(args.n, args.L)
-    report = mass.mass_sweep(p, geom, _floats(args.alphas))
+    report = mass.mass_sweep(p, geom, alphas)
     rows = [
         {"alpha": a, "value": mu, "ratio": s}
         for a, mu, s in zip(report.alphas, report.mu, report.scaled)

@@ -99,21 +99,33 @@ class EnvelopeSpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "EnvelopeSpec":
+        """Inverse of ``to_json_dict``; DomainError names a missing or malformed key."""
+        if not isinstance(d, dict) or "beta" not in d:
+            raise DomainError(f"envelope must be a JSON object with the key 'beta', got {d!r}")
         raw = d["beta"]
         if isinstance(raw, dict):
-            near = NearRegime("const_alpha", alpha_exp=Fraction(raw["const_alpha"]))
+            near = NearRegime("const_alpha", alpha_exp=_fraction_at(raw, "const_alpha"))
         elif raw in ("log", "const"):
             near = NearRegime(raw)
         else:
-            near = NearRegime("power", beta=Fraction(raw))
-        sup = d.get("support")
+            near = NearRegime("power", beta=_fraction_at(d, "beta"))
         return EnvelopeSpec(
             near=near,
-            p=Fraction(d["p"]),
-            rho=Fraction(d["rho"]),
-            rate=Fraction(d.get("rate", 1)),
-            support=None if sup is None else Fraction(sup),
+            p=_fraction_at(d, "p"),
+            rho=_fraction_at(d, "rho"),
+            rate=_fraction_at(d, "rate", 1),
+            support=None if d.get("support") is None else _fraction_at(d, "support"),
         )
+
+
+def _fraction_at(d: dict, key: str, default: Optional[int] = None) -> Fraction:
+    """Fraction(d[key]), or the default when the key is absent; DomainError names the key."""
+    if key not in d and default is None:
+        raise DomainError(f"envelope is missing the key {key!r} in {d!r}")
+    try:
+        return Fraction(d.get(key, default))
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"envelope key {key!r} is not a fraction: {d[key]!r}") from None
 
 
 def power_envelope(

@@ -33,7 +33,6 @@ that form, so (Delta + alpha)^k applies exactly to chi G.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -221,46 +220,38 @@ def _fields_from_coefficients(
     hhat: np.ndarray,
     m: int,
     depth: int,
-    band: int,
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Gamma iterates, layers and u at grid m from exact band*m coefficients.
+    """Gamma iterates, layers and u at grid m from exact EVAL_BAND*m coefficients.
 
     ``lhat`` and ``hhat`` are ``_coefficient_table``s of the band*m
     spectrum, |q_a| <= band*m // 2.  Every band-th sample of the band*m
     field is the m-grid transform of the coefficients folded onto the
-    m-grid's modes, each summing its band^n aliases (one |q|^2 array per
-    alias).  The aliases of q and m - q have the same squares, so the fold is
-    even in each index and kept on the orthant 0 <= q_a <= m//2, where the
+    m-grid's modes, each summing its band^n aliases q + m t in the band*m
+    spectrum (``torus._orthant_fold`` over the offsets t = 0, -1 at band 2).
+    The aliases of q and m - q have the same squares, so the fold is even
+    in each index and kept on the orthant 0 <= q_a <= m//2, where the
     inverse DFT is C[j, q] = w_q cos(2 pi (j q mod m) / m) per axis; every
     field comes back on the orthant of the displacement grid.
     Layers are support-zeroed outside d > (i+1) tau0 where they vanish
     identically (support additivity), removing series ringing.
     """
     n = geometry.n
-    index = np.arange(m // 2 + 1)
-    squares = [np.minimum(index + m * t, band * m - index - m * t) ** 2 for t in range(band)]
-    shifts = itertools.product(range(band), repeat=n)
-    aliases = [sum(np.ix_(*[squares[t] for t in shift])) for shift in shifts]
-    cosines = torus._mirror_cosines(index, m)  # [j, q]
-
-    def materialise(table: np.ndarray) -> np.ndarray:
-        field = sum(table[qsq] for qsq in aliases)
+    cosines = torus._mirror_cosines(np.arange(m // 2 + 1), m)  # [j, q]
+    iterates = [-lhat]
+    for _ in range(depth - 1):
+        iterates.append(iterates[-1] * (-lhat))
+    mult = torus._multiplier(params, geometry, np.arange(len(lhat)))
+    tables = iterates + [cur * hhat for cur in iterates[:-1]] + [iterates[-1] / mult]
+    offsets = [t if 2 * t < EVAL_BAND else t - EVAL_BAND for t in range(EVAL_BAND)]
+    fields = []
+    for field in torus._orthant_fold(tables, n, m, offsets):
         for _ in range(n):  # contract the leading mode axis, append its grid axis
             field = np.tensordot(field, cosines, axes=(0, 1))
-        return field * geometry.L ** -n
-
+        fields.append(field * geometry.L ** -n)
+    gammas, layers, u_vals = fields[:depth], fields[depth:-1], fields[-1]
     dist = torus.sample_radial(lambda r: r, geometry, m)
-    gammas, layers = [], []
-    cur = -lhat
-    for i in range(1, depth + 1):
-        gammas.append(materialise(cur))
-        if i < depth:
-            layer = materialise(cur * hhat)
-            layer[dist > (i + 1) * cutoff.tau0] = 0.0
-            layers.append(layer)
-            cur = cur * (-lhat)
-    mult = torus._multiplier(params, geometry, np.arange(len(lhat)))
-    u_vals = materialise(cur / mult)
+    for i, layer in enumerate(layers, start=1):
+        layer[dist > (i + 1) * cutoff.tau0] = 0.0
     return gammas, layers, u_vals
 
 
@@ -312,7 +303,7 @@ def run_pipeline(
 
     hhat = _coefficient_table(h_profile.fourier, geometry, h)
     gammas, layers, u = _fields_from_coefficients(
-        params, geometry, cut, lhat, hhat, grid, depth, EVAL_BAND
+        params, geometry, cut, lhat, hhat, grid, depth
     )
     envelopes = giraud.iterate_error_envelope(
         n, params.k, Fraction(cut.tau0).limit_denominator(10**9), depth

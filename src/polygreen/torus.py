@@ -14,6 +14,7 @@ checks) compare the two.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -257,12 +258,41 @@ def unfold_orthant(table: np.ndarray, m: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=8)
-def _orthant_norms(n: int, m: int) -> np.ndarray:
-    """The integer |j|^2 over the orthant 0 <= j_a <= m//2 of the m-grid; read-only, cached."""
-    qsq = reduce(np.add.outer, [np.arange(m // 2 + 1) ** 2] * n)
-    qsq.flags.writeable = False
-    return qsq
+def _radial_table(
+    f: Callable[[np.ndarray], np.ndarray], geometry: TorusGeometry, m: int, h: int
+) -> np.ndarray:
+    """f((L/m) sqrt(Q)), indexed by the integer Q = |q|^2 over |q_a| <= h.
+
+    f runs once per distinct Q > 0, in blocks of ``_BLOCK_ELEMENTS``; Q = 0
+    and the integers that are no sum of n squares read 0.
+    """
+    sums = _sums_of_squares(geometry.n, h)[1:]
+    table = np.zeros(geometry.n * h * h + 1)
+    for start in range(0, len(sums), _BLOCK_ELEMENTS):
+        q = sums[start : start + _BLOCK_ELEMENTS]
+        table[q] = f((geometry.L / m) * np.sqrt(q))
+    return table
+
+
+def _orthant_fold(
+    tables: Sequence[np.ndarray], n: int, m: int, offsets: Sequence[int]
+) -> list[np.ndarray]:
+    """Per table, sum_M table[|j + m M|^2] over M in offsets^n, on the orthant 0 <= j_a <= m//2.
+
+    Offset 0 alone samples a radial table on the grid, a box of offsets sums
+    its lattice images, and a wider spectrum's offsets fold its aliases onto
+    the m-grid's modes.  Each |j + m M|^2 array is built once and gathers
+    every table; the M are summed in ``itertools.product`` order.
+    """
+    index = np.arange(m // 2 + 1)
+    shifts = itertools.product([(index + m * o) ** 2 for o in offsets], repeat=n)
+    qsq = reduce(np.add.outer, next(shifts))
+    fields = [table[qsq] for table in tables]
+    for squares in shifts:
+        qsq = reduce(np.add.outer, squares)
+        for field, table in zip(fields, tables):
+            field += table[qsq]
+    return fields
 
 
 def sample_radial(
@@ -272,23 +302,18 @@ def sample_radial(
 
     Index j of the m-grid is the displacement v = (L/m) j, or its mirror
     image j - m, at radius (L/m) sqrt(Q) with the integer Q = |j|^2 on the
-    orthant, so f runs once per distinct Q > 0 and the values are gathered
-    through the cached |j|^2 array.  The cell Q = 0 reads 0; the caller
-    sets it.  Shape (m//2 + 1,)*n; ``unfold_orthant`` gives the grid.
+    orthant: f runs once per distinct Q (``_radial_table``), gathered by
+    ``_orthant_fold`` at offset 0.  The cell Q = 0 reads 0; the caller sets
+    it.  Shape (m//2 + 1,)*n; ``unfold_orthant`` gives the grid.
     """
-    sums = _sums_of_squares(geometry.n, m // 2)[1:]
-    table = np.zeros(geometry.n * (m // 2) ** 2 + 1)
-    table[sums] = f((geometry.L / m) * np.sqrt(sums))
-    return table[_orthant_norms(geometry.n, m)]
+    table = _radial_table(f, geometry, m, m // 2)
+    return _orthant_fold([table], geometry.n, m, (0,))[0]
 
 
 @lru_cache(maxsize=16)
 def _sums_of_squares(n: int, h: int) -> np.ndarray:
     """Sorted distinct q_1^2 + ... + q_n^2 over integers |q_a| <= h; read-only, cached."""
-    squares = np.arange(h + 1) ** 2
-    sums = np.zeros(1, dtype=np.intp)
-    for _ in range(n):
-        sums = np.flatnonzero(np.bincount(np.add.outer(sums, squares).ravel()))
+    sums = np.flatnonzero(_cube_counts(n, h))
     sums.flags.writeable = False
     return sums
 
@@ -316,23 +341,15 @@ def _orthant_image_sum(
     Q = sum_a (j_a + m M_a)^2 (the representative -m/2 of j_a = m/2 gives
     the same radii, as the box is symmetric in each M_a).  Per axis, j + m M
     takes every integer of absolute value <= h = m//2 + m m_max over the
-    image box, so its distinct Q are the sums of n squares up to h^2.  The
-    kernel is evaluated once per distinct Q > 0, in blocks, and each image
-    gathers its Q; Q = 0, the diagonal cell's own image, reads 0.  Returns
-    the (m//2 + 1,)*n table and the tail bound of the image box.
+    image box: ``_radial_table`` covers |q_a| <= h and ``_orthant_fold``
+    sums it over the box; Q = 0, the diagonal cell's own image, reads 0.
+    Returns the (m//2 + 1,)*n table and the tail bound of the image box.
     """
-    n, L = geometry.n, geometry.L
     m_max, tail = image_radius(params, geometry, tol)
-    sums = _sums_of_squares(n, m // 2 + m * m_max)[1:]
-    table = np.zeros(sums[-1] + 1)
-    for start in range(0, len(sums), _BLOCK_ELEMENTS):
-        q = sums[start : start + _BLOCK_ELEMENTS]
-        table[q] = euclid.kernel_alpha_array(params, (L / m) * np.sqrt(q))
-    squares = np.add.outer(np.arange(m // 2 + 1), m * np.arange(-m_max, m_max + 1)) ** 2
-    out = np.zeros((m // 2 + 1,) * n)
-    for image in _lattice_box(n, m_max) + m_max:
-        out += table[reduce(np.add.outer, squares[:, image].T)]
-    return out, tail
+    table = _radial_table(
+        lambda r: euclid.kernel_alpha_array(params, r), geometry, m, m // 2 + m * m_max
+    )
+    return _orthant_fold([table], geometry.n, m, range(-m_max, m_max + 1))[0], tail
 
 
 def _mirror_cosines(q: np.ndarray, m: int) -> np.ndarray:
@@ -620,24 +637,28 @@ def symmetry_positivity_scan(
 # Derivatives of the lattice sum
 # ---------------------------------------------------------------------------
 
+def _derivative_images(params: ProblemParams, geometry: TorusGeometry, v: np.ndarray):
+    """Shifts L m one shell past the 1e-10 lattice-sum box, w = v + L m, s = |w|,
+    and the kernel's first radial derivative as ``euclid.RadialTerms`` and at s."""
+    m_max, _ = image_radius(params, geometry, 1e-10)
+    shifts = geometry.L * _lattice_box(geometry.n, m_max + 1)
+    w = v[None, :] + shifts
+    s = np.linalg.norm(w, axis=1)
+    terms1 = euclid.kernel_terms(params, 1)
+    return shifts, w, s, terms1, terms1.evaluate(s)
+
+
 def _directional_derivatives(
     params: ProblemParams,
     geometry: TorusGeometry,
     v: np.ndarray,
     l: int,
 ) -> float:
-    """d^l/dt^l of t -> sum_m f(|t vhat + L m|) at t = |v|, term by term.
-
-    The images run one shell past the box of the 1e-10 lattice sum."""
+    """d^l/dt^l of t -> sum_m f(|t vhat + L m|) at t = |v|, term by term."""
     d = float(np.linalg.norm(v))
     vhat = v / d
-    m_max, _ = image_radius(params, geometry, 1e-10)
-    shifts = geometry.L * _lattice_box(geometry.n, m_max + 1)
-    w = v[None, :] + shifts
-    s = np.linalg.norm(w, axis=1)
+    shifts, _, s, terms1, f1 = _derivative_images(params, geometry, v)
     b = shifts @ vhat  # s_m(t)^2 = t^2 + 2 t b + |Lm|^2, evaluated at t = d
-    terms1 = euclid.kernel_terms(params, 1)
-    f1 = terms1.evaluate(s)
     s1 = (d + b) / s
     if l == 1:
         return float(np.sum(f1 * s1))
@@ -680,10 +701,7 @@ def green_gradient(params: ProblemParams, geometry: TorusGeometry, x, y) -> np.n
     d, v = torus_distance(geometry, x, y)
     if d == 0.0:
         raise DomainError("gradient singular on the diagonal")
-    m_max, _ = image_radius(params, geometry, 1e-10)
-    w = v[None, :] + geometry.L * _lattice_box(geometry.n, m_max + 1)
-    s = np.linalg.norm(w, axis=1)
-    f1 = euclid.kernel_terms(params, 1).evaluate(s)
+    _, w, s, _, f1 = _derivative_images(params, geometry, v)
     return np.sum((f1 / s)[:, None] * w, axis=0)
 
 

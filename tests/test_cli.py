@@ -60,6 +60,23 @@ class TestGiraudCommands:
         assert composed["p"] == "2" and composed["rho"] == "5"
         assert composed["support"] == "9/50"
 
+    @pytest.mark.parametrize(
+        "x, key",
+        [
+            ("{}", "beta"),
+            ("[1]", "JSON object"),
+            ('{"beta": "2", "p": "1"}', "rho"),
+            ('{"beta": {"x": 1}, "p": "1", "rho": "1"}', "const_alpha"),
+        ],
+    )
+    def test_malformed_envelope_exits_1(self, x, key, capsys):
+        y = json.dumps({"beta": "2", "p": "1", "rho": "1"})
+        code, out, err = run_cli(["giraud", "compose", "--n", "3", "--x", x, "--y", y], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+
     def test_certify_passes(self, capsys):
         code, out, _ = run_cli(
             ["giraud", "certify", "--n", "3", "--k", "1",
@@ -130,17 +147,25 @@ class TestDegenerateRuns:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_empty_alpha_ladder_exits_1(self, capsys):
+        code, out, err = run_cli(["mass", "sweep", "--n", "3", "--k", "1", "--alphas", ","], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "alpha" in err
+        assert "Traceback" not in err
+
 
 class TestParametrixCommand:
     @pytest.mark.slow
     def test_run_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        code, _, _ = run_cli(
-            ["parametrix", "run", "--n", "3", "--k", "1", "--alpha", "2000",
-             "--grid", "64", "--tau0", "auto", "--pairs", "40",
-             "--alias-limit", "0.6", "--tol", "5e-2", "--out", str(out)],
-            capsys,
-        )
+        with pytest.warns(RuntimeWarning, match="error-field annulus"):
+            code, _, _ = run_cli(
+                ["parametrix", "run", "--n", "3", "--k", "1", "--alpha", "2000",
+                 "--grid", "64", "--tau0", "auto", "--pairs", "40",
+                 "--alias-limit", "0.6", "--tol", "5e-2", "--out", str(out)],
+                capsys,
+            )
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["schema"] == "polygreen-report/1"
@@ -148,11 +173,12 @@ class TestParametrixCommand:
         assert payload["comparison"]["max_rel_error"] < 5e-2
 
     def test_strict_gate_refuses_underresolved_grid(self, capsys):
-        code, _, err = run_cli(
-            ["parametrix", "run", "--n", "3", "--k", "1", "--alpha", "2000",
-             "--grid", "64", "--tau0", "auto"],
-            capsys,
-        )
+        with pytest.warns(RuntimeWarning, match="error-field annulus"):
+            code, _, err = run_cli(
+                ["parametrix", "run", "--n", "3", "--k", "1", "--alpha", "2000",
+                 "--grid", "64", "--tau0", "auto"],
+                capsys,
+            )
         assert code == 1
         assert "spectral tail" in err
 

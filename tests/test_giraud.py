@@ -275,6 +275,19 @@ class TestSerialization:
         )
         assert giraud.EnvelopeSpec.from_json_dict(x.to_json_dict()) == x
 
+    @pytest.mark.parametrize(
+        "d, key",
+        [
+            ({"beta": "2", "p": [1], "rho": "1"}, "'p'"),
+            ({"beta": "2", "p": "1", "rho": "1", "support": "1/0"}, "'support'"),
+            ({"beta": {"const_alpha": None}, "p": "1", "rho": "1"}, "'const_alpha'"),
+        ],
+    )
+    def test_malformed_value_names_the_key(self, d, key):
+        # missing keys and a non-object are the CLI's compose cases
+        with pytest.raises(DomainError, match=key):
+            giraud.EnvelopeSpec.from_json_dict(d)
+
 
 class TestRadialConvolve:
     @pytest.mark.parametrize(
@@ -436,7 +449,8 @@ class TestCertifyBound:
         )
         assert report.passed
         assert report.drift <= 2.0
-        # fitted constant close to the exact 1/(8 pi) of the true convolution
+        # only a loose ceiling: the constants fitted on these 10 radii (0.036
+        # and 0.026) are sampled maxima, below the true supremum 1/(8 pi)
         assert max(report.fitted.values()) < 1.0
 
     def test_support_violation_counterexample(self):

@@ -2,6 +2,7 @@
 oracle, the per-mode spectral solve, representation formula, symmetry/positivity,
 derivative envelopes, field serialization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polygreen import euclid, torus
+from polygreen import euclid, parametrix, torus
 from polygreen.errors import BudgetError, DomainError
 from polygreen.params import ProblemParams
 
@@ -304,6 +305,7 @@ class TestRepresentation:
         axes = np.meshgrid(*([np.arange(-h, h + 1)] * n), indexing="ij")
         brute = np.bincount(sum(a.ravel() ** 2 for a in axes), minlength=n * h * h + 1)
         assert np.array_equal(torus._cube_counts(n, h), brute)
+        assert np.array_equal(torus._sums_of_squares(n, h), np.flatnonzero(brute))
 
     def test_sums_of_squares_cached_read_only(self):
         sums = torus._sums_of_squares(3, 5)
@@ -311,6 +313,48 @@ class TestRepresentation:
         assert not sums.flags.writeable
         counts = torus._cube_counts(3, 5)
         assert np.array_equal(sums, np.flatnonzero(counts))
+
+    @pytest.mark.parametrize(
+        "n, m, offsets", [(1, 7, (0,)), (2, 6, (0, -1)), (3, 7, (0, -1)), (2, 5, (-2, -1, 0, 1, 2))]
+    )
+    def test_orthant_fold_matches_cellwise_sum(self, n, m, offsets):
+        # sum_M table[|j + m M|^2] cell by cell, for two tables at once
+        h = m // 2 + m * max(abs(o) for o in offsets)
+        rng = np.random.default_rng(7)
+        tables = [rng.standard_normal(n * h * h + 1) for _ in range(2)]
+        got = torus._orthant_fold(tables, n, m, offsets)
+        for field, table in zip(got, tables):
+            assert field.shape == (m // 2 + 1,) * n
+            for j in np.ndindex(field.shape):
+                want = sum(
+                    table[sum((ja + m * ma) ** 2 for ja, ma in zip(j, shift))]
+                    for shift in itertools.product(offsets, repeat=n)
+                )
+                assert field[j] == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+    def test_radial_fields_gather_through_the_fold(self, monkeypatch):
+        # the sampler, the periodised kernel and the pipeline's fields all
+        # come from one fold: offsets 0, the image box and the band-2 aliases
+        calls = []
+        fold = torus._orthant_fold
+
+        def recording(tables, n, m, offsets):
+            calls.append((len(tables), m, tuple(offsets)))
+            return fold(tables, n, m, offsets)
+
+        monkeypatch.setattr(torus, "_orthant_fold", recording)
+        p = ProblemParams(3, 1, 2000.0)
+        torus.sample_radial(lambda r: r, G3, 16)
+        torus._orthant_image_sum(p, G3, 16, 1e-10)
+        with pytest.warns(RuntimeWarning, match="error-field annulus"):
+            parametrix.run_pipeline(p, G3, grid=16, alias_limit=1.0)
+        assert calls == [
+            (1, 16, (0,)),
+            (1, 16, (-1, 0, 1)),
+            (1, 16, (0,)),  # the error field
+            (4, 16, (0, -1)),  # two iterates, one layer and u
+            (1, 16, (0,)),  # the layer support radii
+        ]
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_plane_wave_mean_against_mpmath(self, n):
