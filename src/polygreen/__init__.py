@@ -7,17 +7,17 @@ spectral solves, the cutoff-parametrix pipeline, and the diverging-mass law
 in odd critical dimension.
 """
 
-from .params import BesselOrder, ProblemParams
-from .besselk import bessel_k, bessel_k_scaled, gamma_fn
+from .params import ProblemParams
+from .besselk import gamma_fn
 from .euclid import (
     RadialKernel,
     c_nk,
     eta,
+    euclid_remainder_at_zero,
     green_radial_kernel,
     kernel_alpha,
     kernel_alpha_array,
     kernel_closed_form,
-    kernel_k1,
     kernel_radial_derivative,
     remainder_ratio,
 )
@@ -40,12 +40,11 @@ from .torus import (
     torus_distance,
 )
 from .parametrix import ParametrixState, build_H, error_field, run_pipeline
-from .mass import MassReport, euclid_remainder_at_zero, mass_sweep, torus_mass
+from .mass import MassReport, mass_sweep, torus_mass
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselOrder",
     "CutoffSpec",
     "EnvelopeSpec",
     "MassReport",
@@ -55,8 +54,6 @@ __all__ = [
     "RadialKernel",
     "TorusGeometry",
     "auto_tau0",
-    "bessel_k",
-    "bessel_k_scaled",
     "build_H",
     "c_nk",
     "compatibility_check",
@@ -65,13 +62,13 @@ __all__ = [
     "compose_psi",
     "error_field",
     "eta",
+    "euclid_remainder_at_zero",
     "gamma_fn",
     "green_lattice_sum",
     "green_radial_kernel",
     "kernel_alpha",
     "kernel_alpha_array",
     "kernel_closed_form",
-    "kernel_k1",
     "kernel_radial_derivative",
     "mass_sweep",
     "psi_value",

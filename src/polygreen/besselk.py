@@ -17,10 +17,11 @@ shifts), so the implementation is specialised:
   moments 2 W_j s_j^{2p}, then a Horner sum in 1/x with the nonnegative
   monomial coefficients of T_nu(1 + z), so no term cancels.
 
-All internal work is done on the exponentially scaled function e^x K_nu(x)
-so that large arguments neither underflow nor overflow; the unscaled value
-is reconstructed at the end (exact 0.0 beyond x = 700, where e^{-x} has no
-normal double representation worth propagating).
+The one evaluator, ``bessel_k_scaled_array``, returns the exponentially
+scaled function e^x K_nu(x), so that large arguments neither underflow nor
+overflow.  Its callers in ``euclid`` multiply by e^{-x} and return exact 0.0
+beyond x = UNDERFLOW_ARG = 700, where e^{-x} has no normal double
+representation worth propagating.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 import numpy as np
 
 from .errors import DomainError, UnsupportedOrderError
-from .params import BesselOrder
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -180,8 +180,8 @@ def bessel_k_scaled_array(twice_nu: int, x: np.ndarray) -> np.ndarray:
             f"order nu = {twice_nu}/2 outside supported range [0, {MAX_TWICE_NU}/2]"
         )
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("bessel_k requires argument > 0")
+    if not np.all(x > 0):
+        raise DomainError("K_nu requires arguments x > 0")
     if twice_nu % 2 == 1:
         return _half_integer_scaled((twice_nu - 1) // 2, x)
     out = np.empty_like(x)
@@ -192,36 +192,3 @@ def bessel_k_scaled_array(twice_nu: int, x: np.ndarray) -> np.ndarray:
         out[~small] = _k_trapezoid_scaled(twice_nu // 2, x[~small])
     return out
 
-
-def bessel_k_array(twice_nu: int, x: np.ndarray) -> np.ndarray:
-    """K_nu(x) elementwise; exact 0.0 where x exceeds the underflow cutoff."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("bessel_k requires argument > 0")
-    out = np.zeros_like(x)
-    ok = x <= UNDERFLOW_ARG
-    if np.any(ok):
-        xs = x[ok]
-        out[ok] = bessel_k_scaled_array(twice_nu, xs) * np.exp(-xs)
-    return out
-
-
-def bessel_k(order: BesselOrder | int, r: float) -> float:
-    """K_nu(r) for nu >= 0 on the half-integer grid and r > 0.
-
-    ``order`` may be a :class:`BesselOrder` or the integer 2*nu.
-    """
-    twice = order.twice_nu if isinstance(order, BesselOrder) else int(order)
-    if r <= 0:
-        raise DomainError(f"bessel_k requires r > 0, got {r}")
-    if r > UNDERFLOW_ARG:
-        return 0.0
-    return float(bessel_k_scaled_array(twice, np.array([r]))[0] * math.exp(-r))
-
-
-def bessel_k_scaled(order: BesselOrder | int, r: float) -> float:
-    """e^r K_nu(r), safe for arbitrarily large r."""
-    twice = order.twice_nu if isinstance(order, BesselOrder) else int(order)
-    if r <= 0:
-        raise DomainError(f"bessel_k requires r > 0, got {r}")
-    return float(bessel_k_scaled_array(twice, np.array([r]))[0])

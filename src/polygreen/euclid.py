@@ -7,9 +7,12 @@ The kernel for alpha = 1 has the closed radial form
 
 and general alpha follows from the scaling G_alpha(r) =
 alpha^{(n-2k)/2} G^(k)(sqrt(alpha) r).  The closed form is validated in the
-test suite against three independent oracles: the k = 1 Bessel kernel, the
-small-r normalisation r^{n-2k} G -> c_{n,k}, and numerical radial
-self-convolution.
+test suite against independent oracles: the elementary kernels of odd n
+(the Yukawa kernel e^{-r}/(4 pi r) at n = 3), frozen reference values, the
+small-r normalisation r^{n-2k} G -> c_{n,k}, numerical radial
+self-convolution (the semigroup G^(1) * G^(1) = G^(2)), and, in odd
+critical dimension n = 2k + 1, a Richardson extrapolation of the diagonal
+remainder G - c_{n,k}/r to its exact limit -c_{n,k} sqrt(alpha).
 
 Radial derivatives are exact: ``RadialTerms`` keeps finite sums of
 q(u) r^p K_m(s r) terms, q polynomial, closed under d/dr; the kernel
@@ -71,21 +74,12 @@ def eta(t: float, n: int, k: int) -> float:
     return t * t
 
 
-def kernel_k1(n: int, r: float) -> float:
-    """Fundamental solution of (Delta + 1) in R^n: (2 pi)^{-n/2} r^{-(n-2)/2} K_{(n-2)/2}(r)."""
-    if n < 3:
-        raise DomainError(f"need n >= 3, got n={n}")
-    if r <= 0:
-        raise DomainError(f"need r > 0, got r={r}")
-    return kernel_closed_form(n, 1, r)
-
-
 def kernel_closed_form_array(n: int, k: int, x: np.ndarray) -> np.ndarray:
     """Closed-form alpha = 1 kernel on an array of radii."""
     if n <= 2 * k:
         raise DomainError(f"need n > 2k, got n={n}, k={k}")
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if not np.all(x > 0):
         raise DomainError("kernel radius must be positive")
     twice_nu = n - 2 * k
     d = closed_form_constant(n, k)
@@ -116,6 +110,19 @@ def kernel_alpha_array(params: ProblemParams, r: np.ndarray) -> np.ndarray:
 
 def kernel_alpha(params: ProblemParams, r: float) -> float:
     return float(kernel_alpha_array(params, np.array([float(r)]))[0])
+
+
+def euclid_remainder_at_zero(params: ProblemParams) -> float:
+    """lim_{r->0} (G_alpha(r) - c_{n,k} / r) = -c_{n,k} sqrt(alpha) for n = 2k + 1.
+
+    There nu = 1/2 and the kernel is c_{n,k} e^{-sqrt(alpha) r} / r, so the
+    limit is exact: the diverging part of the torus mass.
+    """
+    if params.n != 2 * params.k + 1:
+        raise DomainError(
+            f"diagonal remainder defined for n = 2k + 1, got n={params.n}, k={params.k}"
+        )
+    return -c_nk(params.n, params.k) * params.sqrt_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +221,7 @@ def kernel_radial_derivative(params: ProblemParams, r: float, l: int) -> float:
         raise UnsupportedOrderError(
             f"derivative order {l} exceeds operator order 2k = {2 * params.k}"
         )
-    if r <= 0:
+    if not r > 0:
         raise DomainError(f"need r > 0, got r={r}")
     return float(kernel_terms(params, l).evaluate(np.array([float(r)]))[0])
 

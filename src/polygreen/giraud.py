@@ -628,7 +628,10 @@ def certify_bound(
     Fails (with a counterexample) if a convolution, computed to absolute
     tolerance 1e-8, is nonzero where the composed envelope vanishes, or if
     the fitted constant drifts by more than a factor 2 across the alphas.
+    An empty alpha or radius ladder is a domain error, not a vacuous pass.
     """
+    if len(alpha_list) == 0 or len(r_grid) == 0:
+        raise DomainError("certification needs at least one alpha and one radius")
     tol = 1e-8
     fitted: dict = {}
     for alpha in alpha_list:

@@ -5,7 +5,8 @@ G(x, y) = c_{n,k} d(x,y)^{-1} + mu_x(y) with mu continuous up to the
 diagonal; the mass is mu_x(x).  On the torus it decomposes into the
 Euclidean diagonal remainder lim_{r->0} (G_alpha(r) - c_{n,k}/r), which
 equals -c_{n,k} sqrt(alpha) exactly for every n = 2k+1 (the kernel is
-elementary there), plus the lattice images sum_{m != 0} G_alpha(|L m|),
+c_{n,k} e^{-sqrt(alpha) r}/r there; ``euclid.euclid_remainder_at_zero``),
+plus the lattice images sum_{m != 0} G_alpha(|L m|),
 which is exponentially small.  The mass therefore diverges like
 -sqrt(alpha), bracketed by the sweep below.
 """
@@ -28,43 +29,16 @@ def stabilization_threshold(geometry: torus.TorusGeometry) -> float:
     return (10.0 / geometry.L) ** 2
 
 
-def euclid_remainder_at_zero(params: ProblemParams) -> float:
-    """lim_{r->0} (G_alpha(r) - c_{n,k} r^{2k-n}) for n = 2k + 1.
-
-    Computed by four levels of Richardson extrapolation of the difference at
-    the geometric radii r_j = 2^{-j}/sqrt(alpha), j = 4..10; the closed form
-    of the kernel in odd critical dimension makes -c_{n,k} sqrt(alpha) the
-    exact answer, which the test suite uses as the oracle.
-    """
-    if params.n != 2 * params.k + 1:
-        raise DomainError(
-            f"mass defined for n = 2k + 1, got n={params.n}, k={params.k}"
-        )
-    c = euclid.c_nk(params.n, params.k)
-    gap = params.n - 2 * params.k  # = 1
-    js = np.arange(4, 11)
-    radii = 2.0 ** (-js) / params.sqrt_alpha
-    vals = euclid.kernel_alpha_array(params, radii) - c * radii ** (-gap)
-    # Richardson with step ratio 2: entry j uses the smaller radius (j+1)
-    table = vals.astype(float)
-    for m in range(1, 5):
-        table = (2.0**m * table[1:] - table[:-1]) / (2.0**m - 1.0)
-    return float(table[-1])
-
-
 def torus_mass(params: ProblemParams, geometry: torus.TorusGeometry) -> float:
     """mu_x(x) = Euclidean diagonal remainder + nonzero lattice images.
 
     The images are summed to a certified tail of 1e-12; translation
     invariance makes the result independent of the base point x.
     """
-    if params.n != 2 * params.k + 1:
-        raise DomainError(
-            f"mass defined for n = 2k + 1, got n={params.n}, k={params.k}"
-        )
+    remainder = euclid.euclid_remainder_at_zero(params)
     torus.check_dimensions(params, geometry)
     images, _ = torus._image_sum(params, geometry, np.zeros((1, geometry.n)), 1e-12)
-    return euclid_remainder_at_zero(params) + float(images[0])
+    return remainder + float(images[0])
 
 
 @dataclass

@@ -12,9 +12,10 @@ from .errors import DomainError
 class ProblemParams:
     """The triple (n, k, alpha) defining the operator (Delta + alpha)^k.
 
-    Standing constraints: n > 2k, k >= 1, alpha > 0.  The construction of the
-    fundamental solution breaks down at n = 2k (the kernel's singularity
-    degenerates to a logarithm), so that case is rejected outright.
+    Standing constraints: n > 2k, k >= 1 and a finite alpha > 0.  The
+    construction of the fundamental solution breaks down at n = 2k (the
+    kernel's singularity degenerates to a logarithm), so that case is
+    rejected outright.
     """
 
     n: int
@@ -28,8 +29,8 @@ class ProblemParams:
             raise DomainError(f"k must be >= 1, got k={self.k}")
         if self.n <= 2 * self.k:
             raise DomainError(f"need n > 2k, got n={self.n}, k={self.k}")
-        if not self.alpha > 0:
-            raise DomainError(f"alpha must be positive, got alpha={self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise DomainError(f"alpha must be positive and finite, got alpha={self.alpha}")
 
     @property
     def sqrt_alpha(self) -> float:
@@ -41,15 +42,3 @@ class ProblemParams:
         half-integer orders stay exact."""
         return self.n - 2 * self.k
 
-
-@dataclass(frozen=True)
-class BesselOrder:
-    """Order nu >= 0 of a modified Bessel function, stored as 2*nu."""
-
-    twice_nu: int
-
-    def __post_init__(self):
-        if not isinstance(self.twice_nu, int):
-            raise DomainError("twice_nu must be an integer")
-        if self.twice_nu < 0:
-            raise DomainError(f"negative Bessel order: nu = {self.twice_nu}/2")

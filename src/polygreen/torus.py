@@ -38,8 +38,8 @@ class TorusGeometry:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"need n >= 1, got {self.n}")
-        if self.L <= 0:
-            raise DomainError(f"need L > 0, got {self.L}")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise DomainError(f"need a finite L > 0, got {self.L}")
 
     @property
     def injectivity_radius(self) -> float:
@@ -62,6 +62,8 @@ def torus_distance(geometry: TorusGeometry, x, y) -> tuple[float, np.ndarray]:
     y = np.asarray(y, dtype=float)
     if x.shape != (geometry.n,) or y.shape != (geometry.n,):
         raise DomainError(f"points must be {geometry.n}-vectors")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DomainError("points must have finite coordinates")
     L = geometry.L
     v = np.mod(y - x + L / 2.0, L) - L / 2.0
     return float(np.linalg.norm(v)), v
@@ -197,6 +199,8 @@ def green_lattice_sum_many(
     v = np.asarray(displacements, dtype=float)
     if v.ndim != 2 or v.shape[1] != geometry.n:
         raise DomainError(f"displacements must be rows of {geometry.n}-vectors")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("displacements must have finite coordinates")
     L = geometry.L
     v = np.mod(v + L / 2.0, L) - L / 2.0
     if not np.all(np.any(v != 0.0, axis=1)):
@@ -547,7 +551,7 @@ def representation_check(
     # diagonal cell sums the nonzero images and gets the analytic limit
     smooth = _orthant_image_sum(params, geometry, m, 1e-10)[0]
     smooth -= sample_radial(lambda r: cut.chi(r) * c * r ** (-gap), geometry, m)
-    smooth[(0,) * n] -= c * params.sqrt_alpha
+    smooth[(0,) * n] += euclid.euclid_remainder_at_zero(params)
 
     weighted = smooth * _folded_modes(q, shifted, m)
     spacing = L / m

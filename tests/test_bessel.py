@@ -12,16 +12,9 @@ import numpy as np
 import pytest
 
 from polygreen import besselk
-from polygreen.besselk import (
-    EULER_GAMMA,
-    MAX_TWICE_NU,
-    bessel_k,
-    bessel_k_array,
-    bessel_k_scaled,
-    gamma_fn,
-)
+from polygreen import euclid
+from polygreen.besselk import EULER_GAMMA, MAX_TWICE_NU, bessel_k_scaled_array, gamma_fn
 from polygreen.errors import DomainError, UnsupportedOrderError
-from polygreen.params import BesselOrder
 
 # (2*nu, x, K_nu(x)) -- frozen high-precision references
 K_REFERENCE = [
@@ -52,6 +45,11 @@ K_REFERENCE = [
     (13, 0.05, 3728464848533.7054),
     (13, 33.0, 1.8992533559439253e-15),
 ]
+
+
+def bessel_k(twice_nu: int, x: float) -> float:
+    """K_nu(x) from the one evaluator, e^x K_nu(x), times e^{-x}."""
+    return float(bessel_k_scaled_array(twice_nu, np.array([x]))[0] * np.exp(-x))
 
 
 def k0_series_oracle(x: float) -> float:
@@ -113,10 +111,10 @@ class TestBesselK:
 
     def test_half_order_closed_forms(self):
         # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x};  K_{3/2}(x) adds the (1 + 1/x) factor
-        assert bessel_k(BesselOrder(1), 1.0) == pytest.approx(
+        assert bessel_k(1, 1.0) == pytest.approx(
             math.sqrt(math.pi / 2.0) * math.exp(-1.0), rel=1e-14
         )
-        assert bessel_k(BesselOrder(3), 2.0) == pytest.approx(
+        assert bessel_k(3, 2.0) == pytest.approx(
             math.sqrt(math.pi / 4.0) * math.exp(-2.0) * 1.5, rel=1e-14
         )
 
@@ -155,41 +153,29 @@ class TestBesselK:
         # the former quadrature and asymptotic joins at 6 and 16
         assert bessel_k(twice_nu, x) == pytest.approx(expected, rel=1e-10)
 
-    def test_scaled_consistency(self):
-        for twice_nu, x, _ in K_REFERENCE[:8]:
-            assert bessel_k_scaled(twice_nu, x) * math.exp(-x) == pytest.approx(
-                bessel_k(twice_nu, x), rel=1e-13
-            )
-
     def test_scaled_large_argument(self):
         # e^x K_0(x) stays representable far beyond the underflow cutoff
-        assert bessel_k_scaled(0, 2000.0) == pytest.approx(0.028023205014604324, rel=1e-12)
+        assert bessel_k_scaled_array(0, np.array([2000.0]))[0] == pytest.approx(
+            0.028023205014604324, rel=1e-12
+        )
 
     def test_underflow_policy(self):
-        assert bessel_k(0, 710.0) == 0.0
-        assert bessel_k(3, 1.0e4) == 0.0
+        # the kernels return exact 0.0 where e^{-x} is below UNDERFLOW_ARG = 700
+        assert euclid.kernel_closed_form(4, 1, 710.0) == 0.0
+        assert euclid.kernel_closed_form(5, 1, 1.0e4) == 0.0
 
     def test_positive(self):
         xs = np.geomspace(1e-6, 60, 50)
         for twice_nu in range(0, 14):
-            assert np.all(bessel_k_array(twice_nu, xs) > 0.0)
+            assert np.all(bessel_k_scaled_array(twice_nu, xs) * np.exp(-xs) > 0.0)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            bessel_k(0, 0.0)
-        with pytest.raises(DomainError):
-            bessel_k(0, -1.0)
-        with pytest.raises(UnsupportedOrderError):
-            bessel_k(14, 1.0)
-        with pytest.raises(DomainError):
-            BesselOrder(-1)
-
-    def test_array_matches_scalar(self):
-        xs = np.geomspace(1e-4, 50, 40)
-        for twice_nu in (0, 1, 2, 6, 13):
-            arr = bessel_k_array(twice_nu, xs)
-            sing = np.array([bessel_k(twice_nu, float(x)) for x in xs])
-            np.testing.assert_allclose(arr, sing, rtol=1e-13)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                bessel_k_scaled_array(0, np.array([2.0, bad]))
+        for order in (14, -1):
+            with pytest.raises(UnsupportedOrderError):
+                bessel_k_scaled_array(order, np.array([1.0]))
 
     def test_trapezoid_blocks_match_one_table(self, monkeypatch):
         # several blocks of the trapezoid rule against one unblocked evaluation
@@ -247,5 +233,5 @@ def test_region_seams_against_mpmath():
                 refs[first + 2 * j].append(float(val))
     for twice_nu, ref in refs.items():
         ref = np.array(ref)
-        rel = np.abs(bessel_k_array(twice_nu, xs) - ref) / ref
+        rel = np.abs(bessel_k_scaled_array(twice_nu, xs) * np.exp(-xs) - ref) / ref
         assert np.max(rel) <= BESSEL_REL_ERROR, (twice_nu, float(xs[np.argmax(rel)]))

@@ -122,11 +122,16 @@ class TestTorusCommands:
 
 
 class TestDegenerateRuns:
-    # a grid below 2 or a check over no pairs is a domain error, not a
-    # traceback or a pass
+    # a grid below 2, a check over no pairs, or a non-finite L or alpha is a
+    # domain error, not a traceback, a pass or a printed nan
     @pytest.mark.parametrize(
         "argv",
         [
+            ["torus", "green", "--L", "inf", "--x", "0,0,0", "--y", "0.1,0,0"],
+            ["torus", "green", "--L", "nan", "--x", "0,0,0", "--y", "0.1,0,0"],
+            ["torus", "scan", "--pairs", "5", "--L", "nan"],
+            ["kernel", "eval", "--alpha", "inf", "--r", "0.1"],
+            ["kernel", "eval", "--alpha", "nan", "--r", "0.1"],
             ["torus", "verify", "--grid", "0"],
             ["torus", "verify", "--grid", "-4"],
             ["parametrix", "run", "--grid", "0"],
@@ -152,6 +157,34 @@ class TestDegenerateRuns:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "alpha" in err
+        assert "Traceback" not in err
+
+    def test_empty_radius_ladder_exits_1(self, capsys):
+        # no radii certify nothing: no fitted constant, no drift
+        code, out, err = run_cli(
+            ["giraud", "certify", "--n", "3", "--k", "1", "--alphas", "100", "--radii", ","],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "radius" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "eval", "--alpha", "100", "--r", "nan"],
+            ["kernel", "deriv", "--alpha", "100", "--r", "nan", "--l", "1"],
+            ["torus", "green", "--alpha", "100", "--x", "0,0,nan", "--y", "0.1,0,0"],
+        ],
+    )
+    def test_nan_radius_or_point_exits_1(self, argv, capsys):
+        # NaN fails every comparison, so it must not pass a positivity check
+        # and reach the underflow mask as an exact 0
+        code, out, err = run_cli(argv[:2] + ["--n", "3", "--k", "1"] + argv[2:], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
         assert "Traceback" not in err
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygreen import euclid, giraud
+from polygreen.besselk import bessel_k_scaled_array
 from polygreen.errors import DomainError, OutOfRegimeError, UnsupportedOrderError
 from polygreen.giraud import radial_convolve
 from polygreen.params import ProblemParams
@@ -62,31 +63,39 @@ class TestEta:
 
 
 class TestKernelK1:
+    # the closed form at k = 1: the fundamental solution of (Delta + 1)
     def test_yukawa(self):
-        assert euclid.kernel_k1(3, 1.0) == pytest.approx(math.exp(-1) / (4 * PI), rel=1e-13)
+        assert euclid.kernel_closed_form(3, 1, 1.0) == pytest.approx(
+            math.exp(-1) / (4 * PI), rel=1e-13
+        )
 
     def test_small_r_limit(self):
         # r * kernel -> 1/((n-2) omega_{n-1}) = 1/(4 pi) in n = 3
         for r in (1e-6, 1e-8):
-            assert r * euclid.kernel_k1(3, r) == pytest.approx(1 / (4 * PI), rel=1e-5)
+            assert r * euclid.kernel_closed_form(3, 1, r) == pytest.approx(1 / (4 * PI), rel=1e-5)
 
     def test_n5_value(self):
         # frozen from the Bessel reference composition
-        assert euclid.kernel_k1(5, 2.0) == pytest.approx(0.00064276551966115458, rel=1e-12)
+        assert euclid.kernel_closed_form(5, 1, 2.0) == pytest.approx(
+            0.00064276551966115458, rel=1e-12
+        )
 
     def test_domain(self):
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                euclid.kernel_closed_form(3, 1, bad)
         with pytest.raises(DomainError):
-            euclid.kernel_k1(3, 0.0)
-        with pytest.raises(DomainError):
-            euclid.kernel_k1(2, 1.0)
+            euclid.kernel_closed_form(2, 1, 1.0)
 
 
 class TestClosedForm:
     def test_k1_reduction_exact(self):
+        # D_{n,1} r^{-nu} K_nu(r) = (2 pi)^{-n/2} r^{-(n-2)/2} K_{(n-2)/2}(r)
         rs = np.geomspace(1e-3, 20, 30)
         for n in (3, 4, 5, 6, 7):
             a = euclid.kernel_closed_form_array(n, 1, rs)
-            b = np.array([euclid.kernel_k1(n, float(r)) for r in rs])
+            k = bessel_k_scaled_array(n - 2, rs) * np.exp(-rs)
+            b = (2 * PI) ** (-n / 2) * rs ** (-(n - 2) / 2) * k
             np.testing.assert_allclose(a, b, rtol=1e-14)
 
     @pytest.mark.parametrize(
@@ -121,9 +130,7 @@ class TestKernelAlpha:
         rs = np.geomspace(1e-3, 10, 20)
         p = ProblemParams(3, 1, 1.0)
         np.testing.assert_allclose(
-            euclid.kernel_alpha_array(p, rs),
-            np.array([euclid.kernel_k1(3, float(r)) for r in rs]),
-            rtol=1e-14,
+            euclid.kernel_alpha_array(p, rs), np.exp(-rs) / (4 * PI * rs), rtol=1e-14
         )
 
     def test_scaled_yukawa(self):
@@ -167,6 +174,18 @@ class TestRadialDerivative:
         assert euclid.kernel_radial_derivative(p, 0.7, 0) == pytest.approx(
             euclid.kernel_alpha(p, 0.7), rel=1e-14
         )
+        # the two evaluators of G_alpha, kernel_alpha_array and the term
+        # algebra, over both Bessel regions (series below sqrt(alpha) r = 1,
+        # trapezoid rule above); the largest gap measured is 1.2e-15
+        t = np.geomspace(1e-3, 600.0, 401)
+        for k in (1, 2, 3):
+            for n in range(2 * k + 1, 2 * k + 14):
+                for alpha in (1.0, 50.0, 2000.0):
+                    p = ProblemParams(n, k, alpha)
+                    r = t / p.sqrt_alpha
+                    want = euclid.kernel_alpha_array(p, r)
+                    got = euclid.kernel_terms(p).evaluate(r)
+                    assert np.max(np.abs(got - want) / want) <= 4e-15, (n, k, alpha)
 
     def test_yukawa_first_derivative(self):
         p = ProblemParams(3, 1, 1.0)
@@ -306,7 +325,8 @@ def test_scaling_property(alpha, r):
 def test_params_invariants():
     with pytest.raises(DomainError):
         ProblemParams(4, 2, 1.0)
-    with pytest.raises(DomainError):
-        ProblemParams(3, 1, 0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ProblemParams(3, 1, bad)
     with pytest.raises(DomainError):
         ProblemParams(3, 0, 1.0)

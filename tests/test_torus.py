@@ -41,6 +41,18 @@ class TestDistance:
     def test_injectivity_radius(self):
         assert G3.injectivity_radius == 0.5
 
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.inf, math.nan])
+    def test_period_must_be_finite_positive(self, L):
+        with pytest.raises(DomainError):
+            torus.TorusGeometry(3, L)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(DomainError):
+            torus.torus_distance(G3, np.zeros(3), np.array([0.1, 0.0, bad]))
+        with pytest.raises(DomainError):
+            torus.torus_distance(G3, np.array([bad, 0.0, 0.0]), np.zeros(3))
+
     @given(
         x=st.lists(st.floats(0, 1, allow_nan=False), min_size=3, max_size=3),
         y=st.lists(st.floats(0, 1, allow_nan=False), min_size=3, max_size=3),
@@ -107,6 +119,13 @@ class TestLatticeSum:
     def test_batch_rejects_diagonal(self, diagonal_row):
         p = ProblemParams(3, 1, 300.0)
         vs = np.array([[0.2, 0.1, 0.05], diagonal_row])
+        with pytest.raises(DomainError):
+            torus.green_lattice_sum_many(p, G3, vs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_batch_rejects_non_finite(self, bad):
+        p = ProblemParams(3, 1, 300.0)
+        vs = np.array([[0.2, 0.1, 0.05], [0.1, bad, 0.0]])
         with pytest.raises(DomainError):
             torus.green_lattice_sum_many(p, G3, vs)
 
