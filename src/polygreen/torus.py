@@ -121,10 +121,13 @@ def _certified_tail(params: ProblemParams, geometry: TorusGeometry, m_max: int) 
 def image_radius(params: ProblemParams, geometry: TorusGeometry, tol: float) -> tuple[int, float]:
     """Smallest sup-norm image radius m >= 1 whose certified tail is <= tol.
 
-    Returns (m, tail bound).  Raises BudgetError, carrying the tail bound at
+    Returns (m, tail bound).  Raises DomainError unless tol > 0 (NaN fails;
+    tol = inf accepts radius 1), and BudgetError, carrying the tail bound at
     the cap, when no radius within the image budget reaches tol (small alpha
     on a small torus).
     """
+    if not tol > 0:
+        raise DomainError(f"need tol > 0, got {tol}")
     cap = _box_cap(geometry.n)
     for m_max in range(1, cap + 1):
         tail = _certified_tail(params, geometry, m_max)
@@ -299,6 +302,44 @@ def _orthant_fold(
     return fields
 
 
+def _weighted_fold(
+    table: np.ndarray, n: int, m: int, offsets: Sequence[int], weights: np.ndarray
+) -> np.ndarray:
+    """Per weight set s, sum_j sum_M table[|j + m M|^2] prod_a weights[s, a, j_a].
+
+    j and M run as in ``_orthant_fold``, and ``weights`` has shape
+    (sets, n, m//2 + 1); returns shape (sets,).  No orthant array is formed.
+    Per axis, p = j + m M runs over the (M, j) pairs with the weight of j,
+    so the sum is sum_p table[|p|^2] prod_a w_a(p_a): the first n - 1 axes
+    fold into one weighted histogram of their sums of squares S per set
+    (``np.bincount``), and table[S + t] at the last axis's squares t is
+    gathered in blocks of rows and contracted with the histogram by a
+    matrix product.
+    """
+    index = np.arange(m // 2 + 1)
+    squares = np.concatenate([(index + m * o) ** 2 for o in offsets])
+    axis_weights = np.tile(weights, len(offsets))  # [s, a, p], p as in squares
+    rows = max(1, _BLOCK_ELEMENTS // len(squares))
+    support = np.zeros(1, dtype=np.intp)  # the sums S so far, and their weights
+    hist = np.ones((len(weights), 1))
+    for a in range(n - 1):
+        size = int(support[-1] + squares.max() + 1)
+        reached = np.zeros(size, dtype=bool)
+        grown = np.zeros((len(weights), size))
+        for start in range(0, len(support), rows):
+            sums = np.add.outer(support[start : start + rows], squares).ravel()
+            reached[sums] = True
+            for row, block, w in zip(grown, hist[:, start : start + rows], axis_weights[:, a]):
+                row += np.bincount(sums, np.outer(block, w).ravel(), minlength=size)
+        support = np.flatnonzero(reached)
+        hist = grown[:, support]
+    contracted = np.zeros((len(weights), len(squares)))
+    for start in range(0, len(support), rows):
+        block = table[np.add.outer(support[start : start + rows], squares)]
+        contracted += hist[:, start : start + rows] @ block
+    return np.sum(contracted * axis_weights[:, n - 1], axis=1)
+
+
 def sample_radial(
     f: Callable[[np.ndarray], np.ndarray], geometry: TorusGeometry, m: int
 ) -> np.ndarray:
@@ -336,26 +377,6 @@ def _cube_counts(n: int, h: int) -> np.ndarray:
     return counts
 
 
-def _orthant_image_sum(
-    params: ProblemParams, geometry: TorusGeometry, m: int, tol: float
-) -> tuple[np.ndarray, float]:
-    """``_image_sum`` over the orthant 0 <= j_a <= m//2 of the m-grid, from integer radii.
-
-    Row j and image M sit at radius (L/m) sqrt(Q) with the integer
-    Q = sum_a (j_a + m M_a)^2 (the representative -m/2 of j_a = m/2 gives
-    the same radii, as the box is symmetric in each M_a).  Per axis, j + m M
-    takes every integer of absolute value <= h = m//2 + m m_max over the
-    image box: ``_radial_table`` covers |q_a| <= h and ``_orthant_fold``
-    sums it over the box; Q = 0, the diagonal cell's own image, reads 0.
-    Returns the (m//2 + 1,)*n table and the tail bound of the image box.
-    """
-    m_max, tail = image_radius(params, geometry, tol)
-    table = _radial_table(
-        lambda r: euclid.kernel_alpha_array(params, r), geometry, m, m // 2 + m * m_max
-    )
-    return _orthant_fold([table], geometry.n, m, range(-m_max, m_max + 1))[0], tail
-
-
 def _mirror_cosines(q: np.ndarray, m: int) -> np.ndarray:
     """w_o cos(2 pi (q o mod m) / m), shape q.shape + (m//2 + 1,), over orthant indices o.
 
@@ -368,20 +389,6 @@ def _mirror_cosines(q: np.ndarray, m: int) -> np.ndarray:
     o = np.arange(m // 2 + 1)
     weight = np.where((o == 0) | (2 * o == m), 1.0, 2.0)
     return weight * np.cos(2.0 * math.pi * (np.multiply.outer(q, o) % m) / m)
-
-
-def _folded_modes(q: np.ndarray, shifted: np.ndarray, m: int) -> np.ndarray:
-    """Re phi(x + u) summed over the sign flips of u, on the orthant of the m-grid.
-
-    ``q`` and ``shifted`` come from ``_shifted_modes``.  Each mode's mirror
-    sum is the outer product of its ``_mirror_cosines`` factors, one per axis.
-    """
-    out = np.zeros((m // 2 + 1,) * q.shape[1])
-    for qq, c in zip(q, shifted.real):
-        factors = _mirror_cosines(qq, m)
-        factors[0] *= c
-        out += reduce(np.multiply.outer, factors)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +532,14 @@ def representation_check(
     the lattice L Z^n and the image box are invariant under each coordinate
     sign flip, so the periodised kernel, d = |v| and the parametrix are too.
     It is therefore summed on the orthant 0 <= j_a <= grid//2 only, against
-    phi(x + .) folded over the sign flips; index grid - j has the parity of
-    j, so the orthant's even indices are the half-resolution samples.
+    phi(x + .) folded over the sign flips, per mode a product of one
+    ``_mirror_cosines`` factor per axis.  Every cell plus image sits at the
+    integer radius Q = |j + grid M|^2, so one table G_alpha - chi c d^{2k-n}
+    per Q is contracted with those factors (``_weighted_fold``): chi
+    vanishes before L/2, where the images M != 0 begin, and only the
+    diagonal cell's own image has Q = 0, which reads the analytic limit.
+    Index grid - j has the parity of j, so the factors' even orthant indices
+    give the half-resolution sum.
 
     Requires n = 2k + 1, where the subtracted integrand extends continuously
     to the diagonal (limit -c_{n,k} sqrt(alpha) plus the nonzero images).
@@ -547,16 +560,23 @@ def representation_check(
     c = euclid.c_nk(n, params.k)
     gap = params.n - 2 * params.k  # = 1
 
-    # periodised kernel on the orthant minus the cutoff parametrix; the
-    # diagonal cell sums the nonzero images and gets the analytic limit
-    smooth = _orthant_image_sum(params, geometry, m, 1e-10)[0]
-    smooth -= sample_radial(lambda r: cut.chi(r) * c * r ** (-gap), geometry, m)
-    smooth[(0,) * n] += euclid.euclid_remainder_at_zero(params)
-
-    weighted = smooth * _folded_modes(q, shifted, m)
+    # periodised kernel minus the cutoff parametrix, one value per integer
+    # radius, contracted with the per-axis factors of each mode: one weight
+    # set per mode on the grid and one on its even indices
+    m_max, _ = image_radius(params, geometry, 1e-10)
+    table = _radial_table(
+        lambda r: euclid.kernel_alpha_array(params, r) - cut.chi(r) * c * r ** (-gap),
+        geometry, m, m // 2 + m * m_max,
+    )
+    table[0] = euclid.euclid_remainder_at_zero(params)
+    factors = _mirror_cosines(q, m)  # [mode, axis, orthant index]
+    factors[:, 0] *= shifted.real[:, None]
+    even = factors.copy()
+    even[..., 1::2] = 0.0
+    sums = _weighted_fold(table, n, m, range(-m_max, m_max + 1), np.concatenate([factors, even]))
     spacing = L / m
-    grid_part = float(np.sum(weighted)) * spacing**n
-    half = float(np.sum(weighted[(slice(None, None, 2),) * n])) * (2 * spacing) ** n
+    grid_part = float(np.sum(sums[: len(q)])) * spacing**n
+    half = float(np.sum(sums[len(q) :])) * (2 * spacing) ** n
 
     # singular part, mode by mode: the radial Fourier transform of the
     # subtracted parametrix c chi(r) r^{2k-n} at |xi| = 2 pi |q| / L
@@ -604,14 +624,15 @@ def symmetry_positivity_scan(
     if isinstance(sample_pairs, int):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0.0, geometry.L, size=(max(sample_pairs, 0), 2, geometry.n))
-        pairs = [(p[0], p[1]) for p in pts if np.linalg.norm(p[0] - p[1]) > 0]
+        pts = pts[np.any(pts[:, 0] != pts[:, 1], axis=1)]  # coincident pairs are singular
+        xs, ys = pts[:, 0], pts[:, 1]
     else:
         pairs = list(sample_pairs)
-    if not pairs:
+        shape = (len(pairs), geometry.n)
+        xs = np.array([p[0] for p in pairs], dtype=float).reshape(shape)
+        ys = np.array([p[1] for p in pairs], dtype=float).reshape(shape)
+    if not len(xs):
         raise DomainError("symmetry/positivity scan needs at least one pair")
-    shape = (len(pairs), geometry.n)
-    xs = np.array([p[0] for p in pairs], dtype=float).reshape(shape)
-    ys = np.array([p[1] for p in pairs], dtype=float).reshape(shape)
     forward = green_lattice_sum_many(params, geometry, ys - xs, tol).tolist()
     backward = green_lattice_sum_many(params, geometry, xs - ys, tol).tolist()
     min_value = math.inf
@@ -629,7 +650,7 @@ def symmetry_positivity_scan(
         if asym > 2.0 * tol + 1e-12 * abs(g_xy):
             failures.append({"x": list(map(float, xx)), "y": list(map(float, yy)), "asymmetry": asym})
     return ScanReport(
-        pairs=len(pairs),
+        pairs=len(xs),
         min_value=min_value,
         max_asymmetry=max_asym,
         underflow_pairs=underflow,

@@ -121,6 +121,37 @@ class TestTorusCommands:
         assert "even grid" in err
 
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-3"])
+    def test_verify_tolerance_must_be_finite_positive(self, tol, capsys):
+        code, out, err = run_cli(
+            ["torus", "verify", "--n", "3", "--k", "1", "--alpha", "2000", "--grid", "16",
+             f"--tol={tol}"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "tol" in err
+
+    def test_verify_nan_defect_fails(self, monkeypatch, capsys):
+        # the verdict is "not worst <= tol", so a NaN defect cannot pass
+        monkeypatch.setattr(cli.torus, "representation_check", lambda *a, **k: (math.nan, 0.0))
+        code, _, err = run_cli(
+            ["torus", "verify", "--n", "3", "--k", "1", "--alpha", "2000", "--grid", "16"], capsys
+        )
+        assert code == 2
+        assert "verification failed" in err
+
+    def test_green_nan_tolerance_names_tol(self, capsys):
+        code, out, err = run_cli(
+            ["torus", "green", "--n", "3", "--k", "1", "--alpha", "100",
+             "--x", "0,0,0", "--y", "0.1,0,0", "--tol", "nan"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "tol" in err and "alpha" not in err
+
+
 class TestDegenerateRuns:
     # a grid below 2, a check over no pairs, or a non-finite L or alpha is a
     # domain error, not a traceback, a pass or a printed nan

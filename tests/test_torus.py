@@ -2,6 +2,7 @@
 oracle, the per-mode spectral solve, representation formula, symmetry/positivity,
 derivative envelopes, field serialization."""
 
+import functools
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygreen import euclid, parametrix, torus
+from polygreen.cutoff import cutoff_for
 from polygreen.errors import BudgetError, DomainError
 from polygreen.params import ProblemParams
 
@@ -128,6 +130,13 @@ class TestLatticeSum:
         vs = np.array([[0.2, 0.1, 0.05], [0.1, bad, 0.0]])
         with pytest.raises(DomainError):
             torus.green_lattice_sum_many(p, G3, vs)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10, -math.inf])
+    def test_tolerance_must_be_positive(self, tol):
+        # NaN fails every comparison, so it would exhaust the image budget
+        # and blame alpha with a BudgetError
+        with pytest.raises(DomainError, match="tol"):
+            torus.image_radius(ProblemParams(3, 1, 100.0), G3, tol)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.1, 1.0])
     def test_tail_bound_dominates_shell_series(self, alpha):
@@ -351,9 +360,34 @@ class TestRepresentation:
                 )
                 assert field[j] == pytest.approx(want, rel=1e-13, abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "n, m, offsets",
+        [(1, 7, (0,)), (1, 6, (-2, -1, 0, 1, 2)), (2, 6, (0, -1)), (3, 7, (0, -1)),
+         (2, 5, (-2, -1, 0, 1, 2)), (3, 6, (-2, -1, 0, 1, 2)), (3, 8, (0,))],
+    )
+    def test_weighted_fold_matches_cellwise_sum(self, n, m, offsets, monkeypatch):
+        # sum_j sum_M table[|j + m M|^2] prod_a w[s, a, j_a] cell by cell, for
+        # three weight sets at once; small blocks split both the histogram
+        # and the contraction into several row blocks (n = 1 has no histogram)
+        monkeypatch.setattr(torus, "_BLOCK_ELEMENTS", 24)
+        h = m // 2 + m * max(abs(o) for o in offsets)
+        rng = np.random.default_rng(11)
+        table = rng.standard_normal(n * h * h + 1)
+        weights = rng.standard_normal((3, n, m // 2 + 1))
+        got = torus._weighted_fold(table, n, m, offsets, weights)
+        assert got.shape == (3,)
+        for s, w in enumerate(weights):
+            want = sum(
+                table[sum((ja + m * ma) ** 2 for ja, ma in zip(j, shift))]
+                * math.prod(w[a, ja] for a, ja in enumerate(j))
+                for j in np.ndindex((m // 2 + 1,) * n)
+                for shift in itertools.product(offsets, repeat=n)
+            )
+            assert got[s] == pytest.approx(want, rel=1e-13, abs=1e-13)
+
     def test_radial_fields_gather_through_the_fold(self, monkeypatch):
-        # the sampler, the periodised kernel and the pipeline's fields all
-        # come from one fold: offsets 0, the image box and the band-2 aliases
+        # the sampler and the pipeline's fields come from one fold: offset 0
+        # and the band-2 aliases
         calls = []
         fold = torus._orthant_fold
 
@@ -364,12 +398,10 @@ class TestRepresentation:
         monkeypatch.setattr(torus, "_orthant_fold", recording)
         p = ProblemParams(3, 1, 2000.0)
         torus.sample_radial(lambda r: r, G3, 16)
-        torus._orthant_image_sum(p, G3, 16, 1e-10)
         with pytest.warns(RuntimeWarning, match="error-field annulus"):
             parametrix.run_pipeline(p, G3, grid=16, alias_limit=1.0)
         assert calls == [
             (1, 16, (0,)),
-            (1, 16, (-1, 0, 1)),
             (1, 16, (0,)),  # the error field
             (4, 16, (0, -1)),  # two iterates, one layer and u
             (1, 16, (0,)),  # the layer support radii
@@ -403,48 +435,88 @@ class TestRepresentation:
         nodes, weights = torus.gauss_legendre(calls[0])
         assert not nodes.flags.writeable and not weights.flags.writeable
 
-    def test_image_sum_runs_on_orthant(self, monkeypatch):
-        # the periodised kernel comes from one integer-radius table on the
-        # 17^3 orthant; the float-row image sum is not called
-        calls = []
-        orthant_image_sum = torus._orthant_image_sum
+    @pytest.mark.parametrize("m", [16, 18])
+    def test_grid_sums_match_full_grid_rows(self, m):
+        # defect and estimate against the float-row image sum minus the
+        # parametrix times phi(x + .) on the whole grid and on every second
+        # sample, at a base point off the grid and a source with three modes
+        p = ProblemParams(3, 1, 2000.0)
+        phi = {(1, 0, 0): 0.5, (-1, 2, 0): 0.3 - 0.2j, (0, 1, -3): 0.25j}
+        x = np.array([0.3, 0.7, 0.1])
+        defect, est = torus.representation_check(p, G3, phi, x, grid=m)
+        reps = np.mod(torus.grid_coordinates(G3, m) + 0.5, 1.0) - 0.5
+        rows = np.stack(np.meshgrid(*([reps] * 3), indexing="ij"), axis=-1).reshape(-1, 3)
+        r = np.linalg.norm(rows, axis=1)
+        cut = cutoff_for(3, 1, 1.0)
+        c = euclid.c_nk(3, 1)
+        smooth = torus._image_sum(p, G3, rows, 1e-10)[0]
+        smooth[1:] -= cut.chi(r[1:]) * c / r[1:]
+        smooth[0] += euclid.euclid_remainder_at_zero(p)
+        weighted = smooth.reshape((m,) * 3) * _modes_on_full_grid(G3, phi, m, x)
+        grid_part = np.sum(weighted) / m**3
+        half = np.sum(weighted[::2, ::2, ::2]) * 8 / m**3
+        q, shifted = torus._shifted_modes(G3, phi, x)
+        radial = torus._radial_fourier(
+            3, lambda t: c * cut.chi(t) / t, 0.0, cut.tau0, 2 * PI * np.linalg.norm(q, axis=1)
+        )
+        singular = np.sum(shifted * radial).real
+        u = torus.solve_value_at(p, G3, phi, x)
+        scale = np.sum(np.abs(weighted)) / m**3
+        assert abs(defect - abs(grid_part + singular - u)) <= 1e-13 * scale
+        assert abs(est - abs(grid_part - half)) <= 1e-13 * scale
 
-        def recording(params, geometry, m, tol):
-            out = orthant_image_sum(params, geometry, m, tol)
-            calls.append((m, out[0].shape))
-            return out
+    def test_image_sum_runs_on_orthant(self, monkeypatch):
+        # the check contracts one integer-radius table over the image box on
+        # the 17^3 orthant; neither the float-row image sum nor a whole
+        # orthant field is formed
+        calls = []
+        weighted_fold = torus._weighted_fold
+
+        def recording(table, n, m, offsets, weights):
+            calls.append((n, m, tuple(offsets), weights.shape))
+            return weighted_fold(table, n, m, offsets, weights)
 
         def unexpected(*args):
-            raise AssertionError("representation check called _image_sum")
+            raise AssertionError("representation check formed a whole field")
 
-        monkeypatch.setattr(torus, "_orthant_image_sum", recording)
+        monkeypatch.setattr(torus, "_weighted_fold", recording)
         monkeypatch.setattr(torus, "_image_sum", unexpected)
+        monkeypatch.setattr(torus, "_orthant_fold", unexpected)
         p = ProblemParams(3, 1, 2000.0)
+        m_max, _ = torus.image_radius(p, G3, 1e-10)
         torus.representation_check(p, G3, {(1, 0, 0): 1.0}, np.zeros(3), grid=32)
-        assert calls == [(32, (17, 17, 17))]
+        box = tuple(range(-m_max, m_max + 1))
+        assert calls == [(3, 32, box, (2, 3, 17))]  # the mode on the grid and on its even indices
 
     @pytest.mark.parametrize(
         "n, k, alpha, m", [(3, 1, 2000.0, 32), (3, 1, 50.0, 33), (5, 2, 300.0, 8), (5, 2, 300.0, 7)]
     )
     def test_integer_table_matches_image_sum(self, n, k, alpha, m):
-        # one kernel value per integer squared radius, gathered per image,
-        # against the float-row image sum; the diagonal cell sums the other images
+        # one kernel value per integer squared radius, contracted over the
+        # image box with positive separable weights, against the float-row
+        # image sum times the same weights; the diagonal cell sums the other
+        # images, as Q = 0 reads 0
         p = ProblemParams(n, k, alpha)
         geom = torus.TorusGeometry(n, 1.0)
-        table, tail = torus._orthant_image_sum(p, geom, m, 1e-10)
-        rows, row_tail = torus._image_sum(p, geom, _orthant_rows(geom, m), 1e-10)
+        m_max, _ = torus.image_radius(p, geom, 1e-10)
+        table = torus._radial_table(
+            lambda r: euclid.kernel_alpha_array(p, r), geom, m, m // 2 + m * m_max
+        )
+        weights = np.random.default_rng(n * m).uniform(0.5, 1.5, size=(2, n, m // 2 + 1))
+        got = torus._weighted_fold(table, n, m, range(-m_max, m_max + 1), weights)
+        rows = torus._image_sum(p, geom, _orthant_rows(geom, m), 1e-10)[0]
         rows = rows.reshape((m // 2 + 1,) * n)
-        assert table.shape == rows.shape
-        assert tail == row_tail
-        assert np.max(np.abs(table - rows) / rows) <= 1e-14
-        assert abs(table.flat[0] - rows.flat[0]) <= 1e-14 * rows.flat[0]
+        for total, w in zip(got, weights):
+            want = np.sum(rows * functools.reduce(np.multiply.outer, w))
+            assert abs(total - want) <= 1e-14 * want
 
     def test_integer_table_in_blocks(self, monkeypatch):
-        # at alpha = 50 the image radius is 4 and 45,540 distinct Q > 0 are
-        # evaluated: the kernel sees them in blocks, each once
+        # at alpha = 50 the image radius is 4 and the check at grid 32
+        # evaluates 42,980 distinct Q > 0: the kernel sees them in blocks,
+        # each once
         p = ProblemParams(3, 1, 50.0)
         geom = torus.TorusGeometry(3, 1.0)
-        torus.image_radius(p, geom, 1e-10)  # cached, so only the table calls below
+        m_max, _ = torus.image_radius(p, geom, 1e-10)  # cached, so only the table calls below
         sizes = []
         kernel = euclid.kernel_alpha_array
 
@@ -453,19 +525,19 @@ class TestRepresentation:
             return kernel(params, r)
 
         monkeypatch.setattr(euclid, "kernel_alpha_array", recording)
-        torus._orthant_image_sum(p, geom, 33, 1e-10)
-        m_max, _ = torus.image_radius(p, geom, 1e-10)
-        distinct = len(torus._sums_of_squares(3, 33 // 2 + 33 * m_max)) - 1
+        torus.representation_check(p, geom, {(0, 0, 0): 1.0}, np.zeros(3), grid=32)
+        distinct = len(torus._sums_of_squares(3, 32 // 2 + 32 * m_max)) - 1
+        assert m_max == 4
         assert len(sizes) > 1
         assert max(sizes) <= torus._BLOCK_ELEMENTS
         assert sum(sizes) == distinct
 
     @pytest.mark.parametrize("n, m", [(3, 32), (3, 30), (5, 16), (5, 14)])
     def test_folded_grid_sum_matches_full_grid(self, n, m):
-        # an even orthant table times the folded modes sums like the
-        # unfolded table times phi(x + .) on the whole grid, and its even
-        # orthant indices sum like the half-resolution grid; a random table
-        # weighs every mode alike
+        # a radial table contracted with each mode's per-axis mirror cosines
+        # sums like the unfolded table times phi(x + .) on the whole grid, and
+        # with the odd orthant indices zeroed like the half-resolution grid;
+        # a random table weighs every mode alike
         geom = torus.TorusGeometry(n, 1.0)
         rng = np.random.default_rng(n * m)
         phi = {(3,) + (1,) * (n - 1): 0.5 - 0.25j}
@@ -473,12 +545,18 @@ class TestRepresentation:
             q = tuple(int(c) for c in rng.integers(-5, 6, size=n))
             phi[q] = complex(rng.normal(), rng.normal())
         x = rng.uniform(0.0, 1.0, size=n)
-        smooth = rng.uniform(0.5, 1.5, size=(m // 2 + 1,) * n)
+        table = rng.uniform(0.5, 1.5, size=n * (m // 2) ** 2 + 1)
         q, shifted = torus._shifted_modes(geom, phi, x)
-        folded = smooth * torus._folded_modes(q, shifted, m)
-        full = torus.unfold_orthant(smooth, m) * _modes_on_full_grid(geom, phi, m, x)
-        even = (slice(None, None, 2),) * n
-        for got, want in ((folded, full), (folded[even], full[even])):
+        factors = torus._mirror_cosines(q, m)
+        factors[:, 0] *= shifted.real[:, None]
+        even = factors.copy()
+        even[..., 1::2] = 0.0
+        folded = torus._weighted_fold(table, n, m, (0,), factors)
+        halved = torus._weighted_fold(table, n, m, (0,), even)
+        qsq = functools.reduce(np.add.outer, [np.arange(m // 2 + 1) ** 2] * n)
+        full = torus.unfold_orthant(table[qsq], m) * _modes_on_full_grid(geom, phi, m, x)
+        half = full[(slice(None, None, 2),) * n]
+        for got, want in ((folded, full), (halved, half)):
             assert abs(np.sum(got) - np.sum(want)) <= 1e-13 * abs(np.sum(want))
 
 
@@ -489,6 +567,34 @@ class TestScan:
         assert report.all_positive
         assert report.min_value > 0.0
         assert report.max_asymmetry <= 1e-12
+
+    def test_drawn_pairs_match_per_pair_draw(self, monkeypatch):
+        # the seeded draw keeps the non-coincident pairs in order, bit for
+        # bit as the per-pair reference loop kept them; one drawn pair is
+        # made coincident
+        pts = np.random.default_rng(13).uniform(0.0, 1.0, size=(50, 2, 3))
+        pts[7, 1] = pts[7, 0]
+
+        class Draw:
+            def uniform(self, low, high, size):
+                assert (low, high, size) == (0.0, 1.0, pts.shape)
+                return pts.copy()
+
+        seen = []
+        many = torus.green_lattice_sum_many
+
+        def recording(params, geometry, displacements, tol):
+            seen.append(np.array(displacements))
+            return many(params, geometry, displacements, tol)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Draw())
+        monkeypatch.setattr(torus, "green_lattice_sum_many", recording)
+        report = torus.symmetry_positivity_scan(ProblemParams(3, 1, 500.0), G3, 50, seed=13)
+        pairs = [(a, b) for a, b in pts if np.linalg.norm(a - b) > 0]
+        xs = np.array([a for a, _ in pairs])
+        ys = np.array([b for _, b in pairs])
+        assert report.pairs == 49
+        assert np.array_equal(seen[0], ys - xs) and np.array_equal(seen[1], xs - ys)
 
     def test_far_corner_underflow_flagged(self):
         p = ProblemParams(3, 1, 1e6)  # sqrt(alpha) * |v| > 700 at the corner
