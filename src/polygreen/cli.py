@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -54,8 +55,7 @@ def emit_report(results: Sequence[dict], fmt: str, path: Optional[str] = None) -
         raise DomainError("refusing to emit an empty report")
     if fmt == "csv":
         buf = io.StringIO()
-        extra = sorted({k for row in rows for k in row} - set(CSV_COLUMNS))
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS + extra, restval="")
+        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, restval="")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
@@ -171,15 +171,10 @@ def _cmd_giraud_certify(args) -> int:
     composed = giraud.compose_alpha(base, base, n)
 
     def family(a: float) -> euclid.RadialKernel:
-        # anonymous kernel-shaped profile: the Green semigroup guard does not
-        # apply to generic convolutions of integrable kernels
-        p = ProblemParams(n, k, a)
-        return euclid.RadialKernel(
-            evaluator=lambda r: euclid.kernel_alpha_array(p, r),
-            sing_exp=float(2 * k - n),
-            n=n,
-            decay_rate=p.sqrt_alpha,
-        )
+        # untagged: the Green semigroup guard does not apply to generic
+        # convolutions of integrable kernels
+        kernel = euclid.green_radial_kernel(ProblemParams(n, k, a))
+        return dataclasses.replace(kernel, semigroup_order=None)
 
     r_grid = [float(t) for t in _floats(args.radii)]
     report = giraud.certify_bound(family, family, composed, n, alphas, r_grid)

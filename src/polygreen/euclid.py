@@ -277,7 +277,6 @@ class RadialKernel:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     sing_exp: float
-    n: int
     support_radius: Optional[float] = None
     decay_rate: float = 0.0          # kernel ~ r^rho e^{-decay_rate * r} far out
     semigroup_order: Optional[int] = None
@@ -293,7 +292,6 @@ def green_radial_kernel(params: ProblemParams) -> RadialKernel:
     return RadialKernel(
         evaluator=lambda r: kernel_alpha_array(params, r),
         sing_exp=float(2 * params.k - params.n),
-        n=params.n,
         support_radius=None,
         decay_rate=params.sqrt_alpha,
         semigroup_order=params.k,

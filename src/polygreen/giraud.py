@@ -78,10 +78,6 @@ class EnvelopeSpec:
     rate: Fraction = Fraction(1)
     support: Optional[Fraction] = None
 
-    @property
-    def beta(self) -> Optional[Fraction]:
-        return self.near.beta
-
     def to_json_dict(self) -> dict:
         if self.near.kind == "power":
             near = str(self.near.beta)

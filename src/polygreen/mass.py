@@ -54,12 +54,6 @@ class MassReport:
     def passed(self) -> bool:
         return all(s > 0 for s in self.scaled)
 
-    def rows(self) -> list[dict]:
-        return [
-            {"alpha": a, "mu": m, "scaled": s}
-            for a, m, s in zip(self.alphas, self.mu, self.scaled)
-        ]
-
 
 def mass_sweep(
     params_base: ProblemParams,

@@ -36,13 +36,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from . import euclid, giraud, torus
+from . import euclid, torus
+from .besselk import UNDERFLOW_ARG
 from .cutoff import CutoffSpec, cutoff_for
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .params import ProblemParams
@@ -195,7 +195,6 @@ class ParametrixState:
     layers: list
     u: np.ndarray
     N: int
-    envelopes: list  # composed envelope specs of the iterates
 
     @property
     def gamma(self) -> np.ndarray:
@@ -305,9 +304,6 @@ def run_pipeline(
     gammas, layers, u = _fields_from_coefficients(
         params, geometry, cut, lhat, hhat, grid, depth
     )
-    envelopes = giraud.iterate_error_envelope(
-        n, params.k, Fraction(cut.tau0).limit_denominator(10**9), depth
-    )
     return ParametrixState(
         params=params,
         geometry=geometry,
@@ -319,7 +315,6 @@ def run_pipeline(
         layers=layers,
         u=u,
         N=depth,
-        envelopes=envelopes,
     )
 
 
@@ -327,7 +322,7 @@ def run_pipeline(
 class ComparisonReport:
     pairs: int
     max_rel_error: float
-    worst: Optional[dict]
+    worst: dict
     tolerance: float = 1e-2
 
     @property
@@ -359,8 +354,11 @@ def assemble_and_compare(
 
     Pairs are displacement grid points with distance in ``d_range`` and at
     least two grid spacings off the diagonal; the orthant fields are read
-    at min(j, grid - j).
+    at min(j, grid - j).  A tol outside (0, inf), or an oracle that
+    underflows to 0, is a DomainError; a NaN score fails the comparison.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"need a finite tol > 0, got {tol}")
     geom = state.geometry
     m = state.grid
     dist = torus.sample_radial(lambda r: r, geom, m)
@@ -372,17 +370,18 @@ def assemble_and_compare(
         approx = approx + layer[at]
     displacements = torus.grid_coordinates(geom, m)[chosen]
     oracles = torus.green_lattice_sum_many(state.params, geom, displacements, tol=1e-14)
-    worst = None
-    max_rel = 0.0
-    for i, (got, oracle) in enumerate(zip(approx.tolist(), oracles.tolist())):
-        rel = abs(got - oracle) / abs(oracle)
-        if rel > max_rel:
-            max_rel = rel
-            worst = {
-                "displacement": [float(v) for v in displacements[i]],
-                "d": float(d[i]),
-                "parametrix": got,
-                "oracle": float(oracle),
-                "rel_error": float(rel),
-            }
-    return ComparisonReport(pairs=len(chosen), max_rel_error=max_rel, worst=worst, tolerance=tol)
+    if np.any(oracles == 0.0):
+        raise DomainError(
+            f"lattice oracle underflows to 0 at d = {np.min(d[oracles == 0.0]):.6g}: "
+            f"sqrt(alpha) d exceeds {UNDERFLOW_ARG:g}"
+        )
+    rel = np.abs(approx - oracles) / np.abs(oracles)
+    i = int(np.argmax(rel))  # the first NaN, if any, so a NaN score fails
+    worst = {
+        "displacement": displacements[i].tolist(),
+        "d": float(d[i]),
+        "parametrix": float(approx[i]),
+        "oracle": float(oracles[i]),
+        "rel_error": float(rel[i]),
+    }
+    return ComparisonReport(len(chosen), worst["rel_error"], worst, tolerance=tol)

@@ -286,10 +286,10 @@ def _orthant_fold(
 ) -> list[np.ndarray]:
     """Per table, sum_M table[|j + m M|^2] over M in offsets^n, on the orthant 0 <= j_a <= m//2.
 
-    Offset 0 alone samples a radial table on the grid, a box of offsets sums
-    its lattice images, and a wider spectrum's offsets fold its aliases onto
-    the m-grid's modes.  Each |j + m M|^2 array is built once and gathers
-    every table; the M are summed in ``itertools.product`` order.
+    Offset 0 alone samples a radial table on the grid, and a wider
+    spectrum's offsets fold its aliases onto the m-grid's modes.  Each
+    |j + m M|^2 array is built once and gathers every table; the M are
+    summed in ``itertools.product`` order.
     """
     index = np.arange(m // 2 + 1)
     shifts = itertools.product([(index + m * o) ** 2 for o in offsets], repeat=n)
@@ -619,7 +619,8 @@ def symmetry_positivity_scan(
 
     ``sample_pairs`` is either an explicit sequence of (x, y) pairs or a
     count of uniform random pairs drawn with the given seed.  Pairs whose
-    value underflows to exact zero are counted separately, not failed.
+    value underflows to exact zero are counted separately, not failed; a
+    NaN value or asymmetry fails.
     """
     if isinstance(sample_pairs, int):
         rng = np.random.default_rng(seed)
@@ -633,27 +634,22 @@ def symmetry_positivity_scan(
         ys = np.array([p[1] for p in pairs], dtype=float).reshape(shape)
     if not len(xs):
         raise DomainError("symmetry/positivity scan needs at least one pair")
-    forward = green_lattice_sum_many(params, geometry, ys - xs, tol).tolist()
-    backward = green_lattice_sum_many(params, geometry, xs - ys, tol).tolist()
-    min_value = math.inf
-    max_asym = 0.0
-    underflow = 0
+    forward = green_lattice_sum_many(params, geometry, ys - xs, tol)
+    asym = np.abs(forward - green_lattice_sum_many(params, geometry, xs - ys, tol))
+    bad_value = ~(forward >= 0.0)  # negative or NaN; exact zeros are underflow
+    bad_asym = ~(asym <= 2.0 * tol + 1e-12 * np.abs(forward))
     failures = []
-    for xx, yy, g_xy, g_yx in zip(xs, ys, forward, backward):
-        asym = abs(g_xy - g_yx)
-        max_asym = max(max_asym, asym)
-        if g_xy == 0.0:
-            underflow += 1
-        elif g_xy < 0.0:
-            failures.append({"x": list(map(float, xx)), "y": list(map(float, yy)), "value": g_xy})
-        min_value = min(min_value, g_xy)
-        if asym > 2.0 * tol + 1e-12 * abs(g_xy):
-            failures.append({"x": list(map(float, xx)), "y": list(map(float, yy)), "asymmetry": asym})
+    for i in np.flatnonzero(bad_value | bad_asym):
+        pair = {"x": xs[i].tolist(), "y": ys[i].tolist()}
+        if bad_value[i]:
+            failures.append({**pair, "value": float(forward[i])})
+        if bad_asym[i]:
+            failures.append({**pair, "asymmetry": float(asym[i])})
     return ScanReport(
         pairs=len(xs),
-        min_value=min_value,
-        max_asymmetry=max_asym,
-        underflow_pairs=underflow,
+        min_value=float(np.min(forward)),
+        max_asymmetry=float(np.max(asym)),
+        underflow_pairs=int(np.count_nonzero(forward == 0.0)),
         failures=failures,
     )
 

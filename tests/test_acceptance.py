@@ -236,7 +236,9 @@ def test_criterion_7b_gamma_stability(state_2000, state_8000):
     vals = {}
     for state in (state_2000, state_8000):
         a = state.params.alpha
-        near = state.envelopes[-1].near
+        tau0 = Fraction(state.cutoff.tau0).limit_denominator(10**9)
+        envelopes = giraud.iterate_error_envelope(state.geometry.n, state.params.k, tau0, state.N)
+        near = envelopes[-1].near
         assert near.kind == "const_alpha"
         assert near.alpha_exp == Fraction(state.geometry.n, 2) - state.N
         vals[a] = float(np.max(np.abs(state.gamma))) * a ** float(-near.alpha_exp)

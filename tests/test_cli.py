@@ -1,14 +1,18 @@
 """CLI dispatch, report emission, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from polygreen import cli
+from polygreen import cli, parametrix
 
 PI = math.pi
 
@@ -17,6 +21,26 @@ def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_cli_commands():
+    """The commands of the sh block under "## CLI" in README.md, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", "").splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", readme_cli_commands(), ids=lambda argv: "-".join(argv[1:3]))
+def test_readme_command_is_deterministic(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    report = tmp_path / "report.json"
+    runs = []
+    for _ in range(2):
+        code, out, _ = run_cli(argv[1:], capsys)
+        runs.append((code, out, report.read_bytes() if report.exists() else None))
+        report.unlink(missing_ok=True)
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
 
 
 class TestKernelCommands:
@@ -132,6 +156,18 @@ class TestTorusCommands:
         assert out == ""
         assert err.startswith("error: ") and "tol" in err
 
+    @pytest.mark.filterwarnings("ignore:error-field annulus:RuntimeWarning")
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_parametrix_tolerance_must_be_finite_positive(self, tol, capsys):
+        code, out, err = run_cli(
+            ["parametrix", "run", "--n", "3", "--k", "1", "--alpha", "2000", "--grid", "32",
+             "--alias-limit", "1", "--pairs", "20", f"--tol={tol}"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "tol" in err
+
     def test_verify_nan_defect_fails(self, monkeypatch, capsys):
         # the verdict is "not worst <= tol", so a NaN defect cannot pass
         monkeypatch.setattr(cli.torus, "representation_check", lambda *a, **k: (math.nan, 0.0))
@@ -235,6 +271,37 @@ class TestParametrixCommand:
         assert payload["schema"] == "polygreen-report/1"
         assert payload["N"] == 2
         assert payload["comparison"]["max_rel_error"] < 5e-2
+
+    @pytest.mark.filterwarnings("ignore:error-field annulus:RuntimeWarning")
+    def test_underflowing_oracle_is_domain_error(self, capsys):
+        # pairs with sqrt(alpha) d > 700 have a lattice sum of exactly 0
+        code, out, err = run_cli(
+            ["parametrix", "run", "--n", "3", "--k", "1", "--alpha", "1e7", "--grid", "32",
+             "--alias-limit", "1", "--pairs", "20"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "underflows" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:error-field annulus:RuntimeWarning")
+    def test_nan_score_fails(self, monkeypatch, capsys):
+        run_pipeline = parametrix.run_pipeline
+
+        def nan_remainder(*args, **kwargs):
+            state = run_pipeline(*args, **kwargs)
+            return dataclasses.replace(state, u=np.full_like(state.u, math.nan))
+
+        monkeypatch.setattr(parametrix, "run_pipeline", nan_remainder)
+        code, out, err = run_cli(
+            ["parametrix", "run", "--n", "3", "--k", "1", "--alpha", "2000", "--grid", "32",
+             "--alias-limit", "1", "--pairs", "20"],
+            capsys,
+        )
+        assert code == 2
+        assert math.isnan(json.loads(out)["comparison"]["max_rel_error"])
+        assert "disagrees" in err
 
     def test_strict_gate_refuses_underresolved_grid(self, capsys):
         with pytest.warns(RuntimeWarning, match="error-field annulus"):

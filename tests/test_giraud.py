@@ -60,7 +60,6 @@ def ball_kernel(radius: float = 1.0) -> euclid.RadialKernel:
     return euclid.RadialKernel(
         evaluator=lambda r: (r <= radius).astype(float),
         sing_exp=0.0,
-        n=3,
         support_radius=radius,
     )
 
@@ -71,7 +70,6 @@ def yukawa_type(n: int, k: int, alpha: float) -> euclid.RadialKernel:
     return euclid.RadialKernel(
         evaluator=lambda r: euclid.kernel_alpha_array(p, r),
         sing_exp=float(2 * k - n),
-        n=n,
         decay_rate=p.sqrt_alpha,
     )
 
@@ -426,7 +424,7 @@ class TestRadialConvolve:
 
     def test_nonintegrable_rejected(self):
         bad = euclid.RadialKernel(
-            evaluator=lambda r: r**-3.0, sing_exp=-3.0, n=3, support_radius=1.0
+            evaluator=lambda r: r**-3.0, sing_exp=-3.0, support_radius=1.0
         )
         with pytest.raises(DomainError):
             giraud.radial_convolve(bad, ball_kernel(), 3, 0.5)

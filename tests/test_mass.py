@@ -129,8 +129,3 @@ class TestMassSweep:
     def test_threshold_enforced(self):
         with pytest.raises(DomainError):
             mass.mass_sweep(ProblemParams(3, 1, 100.0), G3, [50.0, 1000.0])
-
-    def test_rows(self):
-        rep = mass.mass_sweep(ProblemParams(3, 1, 400.0), G3, [400.0])
-        rows = rep.rows()
-        assert rows[0]["alpha"] == 400.0 and rows[0]["scaled"] > 0

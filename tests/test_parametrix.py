@@ -10,11 +10,12 @@ transforms against each other.
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from polygreen import euclid, parametrix, torus
+from polygreen import euclid, giraud, parametrix, torus
 from polygreen.cutoff import CutoffSpec, auto_tau0, cutoff_for, smoothstep_polynomial
 from polygreen.errors import ConvergenceError, DomainError, PreconditionError
 from polygreen.giraud import printed_iterate_exponents, psi_value
@@ -338,7 +339,9 @@ class TestPipeline:
         assert len(state64.layers) == 1
 
     def test_envelope_telescoping(self, state64):
-        for i, env in enumerate(state64.envelopes, start=1):
+        tau0 = Fraction(state64.cutoff.tau0).limit_denominator(10**9)
+        envelopes = giraud.iterate_error_envelope(3, 1, tau0, state64.N)
+        for i, env in enumerate(envelopes, start=1):
             p_exp, rho_exp = printed_iterate_exponents(3, 1, i)
             assert env.p == p_exp and env.rho == rho_exp
 

@@ -603,6 +603,22 @@ class TestScan:
         assert report.underflow_pairs == 1
         assert report.all_positive
 
+    def test_nan_value_fails(self, monkeypatch):
+        # NaN passes neither G >= 0 nor the asymmetry bound, so it fails both
+        # in pair order instead of reading as positive
+        many = torus.green_lattice_sum_many
+
+        def nan_at_second(params, geometry, displacements, tol):
+            values = many(params, geometry, displacements, tol)
+            values[1] = math.nan
+            return values
+
+        monkeypatch.setattr(torus, "green_lattice_sum_many", nan_at_second)
+        report = torus.symmetry_positivity_scan(ProblemParams(3, 1, 500.0), G3, 4, seed=7)
+        assert not report.all_positive
+        assert [sorted(f) for f in report.failures] == [["value", "x", "y"], ["asymmetry", "x", "y"]]
+        assert math.isnan(report.failures[0]["value"]) and math.isnan(report.min_value)
+
     @pytest.mark.parametrize("pairs", [0, -3, []])
     def test_zero_pairs_rejected(self, pairs):
         with pytest.raises(DomainError, match="at least one pair"):
