@@ -11,11 +11,12 @@ shifts), so the implementation is specialised:
   forward stable for K; for x > 1, each order comes directly from one fixed
   33-node trapezoid rule on
   e^x K_nu(x) = int_0^inf e^{-s^2} T_nu(1 + s^2/x) 2/sqrt(2x + s^2) ds,
-  with T_nu the Chebyshev polynomial (step and node count derived beside
-  the rule).  The rule is evaluated as one matrix product per block of
-  points: the node table (2x + s_j^2)^{-1/2} times a constant matrix of
-  moments 2 W_j s_j^{2p}, then a Horner sum in 1/x with the nonnegative
-  monomial coefficients of T_nu(1 + z), so no term cancels.
+  with T_nu the Chebyshev polynomial, taken on every second node from x = 16
+  on (steps and node counts derived beside the rule).  The rule is
+  evaluated as one matrix product per block of points: the node table
+  (2x + s_j^2)^{-1/2} times a constant matrix of moments 2 W_j s_j^{2p},
+  then a Horner sum in 1/x with the nonnegative monomial coefficients of
+  T_nu(1 + z), so no term cancels.
 
 The one evaluator, ``bessel_k_scaled_array``, returns the exponentially
 scaled function e^x K_nu(x), so that large arguments neither underflow nor
@@ -119,6 +120,11 @@ _TRAP_S2 = (_TRAP_H * np.arange(33)) ** 2
 _TRAP_W = _TRAP_H * np.exp(-_TRAP_S2)
 _TRAP_W[0] *= 0.5
 
+# From x = 16 on, every second node (h = 0.5, 17 nodes, weights 2 W_j) is
+# enough: the error is about e^(d^2 - 2 pi d/h) for a strip of half-width
+# d < sqrt(2x) (Trefethen & Weideman, SIAM Rev. 56 (2014) 385), 1e-17 at d = sqrt(32).
+_WIDE_STEP_CUT = 16.0
+
 # The rule is summed through the monomials of T_nu(1 + z) = sum_p a[nu, p] z^p,
 # a[nu, 0] = 1 and a[nu, p] = nu/(nu+p) C(nu+p, 2p) 2^p > 0: with the moments
 # M[j, p] = 2 W_j s_j^(2p), e^x K_nu(x) = sum_p a[nu, p] x^-p (R @ M)[p] for
@@ -135,22 +141,24 @@ _T_MONOMIALS = np.array(
 _TRAP_MOMENTS = 2.0 * _TRAP_W[:, None] * _TRAP_S2[:, None] ** np.arange(_MAX_INT_ORDER + 1)
 
 # Points per block of the (points x nodes) table R: one 512 x 33 table
-# (135 kB) whatever the input size.  Single-threaded, 2048-point blocks took
-# 0.16-0.19 ms against 0.20-0.23 ms on 1,080 points (one block instead of
-# three) and tied on 81,000 points (14-16 ms), but they ran 4% slower on the
-# 16,362-point arrays of the n = 4 torus scan, the scan itself about 10%
-# slower, and they raised its peak RSS by 1.2 MB.
+# (135 kB), or 512 x 17 from x = 16 on, whatever the input size.  On the
+# 17-node rule, single-threaded, 2048-point blocks took 0.13-0.15 ms against
+# 0.16-0.18 ms on 1,080 points and 9.3-9.6 ms against 9.9-11.1 ms on 81,000
+# points, but the n = 4 torus scan did not gain (0.029-0.038 s against
+# 0.031-0.034 s) and its peak RSS rose by 0.6-0.7 MB.
 _TRAP_BLOCK = 512
 
 
-def _k_trapezoid_scaled(order: int, x: np.ndarray) -> np.ndarray:
-    """e^x K_order(x) for an integer order and x > 1, by the trapezoid rule."""
-    out = np.empty_like(x)
-    moments = _TRAP_MOMENTS[:, : order + 1]
+def _k_trapezoid_scaled(order: int, x: np.ndarray, stride: int) -> np.ndarray:
+    """e^x K_order(x) for an integer order and x > 1, on every stride-th node."""
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    s2 = _TRAP_S2[::stride]
+    moments = stride * _TRAP_MOMENTS[::stride, : order + 1]
     coeffs = _T_MONOMIALS[order]
-    for i in range(0, x.size, _TRAP_BLOCK):
-        xb = x[i : i + _TRAP_BLOCK]
-        r = np.add.outer(2.0 * xb, _TRAP_S2)
+    for i in range(0, flat.size, _TRAP_BLOCK):
+        xb = flat[i : i + _TRAP_BLOCK]
+        r = np.add.outer(2.0 * xb, s2)
         np.sqrt(r, out=r)
         np.divide(1.0, r, out=r)
         q = r @ moments
@@ -159,7 +167,7 @@ def _k_trapezoid_scaled(order: int, x: np.ndarray) -> np.ndarray:
         for p in range(order - 1, -1, -1):
             acc = acc * inv + coeffs[p] * q[:, p]
         out[i : i + _TRAP_BLOCK] = acc
-    return out
+    return out.reshape(x.shape)
 
 
 def _k_series_scaled(order: int, x: np.ndarray) -> np.ndarray:
@@ -180,15 +188,24 @@ def bessel_k_scaled_array(twice_nu: int, x: np.ndarray) -> np.ndarray:
             f"order nu = {twice_nu}/2 outside supported range [0, {MAX_TWICE_NU}/2]"
         )
     x = np.asarray(x, dtype=float)
-    if not np.all(x > 0):
+    lo, hi = x.min(initial=np.inf), x.max(initial=0.0)
+    if not lo > 0:  # min propagates NaN, so NaN fails too
         raise DomainError("K_nu requires arguments x > 0")
     if twice_nu % 2 == 1:
         return _half_integer_scaled((twice_nu - 1) // 2, x)
+    order = twice_nu // 2
+    # a region holding every point runs its rule on x itself: no gather or scatter
+    if hi <= _SERIES_CUT:
+        return _k_series_scaled(order, x)
+    if lo >= _WIDE_STEP_CUT:
+        return _k_trapezoid_scaled(order, x, 2)
+    if lo > _SERIES_CUT and hi < _WIDE_STEP_CUT:
+        return _k_trapezoid_scaled(order, x, 1)
     out = np.empty_like(x)
-    small = x <= _SERIES_CUT
-    if np.any(small):
-        out[small] = _k_series_scaled(twice_nu // 2, x[small])
-    if not np.all(small):
-        out[~small] = _k_trapezoid_scaled(twice_nu // 2, x[~small])
+    small, wide = x <= _SERIES_CUT, x >= _WIDE_STEP_CUT
+    mid = ~(small | wide)
+    if lo <= _SERIES_CUT:
+        out[small] = _k_series_scaled(order, x[small])
+    out[mid] = _k_trapezoid_scaled(order, x[mid], 1)
+    out[wide] = _k_trapezoid_scaled(order, x[wide], 2)
     return out
-
