@@ -4,18 +4,20 @@ The torus Green's function is the periodisation of the Euclidean kernel,
 
     G(x, y) = sum_{m in Z^n} G_alpha^(k)(|v + L m|),    v = nearest rep of y - x,
 
-convergent for every alpha > 0 thanks to the far-field exponential decay;
-the truncation radius is chosen so a certified shell-count tail bound falls
-below the requested tolerance.  A spectral solver provides the independent
-route (Delta + alpha)^k u = phi per Fourier mode, and the verification
-operations (representation formula, symmetry/positivity scans, derivative
-checks) compare the two.
+convergent for every alpha > 0 thanks to the far-field exponential decay.
+One blocked image sum serves the values and their derivatives of order 1
+to 3 along a unit direction (radial derivatives, gradients), each over the
+image box whose certified shell-count tail bound at that order falls below
+the tolerance.  A spectral solver provides the independent route
+(Delta + alpha)^k u = phi per Fourier mode, and the verification operations
+(representation formula, symmetry/positivity scans) compare the two.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable, Sequence
@@ -90,17 +92,36 @@ def _box_cap(n: int) -> int:
 # their scratch arrays (radii, kernel values, Bessel temporaries, means).
 _BLOCK_ELEMENTS = 1 << 14
 
+_CHAIN_BOUNDS = {1: (1.0,), 2: (1.0, 1.0), 3: (1.0, 3.0, 3.0)}
 
-def _certified_tail(params: ProblemParams, geometry: TorusGeometry, m_max: int) -> float:
+
+def _shell_bound(params: ProblemParams, order: int, r: np.ndarray) -> np.ndarray:
+    """G_alpha(r) at order 0; at order l, sum_j b_j |G^(l-j)|(r) / r^j, b = _CHAIN_BOUNDS[l].
+
+    Decreasing in r, it bounds one image at distance >= r, at order l its
+    d^l/dt^l G_alpha(|w + t e|) at t = 0 for a unit e: the derivatives of
+    s = |w + t e| (``_image_sum``) obey |s1| <= 1, 0 <= s2 <= 1/s, |s3| <= 3/s^2.
+    """
+    if order == 0:
+        return euclid.kernel_alpha_array(params, r)
+    return sum(
+        b * np.abs(euclid.kernel_terms(params, order - j).evaluate(r)) / r**j
+        for j, b in enumerate(_CHAIN_BOUNDS[order])
+    )
+
+
+def _certified_tail(params: ProblemParams, geometry: TorusGeometry, m_max: int, order: int) -> float:
     """Upper bound on the images dropped beyond sup-norm radius m_max.
 
-    Images with sup-norm j sit at distance >= L (j - 1/2) and the kernel is
-    decreasing, so the shell terms t_j = c_j G_alpha(L (j - 1/2)) bound the
-    tail.  200 of them are summed explicitly and the rest is closed
-    by a geometric series.  G_alpha is a multiple of r^{-nu} K_nu(sqrt(alpha) r)
-    with nu = n/2 - k >= 1/2, whose logarithmic derivative is
-    -sqrt(alpha) K_{nu+1} / K_nu <= -sqrt(alpha), so consecutive shells
-    shrink by at least e^{-sqrt(alpha) L}.  The shell count
+    Images with sup-norm j sit at distance >= L (j - 1/2), so the shell
+    terms t_j = c_j B(L (j - 1/2)) with B = ``_shell_bound`` at the order
+    bound the tail.  200 of them are summed explicitly and the rest is
+    closed by a geometric series.  G_alpha is a multiple of
+    r^{-nu} K_nu(sqrt(alpha) r) with nu = n/2 - k >= 1/2, a Laplace transform
+    of a nonnegative measure on [sqrt(alpha), inf) (DLMF 10.32.8); so is
+    every |G^(i)| = (-d/dr)^i G_alpha, whose logarithmic derivative is
+    therefore <= -sqrt(alpha), and dividing by r^j keeps that.  Consecutive
+    shells thus shrink by at least e^{-sqrt(alpha) L}.  The shell count
     c_j = int_{2j-1}^{2j+1} n x^{n-1} dx is log-concave in j (Prekopa), so
     c_{j+1} / c_j is nonincreasing.  Hence t_{j+1} / t_j <= rho_J for every
     j >= J, where rho_J = e^{-sqrt(alpha) L} c_{J+1} / c_J, and the terms past
@@ -110,7 +131,7 @@ def _certified_tail(params: ProblemParams, geometry: TorusGeometry, m_max: int) 
     n, L = geometry.n, geometry.L
     js = np.arange(m_max + 1, m_max + 202)
     counts = np.array([_shell_count(n, int(j)) for j in js], dtype=float)
-    terms = counts[:-1] * euclid.kernel_alpha_array(params, L * (js[:-1] - 0.5))
+    terms = counts[:-1] * _shell_bound(params, order, L * (js[:-1] - 0.5))
     rho = math.exp(-params.sqrt_alpha * L) * counts[-1] / counts[-2]
     if rho >= 1.0:
         return math.inf
@@ -118,19 +139,22 @@ def _certified_tail(params: ProblemParams, geometry: TorusGeometry, m_max: int) 
 
 
 @lru_cache(maxsize=256)
-def image_radius(params: ProblemParams, geometry: TorusGeometry, tol: float) -> tuple[int, float]:
+def image_radius(
+    params: ProblemParams, geometry: TorusGeometry, tol: float, order: int = 0
+) -> tuple[int, float]:
     """Smallest sup-norm image radius m >= 1 whose certified tail is <= tol.
 
-    Returns (m, tail bound).  Raises DomainError unless tol > 0 (NaN fails;
-    tol = inf accepts radius 1), and BudgetError, carrying the tail bound at
-    the cap, when no radius within the image budget reaches tol (small alpha
-    on a small torus).
+    ``order`` 0 bounds the values, 1 to 3 the derivatives of that order
+    along a unit direction.  Returns (m, tail bound).  Raises DomainError
+    unless tol > 0 (NaN fails; tol = inf accepts radius 1), and BudgetError,
+    carrying the tail bound at the cap, when no radius within the image
+    budget reaches tol (small alpha on a small torus).
     """
     if not tol > 0:
         raise DomainError(f"need tol > 0, got {tol}")
     cap = _box_cap(geometry.n)
     for m_max in range(1, cap + 1):
-        tail = _certified_tail(params, geometry, m_max)
+        tail = _certified_tail(params, geometry, m_max, order)
         if tail <= tol:
             return m_max, tail
     raise BudgetError(
@@ -142,16 +166,22 @@ def image_radius(params: ProblemParams, geometry: TorusGeometry, tol: float) -> 
 
 
 def _image_sum(
-    params: ProblemParams, geometry: TorusGeometry, V: np.ndarray, tol: float
+    params: ProblemParams, geometry: TorusGeometry, V: np.ndarray, tol: float, order: int = 0, E=None
 ) -> tuple[np.ndarray, float]:
-    """sum_m G_alpha(|v + L m|) over the certified image box, per row v of V.
+    """Per row v of V, sum_m G_alpha(|v + L m|) over the certified image box.
 
-    Returns (values, tail bound).  Images at distance 0 contribute 0, so a
-    row on the lattice gives the sum over the other images.
+    At order l = 1, 2 or 3 it is d^l/dt^l sum_m G_alpha(|v + L m + t e|) at
+    t = 0 instead, e the unit row of E beside v, term by term from
+    ``euclid.kernel_terms`` and the derivatives s1 = (w.e)/s,
+    s2 = (1 - s1^2)/s and s3 = -3 s1 s2 / s of s = |w|, w = v + L m, along
+    e.  The box is ``image_radius`` at that order.  Returns (values, tail
+    bound).  Images at distance 0 contribute 0, so a row on the lattice
+    gives the sum over the other images.
     """
-    m_max, tail = image_radius(params, geometry, tol)
+    m_max, tail = image_radius(params, geometry, tol, order)
     shifts = geometry.L * _lattice_box(geometry.n, m_max)
     rows = max(1, _BLOCK_ELEMENTS // len(shifts))
+    derivs = [euclid.kernel_terms(params, i) for i in range(1, order + 1)]
     out = np.empty(len(V))
     for start in range(0, len(V), rows):
         block = V[start : start + rows]
@@ -160,10 +190,31 @@ def _image_sum(
         )
         zero = radii == 0.0
         radii[zero] = 1.0
-        vals = euclid.kernel_alpha_array(params, radii)
+        if order == 0:
+            vals = euclid.kernel_alpha_array(params, radii)
+        else:
+            e = E[start : start + rows]
+            s1 = (np.sum(block * e, axis=1)[:, None] + e @ shifts.T) / radii
+            f = [terms.evaluate(radii) for terms in derivs]
+            s2 = (1.0 - s1 * s1) / radii
+            if order == 1:
+                vals = f[0] * s1
+            elif order == 2:
+                vals = f[1] * s1 * s1 + f[0] * s2
+            else:  # f3 s1^3 + 3 f2 s1 s2 + f1 s3
+                vals = f[2] * s1**3 + 3.0 * s1 * s2 * (f[1] - f[0] / radii)
         vals[zero] = 0.0
         out[start : start + rows] = np.sum(vals, axis=1)
     return out, tail
+
+
+def _off_diagonal(params: ProblemParams, geometry: TorusGeometry, x, y) -> tuple[float, np.ndarray]:
+    """``torus_distance`` of matching params and geometry; DomainError on x = y."""
+    check_dimensions(params, geometry)
+    d, v = torus_distance(geometry, x, y)
+    if d == 0.0:
+        raise DomainError("Green's function is singular on the diagonal x = y")
+    return d, v
 
 
 def green_lattice_sum(
@@ -179,10 +230,7 @@ def green_lattice_sum(
     and when the tolerance is unreachable within the image budget (small
     alpha on a small torus).
     """
-    check_dimensions(params, geometry)
-    d, v = torus_distance(geometry, x, y)
-    if d == 0.0:
-        raise DomainError("Green's function is singular on the diagonal x = y")
+    _, v = _off_diagonal(params, geometry, x, y)
     values, tail = _image_sum(params, geometry, v[None, :], tol)
     return float(values[0]), tail
 
@@ -211,6 +259,36 @@ def green_lattice_sum_many(
     return _image_sum(params, geometry, v, tol)[0]
 
 
+def green_derivative(params: ProblemParams, geometry: TorusGeometry, x, y, l: int) -> float:
+    """Magnitude of the l-th radial derivative of G along the geodesic.
+
+    ``_image_sum`` at order l along the unit displacement, to the absolute
+    tolerance 1e-10; supported for integers 1 <= l <= min(2k - 1, 3) (the
+    derivative estimates do not cover l = 2k).
+    """
+    top = min(2 * params.k - 1, max(_CHAIN_BOUNDS))
+    if not (isinstance(l, numbers.Integral) and 1 <= l <= top):
+        raise DomainError(f"need an integer 1 <= l <= min(2k-1, 3) = {top}, got {l}")
+    d, v = _off_diagonal(params, geometry, x, y)
+    return abs(float(_image_sum(params, geometry, v[None, :], 1e-10, l, v[None, :] / d)[0][0]))
+
+
+def green_gradient(params: ProblemParams, geometry: TorusGeometry, x, y) -> np.ndarray:
+    """Full gradient vector of y -> G(x, y): the first derivative along each axis."""
+    _, v = _off_diagonal(params, geometry, x, y)
+    n = geometry.n
+    return _image_sum(params, geometry, np.tile(v, (n, 1)), 1e-10, 1, np.eye(n))[0]
+
+
+def green_product_derivative(params: ProblemParams, geometry: TorusGeometry, x, y) -> float:
+    """|d/dt ( t^{n-2k} G )| along the geodesic at t = d(x, y)."""
+    d, v = _off_diagonal(params, geometry, x, y)
+    gap = params.n - 2 * params.k
+    g = _image_sum(params, geometry, v[None, :], 1e-10)[0][0]
+    gprime = _image_sum(params, geometry, v[None, :], 1e-10, 1, v[None, :] / d)[0][0]
+    return float(abs(gap * d ** (gap - 1) * g + d**gap * gprime))
+
+
 # ---------------------------------------------------------------------------
 # Spectral route
 # ---------------------------------------------------------------------------
@@ -224,16 +302,21 @@ def _shifted_modes(geometry: TorusGeometry, phi: dict, x) -> tuple[np.ndarray, n
     """The modes q of phi = sum_q c_q e^{2 pi i q.y / L}, as rows, and c_q e^{2 pi i q.x/L}.
 
     ``phi`` is a dict {integer mode tuple: c_q}.  Raises DomainError unless
-    x is an n-vector and every mode an integer n-tuple.
+    x is a finite n-vector and phi a nonempty dict of integer n-tuples with
+    finite coefficients.
     """
     n = geometry.n
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise DomainError(f"point must be an {n}-vector, got shape {x.shape}")
+    if not phi:
+        raise DomainError("source must have at least one mode")
     if not all(np.shape(q) == (n,) and np.array_equal(q, np.round(q)) for q in phi):
         raise DomainError(f"modes must be integer {n}-tuples, got {list(phi)}")
     q = np.array(list(phi), dtype=np.intp).reshape(-1, n)
     coeffs = np.array(list(phi.values()), dtype=complex)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(coeffs))):
+        raise DomainError("point and mode coefficients must be finite")
     return q, coeffs * np.exp(2j * math.pi * (q @ x) / geometry.L)
 
 
@@ -652,86 +735,3 @@ def symmetry_positivity_scan(
         underflow_pairs=int(np.count_nonzero(forward == 0.0)),
         failures=failures,
     )
-
-
-# ---------------------------------------------------------------------------
-# Derivatives of the lattice sum
-# ---------------------------------------------------------------------------
-
-def _derivative_images(params: ProblemParams, geometry: TorusGeometry, v: np.ndarray):
-    """Shifts L m one shell past the 1e-10 lattice-sum box, w = v + L m, s = |w|,
-    and the kernel's first radial derivative as ``euclid.RadialTerms`` and at s."""
-    m_max, _ = image_radius(params, geometry, 1e-10)
-    shifts = geometry.L * _lattice_box(geometry.n, m_max + 1)
-    w = v[None, :] + shifts
-    s = np.linalg.norm(w, axis=1)
-    terms1 = euclid.kernel_terms(params, 1)
-    return shifts, w, s, terms1, terms1.evaluate(s)
-
-
-def _directional_derivatives(
-    params: ProblemParams,
-    geometry: TorusGeometry,
-    v: np.ndarray,
-    l: int,
-) -> float:
-    """d^l/dt^l of t -> sum_m f(|t vhat + L m|) at t = |v|, term by term."""
-    d = float(np.linalg.norm(v))
-    vhat = v / d
-    shifts, _, s, terms1, f1 = _derivative_images(params, geometry, v)
-    b = shifts @ vhat  # s_m(t)^2 = t^2 + 2 t b + |Lm|^2, evaluated at t = d
-    s1 = (d + b) / s
-    if l == 1:
-        return float(np.sum(f1 * s1))
-    terms2 = terms1.derivative()
-    f2 = terms2.evaluate(s)
-    s2 = (1.0 - s1 * s1) / s
-    if l == 2:
-        return float(np.sum(f2 * s1 * s1 + f1 * s2))
-    f3 = terms2.derivative().evaluate(s)
-    s3 = -3.0 * s1 * s2 / s
-    return float(np.sum(f3 * s1**3 + 3.0 * f2 * s1 * s2 + f1 * s3))
-
-
-def green_derivative(
-    params: ProblemParams,
-    geometry: TorusGeometry,
-    x,
-    y,
-    l: int,
-) -> float:
-    """Magnitude of the l-th radial derivative of G along the geodesic.
-
-    Analytic term-by-term differentiation of the lattice sum; supported for
-    1 <= l <= 2k - 1 (the derivative estimates do not cover l = 2k).
-    """
-    if not 1 <= l <= 2 * params.k - 1:
-        raise DomainError(f"need 1 <= l <= 2k-1 = {2 * params.k - 1}, got {l}")
-    if l > 3:
-        raise DomainError("directional derivatives implemented up to order 3")
-    check_dimensions(params, geometry)
-    d, v = torus_distance(geometry, x, y)
-    if d == 0.0:
-        raise DomainError("derivative singular on the diagonal")
-    return abs(_directional_derivatives(params, geometry, v, l))
-
-
-def green_gradient(params: ProblemParams, geometry: TorusGeometry, x, y) -> np.ndarray:
-    """Full gradient vector of y -> G(x, y), term-by-term over images."""
-    check_dimensions(params, geometry)
-    d, v = torus_distance(geometry, x, y)
-    if d == 0.0:
-        raise DomainError("gradient singular on the diagonal")
-    _, w, s, _, f1 = _derivative_images(params, geometry, v)
-    return np.sum((f1 / s)[:, None] * w, axis=0)
-
-
-def green_product_derivative(params: ProblemParams, geometry: TorusGeometry, x, y) -> float:
-    """|d/dt ( t^{n-2k} G ) | along the geodesic at t = d(x, y)."""
-    d, v = torus_distance(geometry, x, y)
-    if d == 0.0:
-        raise DomainError("singular on the diagonal")
-    gap = params.n - 2 * params.k
-    g, _ = green_lattice_sum(params, geometry, x, y)
-    gprime = _directional_derivatives(params, geometry, v, 1)
-    return abs(gap * d ** (gap - 1) * g + d**gap * gprime)

@@ -698,6 +698,116 @@ class TestDerivatives:
             torus.green_derivative(p, geom, x, y, 2), rel=1e-4
         )
 
+    @pytest.mark.parametrize("alpha", [20.0, 300.0])
+    def test_k2_third_derivative_fd(self, alpha):
+        # central differences of the signed order-2 sum along vhat give order 3
+        p = ProblemParams(5, 2, alpha)
+        geom = torus.TorusGeometry(5, 1.0)
+        x = np.zeros(5)
+        y = np.array([0.15, 0.05, 0.0, 0.0, 0.0])
+        d, v = torus.torus_distance(geom, x, y)
+        e = (v / d)[None, :]
+        h = 1e-4
+        second = [torus._image_sum(p, geom, v + s * h * e, 1e-10, 2, e)[0][0] for s in (-1, 1)]
+        fd3 = (second[1] - second[0]) / (2 * h)
+        assert abs(fd3) == pytest.approx(torus.green_derivative(p, geom, x, y, 3), rel=1e-5)
+
+    @pytest.mark.parametrize("n, k, alpha", [(3, 1, 500.0), (5, 2, 300.0)])
+    def test_gradient_matches_axis_differences(self, n, k, alpha):
+        p = ProblemParams(n, k, alpha)
+        geom = torus.TorusGeometry(n, 1.0)
+        x = np.zeros(n)
+        y = np.linspace(0.2, 0.05, n)
+        h = 5e-5
+        fd = [
+            (
+                torus.green_lattice_sum(p, geom, x, y + h * e, tol=1e-14)[0]
+                - torus.green_lattice_sum(p, geom, x, y - h * e, tol=1e-14)[0]
+            )
+            / (2 * h)
+            for e in np.eye(n)
+        ]
+        np.testing.assert_allclose(torus.green_gradient(p, geom, x, y), fd, rtol=1e-5)
+
+    @pytest.mark.parametrize("l", [1.5, 2.5])
+    def test_non_integer_order_rejected(self, l):
+        geom = torus.TorusGeometry(5, 1.0)
+        y = np.array([0.1, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="integer"):
+            torus.green_derivative(ProblemParams(5, 2, 300.0), geom, np.zeros(5), y, l)
+
+    def test_numpy_integer_order_accepted(self):
+        p = ProblemParams(5, 2, 300.0)
+        geom = torus.TorusGeometry(5, 1.0)
+        y = np.array([0.1, 0.0, 0.0, 0.0, 0.0])
+        assert torus.green_derivative(p, geom, np.zeros(5), y, np.int64(3)) == (
+            torus.green_derivative(p, geom, np.zeros(5), y, 3)
+        )
+
+
+class TestImageSumOrders:
+    """The one image engine at orders 0-3 and its per-order certified tails."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n, k, alpha", [(3, 1, 1.0), (3, 1, 10.0), (5, 2, 20.0), (5, 2, 300.0)])
+    def test_tail_bounds_wider_box(self, monkeypatch, n, k, alpha, order):
+        # five shells past the certified box, or up to the image budget's
+        # cap where that is nearer (n = 5, alpha = 20: 27^5 images otherwise)
+        p = ProblemParams(n, k, alpha)
+        geom = torus.TorusGeometry(n, 1.0)
+        rng = np.random.default_rng(24)
+        V = rng.uniform(-0.5, 0.5, (1, n))
+        E = rng.normal(size=(1, n))
+        E /= np.linalg.norm(E, axis=1)[:, None]
+        narrow, tail = torus._image_sum(p, geom, V, 1e-10, order, E)
+        m_max, _ = torus.image_radius(p, geom, 1e-10, order)
+        wide_radius = min(m_max + 5, torus._box_cap(n))
+        assert wide_radius > m_max
+        monkeypatch.setattr(torus, "image_radius", lambda *args: (wide_radius, 0.0))
+        wide, _ = torus._image_sum(p, geom, V, 1e-10, order, E)
+        assert tail <= 1e-10
+        assert np.all(np.abs(wide - narrow) <= tail)
+
+    def test_budget_reaches_order_3_first(self):
+        # at (5, 2), L = 1, alpha = 12 the values and orders 1-2 fit the
+        # image budget at 1e-10, and the order-3 bound does not
+        p = ProblemParams(5, 2, 12.0)
+        geom = torus.TorusGeometry(5, 1.0)
+        for order in range(3):
+            assert torus.image_radius(p, geom, 1e-10, order)[0] <= torus._box_cap(5)
+        with pytest.raises(BudgetError):
+            torus.green_derivative(p, geom, np.zeros(5), np.array([0.3, 0, 0, 0, 0]), 3)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("n, k, alpha", [(3, 1, 10.0), (5, 2, 300.0)])
+    def test_shell_bound_dominates_one_image(self, n, k, alpha, order):
+        # d^l/dt^l G(|w + t e|) at t = 0 from a Chebyshev interpolant in t,
+        # for e parallel, perpendicular and at random to w, against the
+        # chain bound at r = |w|
+        p = ProblemParams(n, k, alpha)
+        rng = np.random.default_rng(order)
+        for s in (0.05, 0.3, 1.0, 2.5):
+            w = s * np.eye(n)[0]
+            tilted = rng.normal(size=n)
+            for e in (np.eye(n)[0], np.eye(n)[1], tilted / np.linalg.norm(tilted)):
+                h = 0.25 * s
+                cheb = np.polynomial.Chebyshev.interpolate(
+                    lambda t: euclid.kernel_alpha_array(p, np.linalg.norm(w + np.outer(h * t, e), axis=1)),
+                    30,
+                )
+                exact = cheb.deriv(order)(0.0) / h**order
+                bound = torus._shell_bound(p, order, np.array([s]))[0]
+                assert abs(exact) <= bound * (1 + 1e-6)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n, k, alpha", [(3, 1, 1.0), (5, 2, 300.0)])
+    def test_shell_bound_decays_at_the_kernel_rate(self, n, k, alpha, order):
+        # the geometric closure of the tail needs B(r + L) <= e^{-sqrt(alpha) L} B(r)
+        p = ProblemParams(n, k, alpha)
+        r = np.linspace(0.5, 6.5, 13)
+        bound = torus._shell_bound(p, order, r)
+        assert np.all(bound[2:] <= math.exp(-p.sqrt_alpha) * bound[:-2] * (1 + 1e-12))
+
 
 class TestDimensionChecks:
     P5 = ProblemParams(5, 2, 300.0)
@@ -710,6 +820,10 @@ class TestDimensionChecks:
     def test_gradient_dimension_mismatch(self):
         with pytest.raises(DomainError):
             torus.green_gradient(self.P5, G3, np.zeros(3), self.Y)
+
+    def test_product_derivative_dimension_mismatch(self):
+        with pytest.raises(DomainError):
+            torus.green_product_derivative(self.P5, G3, np.zeros(3), self.Y)
 
     def test_representation_mode_length(self):
         p = ProblemParams(3, 1, 2000.0)
@@ -727,6 +841,9 @@ class TestDimensionChecks:
             pytest.param({(1, 0, 0): 1.0}, np.zeros((1, 3)), id="matrix-point"),
             pytest.param({(0.5, 0, 0): 1.0}, np.zeros(3), id="fractional-mode"),
             pytest.param({1: 1.0}, np.zeros(3), id="scalar-mode"),
+            pytest.param({}, np.zeros(3), id="empty-source"),
+            pytest.param({(1, 0, 0): 1.0}, np.array([math.nan, 0.0, 0.0]), id="nan-point"),
+            pytest.param({(1, 0, 0): math.inf}, np.zeros(3), id="inf-coefficient"),
         ],
     )
     def test_malformed_source_rejected(self, phi, x):
