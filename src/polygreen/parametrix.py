@@ -10,19 +10,15 @@ correction layers against H; Step 3 solves the spectral remainder problem
 for the final iterate; Step 4 assembles G = H + sum_i layer_i + u for
 cross-validation against the lattice-sum oracle.
 
-The convolutions work with exact Fourier coefficients of l, computed by
-semi-analytic radial quadrature exactly like Hhat (the error field is a
-sharp annulus shell whose pointwise samples alias badly, while its radial
-Fourier transform is cheap at any band), so the convolution theorem applies
-without discretisation error.  Fields carry twice the grid's band: the
-coefficients are radial, hence tables indexed by the integer |q|^2; each
-field folds them onto the orthant 0 <= q_a <= grid//2 of the grid's modes
-(every mode sums its aliases), where one cosine transform per axis gives
-the band-2 field on the orthant of the displacement grid, with no FFT.
-The tables come from the Chebyshev interpolant of the radial transforms in
-|xi| (``torus._radial_fourier``), so the quadrature runs at a few hundred
-nodes, not at every distinct |q|^2.  The remainder u is solved on the same
-coefficients, mode by mode.
+The iterates, layers and remainder are radial on R^n, with Fourier
+transforms that are products of lhat and Hhat.  Those come from
+semi-analytic radial quadrature (the error field is a sharp annulus shell
+whose samples alias badly, while its radial transform is cheap at any
+|xi|) through a Chebyshev interpolant in |xi| (``torus._radial_fourier``).
+By Poisson summation a torus field is the periodisation of its R^n
+profile, so each field is one table over the distinct integer |j|^2 of the
+displacement grid's orthant: inverse radial transforms below N tau0, and
+G_alpha beyond for the remainder (``run_pipeline``).
 
 The error field itself comes from the closed radial operator algebra
 ``euclid.RadialTerms``: on the annulus every intermediate is a finite sum
@@ -50,7 +46,7 @@ from .torus import _radial_fourier, _sums_of_squares
 
 ALIAS_FRACTION = 2.0 / 3.0
 ALIAS_LIMIT = 1e-8
-EVAL_BAND = 2  # coefficient band, in grid bands, that each field is folded from
+IMAGE_TOL = 1e-14  # certified absolute tail of u's image sum and of the lattice oracle
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +169,7 @@ def error_field_fourier(
 
 
 # ---------------------------------------------------------------------------
-# Steps 2 to 4: iterates, layers and remainder from exact coefficients
+# Steps 2 to 4: iterates, layers and remainder from radial tables
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -201,57 +197,26 @@ class ParametrixState:
         return self.gammas[-1]
 
 
-def _coefficient_table(
-    transform: Callable[[np.ndarray], np.ndarray], geometry: torus.TorusGeometry, h: int
-) -> np.ndarray:
-    """A radial transform at |xi| = 2 pi |q| / L, indexed by the integer |q|^2 over |q_a| <= h."""
-    sums = _sums_of_squares(geometry.n, h)
-    table = np.zeros(sums[-1] + 1)
-    table[sums] = transform(2.0 * math.pi / geometry.L * np.sqrt(sums))
-    return table
+def _field_profiles(h_profile: HProfile, depth: int, radii: np.ndarray, xi_max: float):
+    """Gamma^2..Gamma^N, layers 1..N-1 and U = G_alpha * Gamma^N on R^n at the radii.
 
-
-def _fields_from_coefficients(
-    params: ProblemParams,
-    geometry: torus.TorusGeometry,
-    cutoff: CutoffSpec,
-    lhat: np.ndarray,
-    hhat: np.ndarray,
-    m: int,
-    depth: int,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Gamma iterates, layers and u at grid m from exact EVAL_BAND*m coefficients.
-
-    ``lhat`` and ``hhat`` are ``_coefficient_table``s of the band*m
-    spectrum, |q_a| <= band*m // 2.  Every band-th sample of the band*m
-    field is the m-grid transform of the coefficients folded onto the
-    m-grid's modes, each summing its band^n aliases q + m t in the band*m
-    spectrum (``torus._orthant_fold`` over the offsets t = 0, -1 at band 2).
-    The aliases of q and m - q have the same squares, so the fold is even
-    in each index and kept on the orthant 0 <= q_a <= m//2, where the
-    inverse DFT is C[j, q] = w_q cos(2 pi (j q mod m) / m) per axis; every
-    field comes back on the orthant of the displacement grid.
-    Layers are support-zeroed outside d > (i+1) tau0 where they vanish
-    identically (support additivity), removing series ringing.
+    One row each, the inverse transform of (-lhat)^i, (-lhat)^i Hhat or
+    (-lhat)^N / (xi^2 + alpha)^k over xi <= xi_max: (2 pi)^{-n} times the
+    stacked ``torus._radial_quadrature`` with r and xi exchanged.
     """
-    n = geometry.n
-    cosines = torus._mirror_cosines(np.arange(m // 2 + 1), m)  # [j, q]
-    iterates = [-lhat]
-    for _ in range(depth - 1):
-        iterates.append(iterates[-1] * (-lhat))
-    mult = torus._multiplier(params, geometry, np.arange(len(lhat)))
-    tables = iterates + [cur * hhat for cur in iterates[:-1]] + [iterates[-1] / mult]
-    offsets = [t if 2 * t < EVAL_BAND else t - EVAL_BAND for t in range(EVAL_BAND)]
-    fields = []
-    for field in torus._orthant_fold(tables, n, m, offsets):
-        for _ in range(n):  # contract the leading mode axis, append its grid axis
-            field = np.tensordot(field, cosines, axes=(0, 1))
-        fields.append(field * geometry.L ** -n)
-    gammas, layers, u_vals = fields[:depth], fields[depth:-1], fields[-1]
-    dist = torus.sample_radial(lambda r: r, geometry, m)
-    for i, layer in enumerate(layers, start=1):
-        layer[dist > (i + 1) * cutoff.tau0] = 0.0
-    return gammas, layers, u_vals
+    params = h_profile.params
+
+    def transforms(xi: np.ndarray) -> np.ndarray:
+        lhat = error_field_fourier(params, h_profile.cutoff, xi)
+        powers = [-lhat]
+        for _ in range(depth - 1):
+            powers.append(powers[-1] * (-lhat))
+        hhat = h_profile.fourier(xi)
+        remainder = powers[-1] / (xi * xi + params.alpha) ** params.k
+        return np.stack(powers[1:] + [cur * hhat for cur in powers[:-1]] + [remainder])
+
+    out = torus._radial_quadrature(params.n, transforms, 0.0, xi_max, radii, np.max(radii))
+    return out * (2.0 * math.pi) ** -params.n
 
 
 def run_pipeline(
@@ -263,15 +228,22 @@ def run_pipeline(
 ) -> ParametrixState:
     """Execute H -> l -> Gamma iterates -> layers -> gamma -> u.
 
-    Convolutions use exact semi-analytic Fourier coefficients of l (no
-    sampling aliasing) over ``EVAL_BAND`` times the band of the pipeline grid;
-    those coefficients are folded onto the orthant of the grid's modes and
-    transformed there, so grid values carry the wide-band accuracy while no
-    array exceeds the orthant.  The spectral-tail guard reads the same l
-    coefficients over the grid's own cube of modes, |q_a| <= grid // 2:
-    at the default threshold a grid that under-resolves the annulus is
-    refused.
+    Each field is the periodisation of its R^n profile (Poisson summation):
+    one table over the orthant's integer radii (L/grid) sqrt(Q).  Gamma^1 =
+    -l is sampled.  Gamma^i and layer i-1 (i >= 2) vanish beyond i tau0 <
+    L/2, so their tables hold ``_field_profiles`` below N tau0, transformed
+    up to Xi = 2 pi grid sqrt(n) / L, zero beyond, gathered at offset 0.
+    On R^n, H + sum layers + U = G_alpha, and H and the layers vanish beyond
+    N tau0, so U's table holds G_alpha there, and u sums it over the image
+    box of ``IMAGE_TOL`` (``torus._orthant_fold`` over the image shifts).
+
+    The spectral-tail guard reads lhat over the grid's own cube of modes,
+    |q_a| <= grid // 2, and at the default threshold refuses a grid that
+    under-resolves the annulus.  ``alias_limit`` must lie in [0, 1]; 1 turns
+    the guard off.
     """
+    if not 0.0 <= alias_limit <= 1.0:
+        raise DomainError(f"alias_limit must lie in [0, 1], got {alias_limit}")
     if grid < 2:
         raise DomainError(f"pipeline grid must be at least 2, got {grid}")
     n = geometry.n
@@ -284,15 +256,16 @@ def run_pipeline(
         )
     h_profile = build_H(params, geometry, cut)
     l_field = error_field(params, geometry, cut, grid)
-    h = (EVAL_BAND * grid) // 2
-    lhat = _coefficient_table(lambda xi: error_field_fourier(params, cut, xi), geometry, h)
+    h = grid // 2
+    sums = _sums_of_squares(n, h)
+    lhat = error_field_fourier(params, cut, 2.0 * math.pi / geometry.L * np.sqrt(sums))
 
     # aliasing guard: the cube |q_a| <= grid // 2 holds counts[Q] modes of |q|^2 = Q
-    counts = torus._cube_counts(n, grid // 2)
-    band = np.arange(len(counts)) <= (ALIAS_FRACTION * (grid / 2.0)) ** 2
+    counts = torus._cube_counts(n, h)[sums]
+    above = sums > (ALIAS_FRACTION * (grid / 2.0)) ** 2
     for i in range(1, depth + 1):
-        energy = counts * np.abs(lhat[: len(counts)]) ** (2 * i)
-        tail = float(np.sum(energy[~band]) / np.sum(energy))
+        energy = counts * np.abs(lhat) ** (2 * i)
+        tail = float(np.sum(energy[above]) / np.sum(energy))
         if tail > alias_limit:
             raise ConvergenceError(
                 f"spectral tail of iterate {i} is {tail:.3e} of its energy above "
@@ -300,10 +273,20 @@ def run_pipeline(
                 error_estimate=tail,
             )
 
-    hhat = _coefficient_table(h_profile.fourier, geometry, h)
-    gammas, layers, u = _fields_from_coefficients(
-        params, geometry, cut, lhat, hhat, grid, depth
+    spacing = geometry.L / grid
+    inner = sums[sums < (depth * cut.tau0 / spacing) ** 2]
+    radii = spacing * np.sqrt(inner)
+    profiles = _field_profiles(h_profile, depth, radii, 2.0 * math.pi * math.sqrt(n) / spacing)
+    supports = cut.tau0 * np.tile(np.arange(2, depth + 1), 2)[:, None]  # Gamma^i, layer i-1
+    tables = np.zeros((2 * depth - 2, n * h * h + 1))
+    tables[:, inner] = np.where(radii > supports, 0.0, profiles[:-1])
+    fields = torus._orthant_fold(tables, n, grid, (0,))
+    m_max, _ = torus.image_radius(params, geometry, IMAGE_TOL)
+    u_table = torus._radial_table(
+        lambda r: euclid.kernel_alpha_array(params, r), geometry, grid, h + grid * m_max
     )
+    u_table[inner] = profiles[-1]
+    u = torus._orthant_fold([u_table], n, grid, range(-m_max, m_max + 1))[0]
     return ParametrixState(
         params=params,
         geometry=geometry,
@@ -311,8 +294,8 @@ def run_pipeline(
         cutoff=cut,
         H=h_profile,
         l=l_field,
-        gammas=gammas,
-        layers=layers,
+        gammas=[-l_field] + fields[: depth - 1],
+        layers=fields[depth - 1 :],
         u=u,
         N=depth,
     )
@@ -369,7 +352,7 @@ def assemble_and_compare(
     for layer in state.layers:
         approx = approx + layer[at]
     displacements = torus.grid_coordinates(geom, m)[chosen]
-    oracles = torus.green_lattice_sum_many(state.params, geom, displacements, tol=1e-14)
+    oracles = torus.green_lattice_sum_many(state.params, geom, displacements, tol=IMAGE_TOL)
     if np.any(oracles == 0.0):
         raise DomainError(
             f"lattice oracle underflows to 0 at d = {np.min(d[oracles == 0.0]):.6g}: "

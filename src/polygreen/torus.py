@@ -293,11 +293,6 @@ def green_product_derivative(params: ProblemParams, geometry: TorusGeometry, x, 
 # Spectral route
 # ---------------------------------------------------------------------------
 
-def _multiplier(params: ProblemParams, geometry: TorusGeometry, qsq):
-    """(xi^2 + alpha)^k at xi = 2 pi |q| / L, for |q|^2 a number or an array."""
-    return ((2.0 * math.pi / geometry.L) ** 2 * qsq + params.alpha) ** params.k
-
-
 def _shifted_modes(geometry: TorusGeometry, phi: dict, x) -> tuple[np.ndarray, np.ndarray]:
     """The modes q of phi = sum_q c_q e^{2 pi i q.y / L}, as rows, and c_q e^{2 pi i q.x/L}.
 
@@ -324,7 +319,8 @@ def solve_value_at(params: ProblemParams, geometry: TorusGeometry, phi: dict, x)
     """u(x) for (Delta + alpha)^k u = phi, exactly per mode; the multiplier is positive."""
     check_dimensions(params, geometry)
     q, shifted = _shifted_modes(geometry, phi, x)
-    return float(np.sum(shifted.real / _multiplier(params, geometry, np.sum(q * q, axis=1))))
+    xi_sq = (2.0 * math.pi / geometry.L) ** 2 * np.sum(q * q, axis=1)
+    return float(np.sum(shifted.real / (xi_sq + params.alpha) ** params.k))
 
 
 def grid_coordinates(geometry: TorusGeometry, m: int) -> np.ndarray:
@@ -369,8 +365,8 @@ def _orthant_fold(
 ) -> list[np.ndarray]:
     """Per table, sum_M table[|j + m M|^2] over M in offsets^n, on the orthant 0 <= j_a <= m//2.
 
-    Offset 0 alone samples a radial table on the grid, and a wider
-    spectrum's offsets fold its aliases onto the m-grid's modes.  Each
+    Offset 0 alone samples a radial table on the grid, and the image
+    shifts -m_max..m_max periodise it over the image box.  Each
     |j + m M|^2 array is built once and gathers every table; the M are
     summed in ``itertools.product`` order.
     """
@@ -466,8 +462,6 @@ def _mirror_cosines(q: np.ndarray, m: int) -> np.ndarray:
     Orthant index o stands for the w_o m-grid indices j with min(j, m - j) = o
     (two, but one at o = 0 and at o = m/2), over which e^{2 pi i q j / m} sums
     to w_o cos(2 pi q o / m); reducing q o mod m keeps the argument below 2 pi.
-    With q and o exchanged, this is the inverse DFT of an even sequence from
-    its orthant (the DCT-I).
     """
     o = np.arange(m // 2 + 1)
     weight = np.where((o == 0) | (2 * o == m), 1.0, 2.0)
@@ -535,19 +529,22 @@ def _radial_quadrature(
 ) -> np.ndarray:
     """omega_{n-1} int_{r_lo}^{r_hi} f(r) r^{n-1} mean_n(xi r) dr at each xi.
 
-    Gauss-Legendre in r, its node count set by the oscillation at xi_max.
+    The 24-node Gauss-Legendre rule on equal panels, one per oscillation
+    at xi_max and at least 10.  f may return a stack of integrands, shape
+    (..., r.size), for a result of shape (..., xi.size).  With r and xi
+    exchanged and the factor (2 pi)^{-n}, this is the inverse transform.
     """
-    cycles = xi_max * (r_hi - r_lo) / (2.0 * math.pi)
-    count = int(min(4000, max(240, 24 * cycles)))
-    nodes, weights = gauss_legendre(count)
-    r = 0.5 * (r_hi - r_lo) * (nodes + 1.0) + r_lo
-    w = 0.5 * (r_hi - r_lo) * weights
+    panels = max(10, math.ceil(xi_max * (r_hi - r_lo) / (2.0 * math.pi)))
+    nodes, weights = gauss_legendre(24)
+    half = 0.5 * (r_hi - r_lo) / panels
+    r = (r_lo + half * (2.0 * np.arange(panels)[:, None] + nodes + 1.0)).ravel()
+    w = np.tile(half * weights, panels)
     radial = radial_values(r) * r ** (n - 1) * w
-    out = np.empty_like(xi)
-    chunk = max(1, _BLOCK_ELEMENTS // count)
+    out = np.empty(radial.shape[:-1] + xi.shape)
+    chunk = max(1, _BLOCK_ELEMENTS // r.size)
     for i in range(0, len(xi), chunk):
         mean = plane_wave_spherical_mean(n, np.outer(xi[i : i + chunk], r))
-        out[i : i + chunk] = mean @ radial
+        out[..., i : i + chunk] = radial @ mean.T
     return euclid.sphere_area(n) * out
 
 
@@ -566,7 +563,7 @@ def _radial_fourier(
     xi_max r_hi / 2 (Trefethen, ATAP, ch. 8).  Longer tables than
     N = ceil(xi_max r_hi) + 16 nodes, twice that bound plus 16, are
     therefore interpolated: the quadrature runs at the N first-kind
-    Chebyshev nodes (with the Gauss count of xi_max), a DCT gives the
+    Chebyshev nodes (with the panels of xi_max), a DCT gives the
     coefficients and Clenshaw's recurrence evaluates them.  The largest of
     the last five coefficients over the largest estimates the interpolation
     error; above 1e-12 (or NaN) it raises ConvergenceError.  Shorter tables

@@ -219,6 +219,20 @@ class TestDegenerateRuns:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("limit", ["nan", "-1", "1.5"])
+    def test_alias_limit_outside_unit_interval_exits_1(self, limit, capsys):
+        # nan turned the guard off (tail > nan is False) and ran through to a
+        # max_rel_error of 460; -1 refused every grid, blaming the grid
+        code, out, err = run_cli(
+            ["parametrix", "run", "--n", "3", "--k", "1", "--alpha", "2000", "--grid", "32",
+             f"--alias-limit={limit}"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "alias_limit" in err
+        assert "Traceback" not in err
+
     def test_empty_alpha_ladder_exits_1(self, capsys):
         code, out, err = run_cli(["mass", "sweep", "--n", "3", "--k", "1", "--alphas", ","], capsys)
         assert code == 1
@@ -271,6 +285,24 @@ class TestParametrixCommand:
         assert payload["schema"] == "polygreen-report/1"
         assert payload["N"] == 2
         assert payload["comparison"]["max_rel_error"] < 5e-2
+
+    @pytest.mark.parametrize(
+        "alpha, grid, limit",
+        [("4000", "128", "0.05"), ("8000", "128", "0.05"),
+         pytest.param("2000", "64", "0.6", marks=pytest.mark.filterwarnings(
+             "ignore:error-field annulus:RuntimeWarning"))],
+    )
+    def test_runs_where_the_band_route_failed(self, alpha, grid, limit, capsys):
+        # each exited 2 with the band-2 alias fold (max_rel_error 0.181, 1600
+        # and 0.474): its fields carried ~1e-15 of their sup in absolute error
+        # where the oracle falls below it, out to d = 0.45
+        code, out, _ = run_cli(
+            ["parametrix", "run", "--n", "3", "--k", "1", "--alpha", alpha, "--grid", grid,
+             "--tau0", "auto", "--alias-limit", limit],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["comparison"]["max_rel_error"] <= 1e-2
 
     @pytest.mark.filterwarnings("ignore:error-field annulus:RuntimeWarning")
     def test_underflowing_oracle_is_domain_error(self, capsys):

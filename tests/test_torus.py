@@ -387,7 +387,7 @@ class TestRepresentation:
 
     def test_radial_fields_gather_through_the_fold(self, monkeypatch):
         # the sampler and the pipeline's fields come from one fold: offset 0
-        # and the band-2 aliases
+        # for the fields of compact support, the image box for u
         calls = []
         fold = torus._orthant_fold
 
@@ -400,12 +400,31 @@ class TestRepresentation:
         torus.sample_radial(lambda r: r, G3, 16)
         with pytest.warns(RuntimeWarning, match="error-field annulus"):
             parametrix.run_pipeline(p, G3, grid=16, alias_limit=1.0)
+        m_max, _ = torus.image_radius(p, G3, parametrix.IMAGE_TOL)
         assert calls == [
             (1, 16, (0,)),
             (1, 16, (0,)),  # the error field
-            (4, 16, (0, -1)),  # two iterates, one layer and u
-            (1, 16, (0,)),  # the layer support radii
+            (2, 16, (0,)),  # Gamma^2 and one layer
+            (1, 16, tuple(range(-m_max, m_max + 1))),  # u
         ]
+
+    @pytest.mark.parametrize("m", [32, 33, 1000, 1001])
+    def test_mirror_cosines_reduce_the_argument(self, m):
+        # w_o cos(2 pi q o / m) with q o reduced mod m first stays within a
+        # few ulp where q o / m runs to m/4 turns (unreduced, the argument
+        # alone is off by ~ulp(2 pi m / 4), 2.3e-13 at m = 1000), against a
+        # 30-digit cosine of the exactly reduced fraction
+        mpmath = pytest.importorskip("mpmath")
+        q = np.arange(m // 2 + 1)
+        got = torus._mirror_cosines(q, m)
+        o = q if m < 100 else np.array([0, 1, m // 3, m // 2 - 1, m // 2])
+        with mpmath.workdps(30):
+            for j in o:
+                for jj in o:
+                    w = 1 if jj == 0 or 2 * jj == m else 2
+                    want = w * mpmath.cos(2 * mpmath.pi * (int(j) * int(jj) % m) / m)
+                    assert abs(got[j, jj] - float(want)) <= 2e-15
+
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_plane_wave_mean_against_mpmath(self, n):
@@ -434,6 +453,35 @@ class TestRepresentation:
         assert len(calls) == 1
         nodes, weights = torus.gauss_legendre(calls[0])
         assert not nodes.flags.writeable and not weights.flags.writeable
+
+    @pytest.mark.parametrize("xi_max", [0.0, 1000.0, 1e5])
+    def test_radial_quadrature_takes_panels_of_the_24_node_rule(self, xi_max, monkeypatch):
+        # one cached rule on max(10, cycles) panels, where one rule of 240 to
+        # 4000 nodes was built per call; against the ball's closed form
+        # 4 pi (sin x - x cos x) / xi^3, x = xi R
+        calls = []
+        rule = torus.gauss_legendre
+
+        def recording(count):
+            calls.append(count)
+            return rule(count)
+
+        monkeypatch.setattr(torus, "gauss_legendre", recording)
+        xi = np.array([0.5 * xi_max, xi_max]) if xi_max else np.zeros(1)
+        got = torus._radial_quadrature(3, np.ones_like, 0.0, 0.1, xi, xi_max)
+        assert set(calls) == {24}
+        x = xi * 0.1
+        want = 4 * math.pi * (np.sin(x) - x * np.cos(x)) / xi**3 if xi_max else 4 * math.pi / 3e3
+        assert np.max(np.abs(got - want)) <= 1e-14 * 4 * math.pi / 3e3
+
+    def test_radial_quadrature_stacks_integrands(self):
+        xi = np.linspace(0.0, 800.0, 7)
+        f = [lambda r: np.exp(-30.0 * r), lambda r: r * r]
+        got = torus._radial_quadrature(5, lambda r: np.stack([g(r) for g in f]), 0.0, 0.2, xi, 800.0)
+        assert got.shape == (2, 7)
+        for row, g in zip(got, f):
+            alone = torus._radial_quadrature(5, g, 0.0, 0.2, xi, 800.0)
+            assert np.max(np.abs(row - alone)) <= 1e-15 * np.max(np.abs(alone))
 
     @pytest.mark.parametrize("m", [16, 18])
     def test_grid_sums_match_full_grid_rows(self, m):
