@@ -150,6 +150,11 @@ def error_field(
     Shape (grid//2 + 1,)*n (``torus.sample_radial``).  Warns when fewer than
     4 grid cells span the annulus width tau0/2.
     """
+    return _sample_error_field(error_field_profile(params, cutoff), geometry, cutoff, grid)
+
+
+def _sample_error_field(profile, geometry: torus.TorusGeometry, cutoff: CutoffSpec, grid: int):
+    """``error_field`` from a built ``error_field_profile``."""
     cells = (cutoff.tau0 - cutoff.half) / (geometry.L / grid)
     if cells < 4.0:
         warnings.warn(
@@ -157,7 +162,7 @@ def error_field(
             "increase the grid for a faithful sampling",
             RuntimeWarning,
         )
-    return torus.sample_radial(error_field_profile(params, cutoff), geometry, grid)
+    return torus.sample_radial(profile, geometry, grid)
 
 
 def error_field_fourier(
@@ -197,17 +202,17 @@ class ParametrixState:
         return self.gammas[-1]
 
 
-def _field_profiles(h_profile: HProfile, depth: int, radii: np.ndarray, xi_max: float):
+def _field_profiles(h_profile: HProfile, l_profile, depth: int, radii: np.ndarray, xi_max: float):
     """Gamma^2..Gamma^N, layers 1..N-1 and U = G_alpha * Gamma^N on R^n at the radii.
 
     One row each, the inverse transform of (-lhat)^i, (-lhat)^i Hhat or
     (-lhat)^N / (xi^2 + alpha)^k over xi <= xi_max: (2 pi)^{-n} times the
     stacked ``torus._radial_quadrature`` with r and xi exchanged.
     """
-    params = h_profile.params
+    params, cut = h_profile.params, h_profile.cutoff
 
     def transforms(xi: np.ndarray) -> np.ndarray:
-        lhat = error_field_fourier(params, h_profile.cutoff, xi)
+        lhat = _radial_fourier(params.n, l_profile, cut.half, cut.tau0, xi)
         powers = [-lhat]
         for _ in range(depth - 1):
             powers.append(powers[-1] * (-lhat))
@@ -234,8 +239,8 @@ def run_pipeline(
     L/2, so their tables hold ``_field_profiles`` below N tau0, transformed
     up to Xi = 2 pi grid sqrt(n) / L, zero beyond, gathered at offset 0.
     On R^n, H + sum layers + U = G_alpha, and H and the layers vanish beyond
-    N tau0, so U's table holds G_alpha there, and u sums it over the image
-    box of ``IMAGE_TOL`` (``torus._orthant_fold`` over the image shifts).
+    N tau0, so U's table holds G_alpha there, and u folds it over the orthant's
+    image box of tail ``IMAGE_TOL`` (``torus.orthant_image_offsets``).
 
     The spectral-tail guard reads lhat over the grid's own cube of modes,
     |q_a| <= grid // 2, and at the default threshold refuses a grid that
@@ -255,10 +260,11 @@ def run_pipeline(
             f"{geometry.injectivity_radius / (n + 2):.6g}"
         )
     h_profile = build_H(params, geometry, cut)
-    l_field = error_field(params, geometry, cut, grid)
+    l_profile = error_field_profile(params, cut)  # one symbolic build for the three readers
+    l_field = _sample_error_field(l_profile, geometry, cut, grid)
     h = grid // 2
     sums = _sums_of_squares(n, h)
-    lhat = error_field_fourier(params, cut, 2.0 * math.pi / geometry.L * np.sqrt(sums))
+    lhat = _radial_fourier(n, l_profile, cut.half, cut.tau0, 2 * math.pi / geometry.L * np.sqrt(sums))
 
     # aliasing guard: the cube |q_a| <= grid // 2 holds counts[Q] modes of |q|^2 = Q
     counts = torus._cube_counts(n, h)[sums]
@@ -276,17 +282,18 @@ def run_pipeline(
     spacing = geometry.L / grid
     inner = sums[sums < (depth * cut.tau0 / spacing) ** 2]
     radii = spacing * np.sqrt(inner)
-    profiles = _field_profiles(h_profile, depth, radii, 2.0 * math.pi * math.sqrt(n) / spacing)
+    profiles = _field_profiles(h_profile, l_profile, depth, radii, 2 * math.pi * math.sqrt(n) / spacing)
     supports = cut.tau0 * np.tile(np.arange(2, depth + 1), 2)[:, None]  # Gamma^i, layer i-1
     tables = np.zeros((2 * depth - 2, n * h * h + 1))
     tables[:, inner] = np.where(radii > supports, 0.0, profiles[:-1])
     fields = torus._orthant_fold(tables, n, grid, (0,))
-    m_max, _ = torus.image_radius(params, geometry, IMAGE_TOL)
+    offsets, _ = torus.orthant_image_offsets(params, geometry, IMAGE_TOL)
     u_table = torus._radial_table(
-        lambda r: euclid.kernel_alpha_array(params, r), geometry, grid, h + grid * m_max
+        lambda r: euclid.kernel_alpha_array(params, r), geometry, grid,
+        h + grid * max(map(abs, offsets)),
     )
     u_table[inner] = profiles[-1]
-    u = torus._orthant_fold([u_table], n, grid, range(-m_max, m_max + 1))[0]
+    u = torus._orthant_fold([u_table], n, grid, offsets)[0]
     return ParametrixState(
         params=params,
         geometry=geometry,

@@ -79,10 +79,6 @@ def _lattice_box(n: int, m_max: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grid], axis=-1)
 
 
-def _shell_count(n: int, j: int) -> int:
-    return (2 * j + 1) ** n - (2 * j - 1) ** n
-
-
 def _box_cap(n: int) -> int:
     """Largest sup-norm radius kept under ~3e6 lattice points."""
     return max(3, int(0.5 * ((3.0e6) ** (1.0 / n) - 1.0)))
@@ -110,29 +106,30 @@ def _shell_bound(params: ProblemParams, order: int, r: np.ndarray) -> np.ndarray
     )
 
 
-def _certified_tail(params: ProblemParams, geometry: TorusGeometry, m_max: int, order: int) -> float:
-    """Upper bound on the images dropped beyond sup-norm radius m_max.
+def _certified_tail(
+    params: ProblemParams, geometry: TorusGeometry, first: int, step: int, order: int
+) -> float:
+    """Upper bound on the images in half-shells first, first + 1, ... of v.
 
-    Images with sup-norm j sit at distance >= L (j - 1/2), so the shell
-    terms t_j = c_j B(L (j - 1/2)) with B = ``_shell_bound`` at the order
-    bound the tail.  200 of them are summed explicitly and the rest is
-    closed by a geometric series.  G_alpha is a multiple of
-    r^{-nu} K_nu(sqrt(alpha) r) with nu = n/2 - k >= 1/2, a Laplace transform
-    of a nonnegative measure on [sqrt(alpha), inf) (DLMF 10.32.8); so is
-    every |G^(i)| = (-d/dr)^i G_alpha, whose logarithmic derivative is
-    therefore <= -sqrt(alpha), and dividing by r^j keeps that.  Consecutive
-    shells thus shrink by at least e^{-sqrt(alpha) L}.  The shell count
-    c_j = int_{2j-1}^{2j+1} n x^{n-1} dx is log-concave in j (Prekopa), so
-    c_{j+1} / c_j is nonincreasing.  Hence t_{j+1} / t_j <= rho_J for every
-    j >= J, where rho_J = e^{-sqrt(alpha) L} c_{J+1} / c_J, and the terms past
-    the last explicit shell J add at most t_J rho_J / (1 - rho_J).  The bound
-    is infinite when rho_J >= 1.
+    On the orthant 0 <= v_a <= L/2, |v_a + M_a L| >= (L/2) h(M_a) with
+    h(M) = 2M for M >= 0 and -2M - 1 below, one-to-one from Z onto N, so
+    half-shell t = max_a h(M_a) sits at distance >= L t / 2.  Groups of
+    ``step`` from s = first hold c_s = (s + step)^n - s^n = int_s^{s+step}
+    n x^{n-1} dx images, log-concave in s (Prekopa), for terms
+    t_s = c_s B(L s / 2), B = ``_shell_bound`` at the order.  G_alpha is a
+    multiple of r^{-nu} K_nu(sqrt(alpha) r), nu = n/2 - k >= 1/2, a Laplace
+    transform of a nonnegative measure on [sqrt(alpha), inf) (DLMF 10.32.8);
+    so is every |G^(i)| = (-d/dr)^i G_alpha, whose logarithmic derivative is
+    thus <= -sqrt(alpha), also after dividing by r^j.  So t_{s+step} / t_s
+    <= rho_J = e^{-sqrt(alpha) L step / 2} c_{J+step} / c_J for s >= J: past
+    the 200 explicit terms the rest adds at most t_J rho_J / (1 - rho_J),
+    infinite when rho_J >= 1.  Step 2 from first = 2m + 1 bounds the images
+    of sup-norm > m, at >= L (j - 1/2) from every v: the symmetric box.
     """
-    n, L = geometry.n, geometry.L
-    js = np.arange(m_max + 1, m_max + 202)
-    counts = np.array([_shell_count(n, int(j)) for j in js], dtype=float)
-    terms = counts[:-1] * _shell_bound(params, order, L * (js[:-1] - 0.5))
-    rho = math.exp(-params.sqrt_alpha * L) * counts[-1] / counts[-2]
+    s = [first + step * i for i in range(201)]
+    counts = np.array([(j + step) ** geometry.n - j**geometry.n for j in s], dtype=float)
+    terms = counts[:-1] * _shell_bound(params, order, 0.5 * geometry.L * np.array(s[:-1]))
+    rho = math.exp(-params.sqrt_alpha * 0.5 * geometry.L * step) * counts[-1] / counts[-2]
     if rho >= 1.0:
         return math.inf
     return float(np.sum(terms) + terms[-1] * rho / (1.0 - rho))
@@ -154,7 +151,7 @@ def image_radius(
         raise DomainError(f"need tol > 0, got {tol}")
     cap = _box_cap(geometry.n)
     for m_max in range(1, cap + 1):
-        tail = _certified_tail(params, geometry, m_max, order)
+        tail = _certified_tail(params, geometry, 2 * m_max + 1, 2, order)
         if tail <= tol:
             return m_max, tail
     raise BudgetError(
@@ -163,6 +160,26 @@ def image_radius(
         best_estimate=None,
         error_estimate=tail,
     )
+
+
+@lru_cache(maxsize=64)
+def orthant_image_offsets(
+    params: ProblemParams, geometry: TorusGeometry, tol: float
+) -> tuple[tuple[int, ...], float]:
+    """Per-axis image shifts of the smallest box certified to tol on the orthant.
+
+    The first T half-shells of ``_certified_tail``: the box {-floor(T/2),
+    ..., floor((T-1)/2)}^n, for 0 <= v_a <= L/2 only.  T = 2m + 1 is the box
+    of image radius m, so T stays below the ``image_radius`` m, whose box,
+    tail and BudgetError are the fallback.  Returns (offsets, tail bound).
+    """
+    m_max, tail = image_radius(params, geometry, tol)
+    T = 2 * m_max + 1
+    for t in range(1, T):
+        if (bound := _certified_tail(params, geometry, t, 1, 0)) <= tol:
+            T, tail = t, bound
+            break
+    return tuple(range(-(T // 2), (T - 1) // 2 + 1)), tail
 
 
 def _image_sum(
@@ -365,10 +382,10 @@ def _orthant_fold(
 ) -> list[np.ndarray]:
     """Per table, sum_M table[|j + m M|^2] over M in offsets^n, on the orthant 0 <= j_a <= m//2.
 
-    Offset 0 alone samples a radial table on the grid, and the image
-    shifts -m_max..m_max periodise it over the image box.  Each
-    |j + m M|^2 array is built once and gathers every table; the M are
-    summed in ``itertools.product`` order.
+    Offset 0 alone samples a radial table on the grid, and the one-sided
+    shifts of ``orthant_image_offsets`` periodise it to their certified
+    tail.  Each |j + m M|^2 array is built once and gathers every table; the
+    M are summed in ``itertools.product`` order.
     """
     index = np.arange(m // 2 + 1)
     shifts = itertools.product([(index + m * o) ** 2 for o in offsets], repeat=n)
@@ -508,13 +525,13 @@ def plane_wave_spherical_mean(n: int, z) -> np.ndarray:
             series = 1.0 + series * x / (j * (j - 1 + 0.5 * n))
         out[small] = series
     zb = z[~small]
-    s, c = np.sin(zb), np.cos(zb)
-    if el == 0:
+    s = np.sin(zb)
+    if el == 0:  # sin(z)/z needs no cosine
         val = s / zb
     elif el == 1:
-        val = 3.0 * (s - zb * c) / zb**3
+        val = 3.0 * (s - zb * np.cos(zb)) / zb**3
     else:
-        val = 15.0 * ((3.0 / zb**2 - 1.0) * s - 3.0 * c / zb) / zb**3
+        val = 15.0 * ((3.0 / zb**2 - 1.0) * s - 3.0 * np.cos(zb) / zb) / zb**3
     out[~small] = val
     return out
 
@@ -609,15 +626,16 @@ def representation_check(
     compares with the half-resolution grid, so ``grid`` must be even.
 
     The continuous part is even in each coordinate of the displacement v:
-    the lattice L Z^n and the image box are invariant under each coordinate
-    sign flip, so the periodised kernel, d = |v| and the parametrix are too.
-    It is therefore summed on the orthant 0 <= j_a <= grid//2 only, against
-    phi(x + .) folded over the sign flips, per mode a product of one
-    ``_mirror_cosines`` factor per axis.  Every cell plus image sits at the
-    integer radius Q = |j + grid M|^2, so one table G_alpha - chi c d^{2k-n}
-    per Q is contracted with those factors (``_weighted_fold``): chi
-    vanishes before L/2, where the images M != 0 begin, and only the
-    diagonal cell's own image has Q = 0, which reads the analytic limit.
+    the lattice L Z^n is invariant under each coordinate sign flip, so the
+    periodised kernel, d = |v| and the parametrix are too.  It is therefore
+    summed on the orthant 0 <= j_a <= grid//2 only (images M in the box of
+    ``orthant_image_offsets``, tail 1e-10), against phi(x + .) folded over
+    the sign flips, per mode a product of one ``_mirror_cosines`` factor per
+    axis.  Every cell plus image sits at the integer radius
+    Q = |j + grid M|^2, so one table G_alpha - chi c d^{2k-n} per Q is
+    contracted with those factors (``_weighted_fold``): chi vanishes before
+    L/2, where the images M != 0 begin, and only the diagonal cell's own
+    image has Q = 0, which reads the analytic limit.
     Index grid - j has the parity of j, so the factors' even orthant indices
     give the half-resolution sum.
 
@@ -643,17 +661,17 @@ def representation_check(
     # periodised kernel minus the cutoff parametrix, one value per integer
     # radius, contracted with the per-axis factors of each mode: one weight
     # set per mode on the grid and one on its even indices
-    m_max, _ = image_radius(params, geometry, 1e-10)
+    offsets, _ = orthant_image_offsets(params, geometry, 1e-10)
     table = _radial_table(
         lambda r: euclid.kernel_alpha_array(params, r) - cut.chi(r) * c * r ** (-gap),
-        geometry, m, m // 2 + m * m_max,
+        geometry, m, m // 2 + m * max(map(abs, offsets)),
     )
     table[0] = euclid.euclid_remainder_at_zero(params)
     factors = _mirror_cosines(q, m)  # [mode, axis, orthant index]
     factors[:, 0] *= shifted.real[:, None]
     even = factors.copy()
     even[..., 1::2] = 0.0
-    sums = _weighted_fold(table, n, m, range(-m_max, m_max + 1), np.concatenate([factors, even]))
+    sums = _weighted_fold(table, n, m, offsets, np.concatenate([factors, even]))
     spacing = L / m
     grid_part = float(np.sum(sums[: len(q)])) * spacing**n
     half = float(np.sum(sums[len(q) :])) * (2 * spacing) ** n

@@ -219,6 +219,23 @@ class TestErrorField:
         with pytest.warns(RuntimeWarning):
             parametrix.error_field(P2000, G3, cut, 32)
 
+    def test_profile_built_once_per_pipeline(self, monkeypatch):
+        # the sampled field, the guard's lhat and the inverse transforms read
+        # one symbolic build; the sampled field is the public error_field's
+        calls = []
+        build = parametrix.error_field_profile
+
+        def recording(params, cutoff):
+            calls.append(params)
+            return build(params, cutoff)
+
+        monkeypatch.setattr(parametrix, "error_field_profile", recording)
+        with pytest.warns(RuntimeWarning, match="error-field annulus"):
+            state = parametrix.run_pipeline(P2000, G3, grid=16, alias_limit=1.0)
+        assert calls == [P2000]
+        with pytest.warns(RuntimeWarning, match="error-field annulus"):
+            np.testing.assert_array_equal(state.l, parametrix.error_field(P2000, G3, state.cutoff, 16))
+
     def test_integral_identity(self, state64):
         # int l = alpha^k int H - 1 (defining identity against phi = 1)
         int_h = state64.H.integral()
@@ -336,7 +353,9 @@ class TestFieldProfiles:
         # at 16^5, Xi = 225, the state's Gamma^2(0) is 95% off
         p = ProblemParams(5, 2, 2000.0)
         cut = cutoff_for(5, 2, 1.0)
-        got = parametrix._field_profiles(parametrix.HProfile(p, cut), 3, np.zeros(1), 2000.0)
+        got = parametrix._field_profiles(
+            parametrix.HProfile(p, cut), parametrix.error_field_profile(p, cut), 3, np.zeros(1), 2000.0
+        )
         assert got[0, 0] == pytest.approx(direct_gamma2_at_zero(p, cut), rel=1e-5)
 
     def test_gamma2_and_layer_against_convolutions(self, state128):
@@ -347,7 +366,7 @@ class TestFieldProfiles:
         cut = state128.cutoff
         l_profile = parametrix.error_field_profile(P2000, cut)
         radii = np.array([0.02, 0.07, 0.12, 0.17])
-        rows = parametrix._field_profiles(state128.H, 2, radii, reach(3, 128))
+        rows = parametrix._field_profiles(state128.H, l_profile, 2, radii, reach(3, 128))
         l_kernel = euclid.RadialKernel(l_profile, sing_exp=0.0, support_radius=cut.tau0)
         h_kernel = euclid.RadialKernel(state128.H, sing_exp=-1.0, support_radius=cut.tau0)
         sup_gamma2 = np.max(np.abs(state128.gammas[1]))
@@ -372,7 +391,9 @@ class TestFieldProfiles:
         depth = n // 2 + 1
         radii = np.unique(torus.sample_radial(lambda r: r, torus.TorusGeometry(n, 1.0), m))
         radii = radii[(radii > 0) & (radii < depth * cut.tau0)]
-        rows = parametrix._field_profiles(parametrix.HProfile(p, cut), depth, radii, xi_max)
+        rows = parametrix._field_profiles(
+            parametrix.HProfile(p, cut), parametrix.error_field_profile(p, cut), depth, radii, xi_max
+        )
         kernel = euclid.kernel_alpha_array(p, radii)
         residual = parametrix.HProfile(p, cut)(radii) + rows[depth - 1 :].sum(axis=0) - kernel
         assert np.max(np.abs(residual) / kernel) <= bound

@@ -387,7 +387,7 @@ class TestRepresentation:
 
     def test_radial_fields_gather_through_the_fold(self, monkeypatch):
         # the sampler and the pipeline's fields come from one fold: offset 0
-        # for the fields of compact support, the image box for u
+        # for the fields of compact support, the orthant's image box for u
         calls = []
         fold = torus._orthant_fold
 
@@ -400,12 +400,13 @@ class TestRepresentation:
         torus.sample_radial(lambda r: r, G3, 16)
         with pytest.warns(RuntimeWarning, match="error-field annulus"):
             parametrix.run_pipeline(p, G3, grid=16, alias_limit=1.0)
-        m_max, _ = torus.image_radius(p, G3, parametrix.IMAGE_TOL)
+        offsets, _ = torus.orthant_image_offsets(p, G3, parametrix.IMAGE_TOL)
+        assert offsets == (-1, 0)
         assert calls == [
             (1, 16, (0,)),
             (1, 16, (0,)),  # the error field
             (2, 16, (0,)),  # Gamma^2 and one layer
-            (1, 16, tuple(range(-m_max, m_max + 1))),  # u
+            (1, 16, offsets),  # u
         ]
 
     @pytest.mark.parametrize("m", [32, 33, 1000, 1001])
@@ -514,9 +515,9 @@ class TestRepresentation:
         assert abs(est - abs(grid_part - half)) <= 1e-13 * scale
 
     def test_image_sum_runs_on_orthant(self, monkeypatch):
-        # the check contracts one integer-radius table over the image box on
-        # the 17^3 orthant; neither the float-row image sum nor a whole
-        # orthant field is formed
+        # the check contracts one integer-radius table over the orthant's
+        # image box on the 17^3 orthant; neither the float-row image sum nor
+        # a whole orthant field is formed
         calls = []
         weighted_fold = torus._weighted_fold
 
@@ -531,40 +532,43 @@ class TestRepresentation:
         monkeypatch.setattr(torus, "_image_sum", unexpected)
         monkeypatch.setattr(torus, "_orthant_fold", unexpected)
         p = ProblemParams(3, 1, 2000.0)
-        m_max, _ = torus.image_radius(p, G3, 1e-10)
+        offsets, _ = torus.orthant_image_offsets(p, G3, 1e-10)
         torus.representation_check(p, G3, {(1, 0, 0): 1.0}, np.zeros(3), grid=32)
-        box = tuple(range(-m_max, m_max + 1))
-        assert calls == [(3, 32, box, (2, 3, 17))]  # the mode on the grid and on its even indices
+        assert offsets == (-1, 0)
+        assert calls == [(3, 32, offsets, (2, 3, 17))]  # the mode on the grid and on its even indices
 
     @pytest.mark.parametrize(
         "n, k, alpha, m", [(3, 1, 2000.0, 32), (3, 1, 50.0, 33), (5, 2, 300.0, 8), (5, 2, 300.0, 7)]
     )
-    def test_integer_table_matches_image_sum(self, n, k, alpha, m):
+    def test_integer_table_matches_image_sum(self, n, k, alpha, m, monkeypatch):
         # one kernel value per integer squared radius, contracted over the
-        # image box with positive separable weights, against the float-row
-        # image sum times the same weights; the diagonal cell sums the other
-        # images, as Q = 0 reads 0
+        # orthant's image box with positive separable weights, against the
+        # float-row image sum over the same box times the same weights; the
+        # diagonal cell sums the other images, as Q = 0 reads 0
         p = ProblemParams(n, k, alpha)
         geom = torus.TorusGeometry(n, 1.0)
-        m_max, _ = torus.image_radius(p, geom, 1e-10)
+        offsets, _ = torus.orthant_image_offsets(p, geom, 1e-10)
         table = torus._radial_table(
-            lambda r: euclid.kernel_alpha_array(p, r), geom, m, m // 2 + m * m_max
+            lambda r: euclid.kernel_alpha_array(p, r), geom, m, m // 2 + m * max(map(abs, offsets))
         )
         weights = np.random.default_rng(n * m).uniform(0.5, 1.5, size=(2, n, m // 2 + 1))
-        got = torus._weighted_fold(table, n, m, range(-m_max, m_max + 1), weights)
-        rows = torus._image_sum(p, geom, _orthant_rows(geom, m), 1e-10)[0]
+        got = torus._weighted_fold(table, n, m, offsets, weights)
+        box = np.array(list(itertools.product(offsets, repeat=n)))
+        monkeypatch.setattr(torus, "_lattice_box", lambda n, m_max: box)
+        # the one-sided box serves 0 <= v_a <= L/2, so v_a = L/2 is not taken as -L/2
+        rows = torus._image_sum(p, geom, np.abs(_orthant_rows(geom, m)), 1e-10)[0]
         rows = rows.reshape((m // 2 + 1,) * n)
         for total, w in zip(got, weights):
             want = np.sum(rows * functools.reduce(np.multiply.outer, w))
             assert abs(total - want) <= 1e-14 * want
 
     def test_integer_table_in_blocks(self, monkeypatch):
-        # at alpha = 50 the image radius is 4 and the check at grid 32
-        # evaluates 42,980 distinct Q > 0: the kernel sees them in blocks,
-        # each once
+        # at alpha = 50 the orthant's image box is -3..3 per axis and the
+        # check at grid 32 evaluates 25,615 distinct Q > 0: the kernel sees
+        # them in blocks, each once
         p = ProblemParams(3, 1, 50.0)
         geom = torus.TorusGeometry(3, 1.0)
-        m_max, _ = torus.image_radius(p, geom, 1e-10)  # cached, so only the table calls below
+        offsets, _ = torus.orthant_image_offsets(p, geom, 1e-10)  # cached, so only the table calls below
         sizes = []
         kernel = euclid.kernel_alpha_array
 
@@ -574,8 +578,9 @@ class TestRepresentation:
 
         monkeypatch.setattr(euclid, "kernel_alpha_array", recording)
         torus.representation_check(p, geom, {(0, 0, 0): 1.0}, np.zeros(3), grid=32)
-        distinct = len(torus._sums_of_squares(3, 32 // 2 + 32 * m_max)) - 1
-        assert m_max == 4
+        distinct = len(torus._sums_of_squares(3, 32 // 2 + 32 * max(map(abs, offsets)))) - 1
+        assert offsets == tuple(range(-3, 4))
+        assert distinct == 25615
         assert len(sizes) > 1
         assert max(sizes) <= torus._BLOCK_ELEMENTS
         assert sum(sizes) == distinct
@@ -855,6 +860,51 @@ class TestImageSumOrders:
         r = np.linspace(0.5, 6.5, 13)
         bound = torus._shell_bound(p, order, r)
         assert np.all(bound[2:] <= math.exp(-p.sqrt_alpha) * bound[:-2] * (1 + 1e-12))
+        # and the half-shell closure B(r + L/2) <= e^{-sqrt(alpha) L/2} B(r)
+        assert np.all(bound[1:] <= math.exp(-0.5 * p.sqrt_alpha) * bound[:-1] * (1 + 1e-12))
+
+
+class TestOrthantImageOffsets:
+    """The one-sided image box of the orthant folds and its half-shell tail."""
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-10])
+    @pytest.mark.parametrize("n, k, alpha", [(3, 1, 2000.0), (3, 1, 50.0), (5, 2, 300.0), (4, 1, 500.0)])
+    def test_tail_bounds_dropped_images(self, n, k, alpha, tol):
+        # every image of a box two half-shells wider that the orthant box
+        # drops, summed at the orthant corners v_a in {0, L/2} and at seeded
+        # interior points; the box stays within the symmetric one
+        p = ProblemParams(n, k, alpha)
+        geom = torus.TorusGeometry(n, 1.0)
+        offsets, tail = torus.orthant_image_offsets(p, geom, tol)
+        m_max, _ = torus.image_radius(p, geom, tol)
+        assert tail <= tol
+        assert set(offsets) <= set(range(-m_max, m_max + 1))
+        T = len(offsets)
+        assert offsets == tuple(range(-(T // 2), (T - 1) // 2 + 1))
+        wide = range(-((T + 2) // 2), (T + 1) // 2 + 1)
+        dropped = np.array(
+            [M for M in itertools.product(wide, repeat=n) if not set(M) <= set(offsets)], dtype=float
+        )
+        corners = 0.5 * np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+        interior = np.random.default_rng(n).uniform(0.0, 0.5, (8, n))
+        for v in np.concatenate([corners, interior]):
+            images = euclid.kernel_alpha_array(p, np.linalg.norm(v + dropped, axis=1))
+            assert np.sum(images) <= tail
+
+    @pytest.mark.parametrize(
+        "n, k, alpha, tol, offsets",
+        [(3, 1, 2000.0, 1e-14, (-1, 0)), (3, 1, 16000.0, 1e-14, (0,)), (3, 1, 500.0, 1e-14, (-1, 0, 1))],
+    )
+    def test_one_sided_boxes(self, n, k, alpha, tol, offsets):
+        # 8, 1 and 27 shifts where the symmetric boxes hold 27, 27 and 125
+        p = ProblemParams(n, k, alpha)
+        assert torus.orthant_image_offsets(p, torus.TorusGeometry(n, 1.0), tol)[0] == offsets
+
+    def test_budget_and_tolerance_as_image_radius(self):
+        with pytest.raises(BudgetError):
+            torus.orthant_image_offsets(ProblemParams(3, 1, 1e-6), G3, 1e-10)
+        with pytest.raises(DomainError, match="tol"):
+            torus.orthant_image_offsets(ProblemParams(3, 1, 100.0), G3, math.nan)
 
 
 class TestDimensionChecks:
