@@ -8,15 +8,14 @@ shifts), so the implementation is specialised:
   exact up to rounding for every x > 0;
 * integer orders use, for x <= 1, the ascending series for (K_0, K_1) and
   the upward recurrence K_{nu+1} = K_{nu-1} + (2 nu / x) K_nu, which is
-  forward stable for K; for x > 1, each order comes directly from one fixed
-  33-node trapezoid rule on
+  forward stable for K; for 1 < x < 16, each order comes directly from one
+  fixed 33-node trapezoid rule on
   e^x K_nu(x) = int_0^inf e^{-s^2} T_nu(1 + s^2/x) 2/sqrt(2x + s^2) ds,
-  with T_nu the Chebyshev polynomial, taken on every second node from x = 16
-  on (steps and node counts derived beside the rule).  The rule is
-  evaluated as one matrix product per block of points: the node table
-  (2x + s_j^2)^{-1/2} times a constant matrix of moments 2 W_j s_j^{2p},
-  then a Horner sum in 1/x with the nonnegative monomial coefficients of
-  T_nu(1 + z), so no term cancels.
+  with T_nu the Chebyshev polynomial, evaluated as one matrix product per
+  block of points: the node table (2x + s_j^2)^{-1/2} times a constant
+  matrix of moments 2 W_j s_j^{2p}, then a Horner sum in 1/x with the
+  nonnegative monomial coefficients of T_nu(1 + z), so no term cancels;
+  from x = 16 on, by one 12-term Chebyshev series of that rule in 32/x - 1.
 
 The one evaluator, ``bessel_k_scaled_array``, returns the exponentially
 scaled function e^x K_nu(x), so that large arguments neither underflow nor
@@ -120,11 +119,6 @@ _TRAP_S2 = (_TRAP_H * np.arange(33)) ** 2
 _TRAP_W = _TRAP_H * np.exp(-_TRAP_S2)
 _TRAP_W[0] *= 0.5
 
-# From x = 16 on, every second node (h = 0.5, 17 nodes, weights 2 W_j) is
-# enough: the error is about e^(d^2 - 2 pi d/h) for a strip of half-width
-# d < sqrt(2x) (Trefethen & Weideman, SIAM Rev. 56 (2014) 385), 1e-17 at d = sqrt(32).
-_WIDE_STEP_CUT = 16.0
-
 # The rule is summed through the monomials of T_nu(1 + z) = sum_p a[nu, p] z^p,
 # a[nu, 0] = 1 and a[nu, p] = nu/(nu+p) C(nu+p, 2p) 2^p > 0: with the moments
 # M[j, p] = 2 W_j s_j^(2p), e^x K_nu(x) = sum_p a[nu, p] x^-p (R @ M)[p] for
@@ -140,25 +134,19 @@ _T_MONOMIALS = np.array(
 )
 _TRAP_MOMENTS = 2.0 * _TRAP_W[:, None] * _TRAP_S2[:, None] ** np.arange(_MAX_INT_ORDER + 1)
 
-# Points per block of the (points x nodes) table R: one 512 x 33 table
-# (135 kB), or 512 x 17 from x = 16 on, whatever the input size.  On the
-# 17-node rule, single-threaded, 2048-point blocks took 0.13-0.15 ms against
-# 0.16-0.18 ms on 1,080 points and 9.3-9.6 ms against 9.9-11.1 ms on 81,000
-# points, but the n = 4 torus scan did not gain (0.029-0.038 s against
-# 0.031-0.034 s) and its peak RSS rose by 0.6-0.7 MB.
+# Points per block of the (points x 33) node table R (135 kB), whatever the input size.
 _TRAP_BLOCK = 512
 
 
-def _k_trapezoid_scaled(order: int, x: np.ndarray, stride: int) -> np.ndarray:
-    """e^x K_order(x) for an integer order and x > 1, on every stride-th node."""
+def _k_trapezoid_scaled(order: int, x: np.ndarray) -> np.ndarray:
+    """e^x K_order(x) for an integer order and x > 1 by the 33-node rule."""
     flat = x.reshape(-1)
     out = np.empty_like(flat)
-    s2 = _TRAP_S2[::stride]
-    moments = stride * _TRAP_MOMENTS[::stride, : order + 1]
+    moments = _TRAP_MOMENTS[:, : order + 1]
     coeffs = _T_MONOMIALS[order]
     for i in range(0, flat.size, _TRAP_BLOCK):
         xb = flat[i : i + _TRAP_BLOCK]
-        r = np.add.outer(2.0 * xb, s2)
+        r = np.add.outer(2.0 * xb, _TRAP_S2)
         np.sqrt(r, out=r)
         np.divide(1.0, r, out=r)
         q = r @ moments
@@ -167,6 +155,42 @@ def _k_trapezoid_scaled(order: int, x: np.ndarray, stride: int) -> np.ndarray:
         for p in range(order - 1, -1, -1):
             acc = acc * inv + coeffs[p] * q[:, p]
         out[i : i + _TRAP_BLOCK] = acc
+    return out.reshape(x.shape)
+
+
+# From x = 16 on, sqrt(2x/pi) e^x K_nu(x) = 1 + g_nu(32/x - 1) with g_nu smooth on [-1, 1]
+# (Trefethen, Approximation Theory and Approximation Practice, ch. 8): g_nu interpolates the
+# rule at 12 first-kind Chebyshev nodes (a DCT in math.fsum); its trailing coefficients are at
+# most 1.3e-16 (order 6; more terms add rounding).  Clenshaw's recurrence sums it per block.
+_CHEB_CUT, _CHEB_TERMS, _CHEB_BLOCK = 16.0, 12, 8192
+
+
+def _chebyshev_coefficients(order: int) -> np.ndarray:
+    theta = math.pi * (np.arange(_CHEB_TERMS) + 0.5) / _CHEB_TERMS
+    x = 2.0 * _CHEB_CUT / (1.0 + np.cos(theta))
+    dev = _k_trapezoid_scaled(order, x) * np.sqrt(2.0 * x / math.pi) - 1.0
+    coef = [2.0 * math.fsum(dev * np.cos(j * theta)) / _CHEB_TERMS for j in range(_CHEB_TERMS)]
+    return np.array([0.5 * coef[0]] + coef[1:])
+
+
+_CHEB_COEFFS = np.array([_chebyshev_coefficients(nu) for nu in range(_MAX_INT_ORDER + 1)])
+
+
+def _k_chebyshev_scaled(order: int, x: np.ndarray) -> np.ndarray:
+    """e^x K_order(x) for an integer order and x >= 16 by its Chebyshev series."""
+    flat, out = x.reshape(-1), np.empty(x.size)
+    coef = _CHEB_COEFFS[order]
+    for i in range(0, flat.size, _CHEB_BLOCK):
+        xb = flat[i : i + _CHEB_BLOCK]
+        y2 = 4.0 * _CHEB_CUT / xb - 2.0  # 2y
+        b1, b2, tmp = np.full_like(xb, coef[-1]), np.zeros_like(xb), np.empty_like(xb)
+        for c in coef[-2:0:-1]:  # b_j = c_j + 2y b_{j+1} - b_{j+2}, in place
+            np.multiply(y2, b1, out=tmp)
+            tmp -= b2
+            tmp += c
+            b1, b2, tmp = tmp, b1, b2
+        g = 0.5 * y2 * b1 - b2 + coef[0]
+        out[i : i + _CHEB_BLOCK] = np.sqrt(0.5 * math.pi / xb) * (1.0 + g)
     return out.reshape(x.shape)
 
 
@@ -197,15 +221,15 @@ def bessel_k_scaled_array(twice_nu: int, x: np.ndarray) -> np.ndarray:
     # a region holding every point runs its rule on x itself: no gather or scatter
     if hi <= _SERIES_CUT:
         return _k_series_scaled(order, x)
-    if lo >= _WIDE_STEP_CUT:
-        return _k_trapezoid_scaled(order, x, 2)
-    if lo > _SERIES_CUT and hi < _WIDE_STEP_CUT:
-        return _k_trapezoid_scaled(order, x, 1)
+    if lo >= _CHEB_CUT:
+        return _k_chebyshev_scaled(order, x)
+    if lo > _SERIES_CUT and hi < _CHEB_CUT:
+        return _k_trapezoid_scaled(order, x)
     out = np.empty_like(x)
-    small, wide = x <= _SERIES_CUT, x >= _WIDE_STEP_CUT
-    mid = ~(small | wide)
+    small, large = x <= _SERIES_CUT, x >= _CHEB_CUT
+    mid = ~(small | large)
     if lo <= _SERIES_CUT:
         out[small] = _k_series_scaled(order, x[small])
-    out[mid] = _k_trapezoid_scaled(order, x[mid], 1)
-    out[wide] = _k_trapezoid_scaled(order, x[wide], 2)
+    out[mid] = _k_trapezoid_scaled(order, x[mid])
+    out[large] = _k_chebyshev_scaled(order, x[large])
     return out

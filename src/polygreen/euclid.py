@@ -180,9 +180,9 @@ class RadialTerms:
         return d2.scale(-1.0).add(d1.divide_r().scale(-(n - 1))).add(self.scale(alpha))
 
     def evaluate(self, r: np.ndarray) -> np.ndarray:
-        """The sum at radii r, sharing one exponential factor.
+        """The sum at radii r, sharing one exponential factor and one K_m per order.
 
-        Radii with s r > 700 return exact 0.0 (underflow policy)."""
+        A constant q is a scalar.  Radii with s r > 700 return exact 0.0."""
         r = np.asarray(r, dtype=float)
         x = self.s * r
         out = np.zeros_like(r)
@@ -193,8 +193,9 @@ class RadialTerms:
         rs = r[ok]
         u = (rs - self.r0) / self.h
         acc = np.zeros_like(rs)
+        bessel = {tm: bessel_k_scaled_array(tm, xs) for tm in {tm for _, tm in self.entries}}
         for (tp, tm), q in self.entries.items():
-            acc += q(u) * rs ** (0.5 * tp) * bessel_k_scaled_array(tm, xs)
+            acc += (q.coef[0] if q.degree() == 0 else q(u)) * rs ** (0.5 * tp) * bessel[tm]
         out[ok] = acc * np.exp(-xs)
         return out
 

@@ -288,10 +288,7 @@ def run_pipeline(
     tables[:, inner] = np.where(radii > supports, 0.0, profiles[:-1])
     fields = torus._orthant_fold(tables, n, grid, (0,))
     offsets, _ = torus.orthant_image_offsets(params, geometry, IMAGE_TOL)
-    u_table = torus._radial_table(
-        lambda r: euclid.kernel_alpha_array(params, r), geometry, grid,
-        h + grid * max(map(abs, offsets)),
-    )
+    u_table = torus._radial_table(lambda r: euclid.kernel_alpha_array(params, r), geometry, grid, offsets)
     u_table[inner] = profiles[-1]
     u = torus._orthant_fold([u_table], n, grid, offsets)[0]
     return ParametrixState(

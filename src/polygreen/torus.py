@@ -362,13 +362,15 @@ def unfold_orthant(table: np.ndarray, m: int) -> np.ndarray:
 
 
 def _radial_table(
-    f: Callable[[np.ndarray], np.ndarray], geometry: TorusGeometry, m: int, h: int
+    f: Callable[[np.ndarray], np.ndarray], geometry: TorusGeometry, m: int, offsets: Sequence[int]
 ) -> np.ndarray:
     """f((L/m) sqrt(Q)), indexed by the integer Q = |q|^2 over |q_a| <= h.
 
-    f runs once per distinct Q > 0, in blocks of ``_BLOCK_ELEMENTS``; Q = 0
-    and the integers that are no sum of n squares read 0.
+    h = max |j + m o| over 0 <= j <= m//2 and o in offsets, the reach of
+    ``_orthant_fold``.  f runs once per distinct Q > 0, in blocks of
+    ``_BLOCK_ELEMENTS``; Q = 0 and the non-sums of n squares read 0.
     """
+    h = max(m // 2 + m * max(offsets), -m * min(offsets))
     sums = _sums_of_squares(geometry.n, h)[1:]
     table = np.zeros(geometry.n * h * h + 1)
     for start in range(0, len(sums), _BLOCK_ELEMENTS):
@@ -447,7 +449,7 @@ def sample_radial(
     ``_orthant_fold`` at offset 0.  The cell Q = 0 reads 0; the caller sets
     it.  Shape (m//2 + 1,)*n; ``unfold_orthant`` gives the grid.
     """
-    table = _radial_table(f, geometry, m, m // 2)
+    table = _radial_table(f, geometry, m, (0,))
     return _orthant_fold([table], geometry.n, m, (0,))[0]
 
 
@@ -662,10 +664,11 @@ def representation_check(
     # radius, contracted with the per-axis factors of each mode: one weight
     # set per mode on the grid and one on its even indices
     offsets, _ = orthant_image_offsets(params, geometry, 1e-10)
-    table = _radial_table(
-        lambda r: euclid.kernel_alpha_array(params, r) - cut.chi(r) * c * r ** (-gap),
-        geometry, m, m // 2 + m * max(map(abs, offsets)),
-    )
+    def kernel_minus_parametrix(r):  # chi is exactly 0.0 from tau0 on
+        out, near = euclid.kernel_alpha_array(params, r), r < cut.tau0
+        out[near] -= cut.chi(r[near]) * c * r[near] ** (-gap)
+        return out
+    table = _radial_table(kernel_minus_parametrix, geometry, m, offsets)
     table[0] = euclid.euclid_remainder_at_zero(params)
     factors = _mirror_cosines(q, m)  # [mode, axis, orthant index]
     factors[:, 0] *= shifted.real[:, None]

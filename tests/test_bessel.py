@@ -67,17 +67,17 @@ def k0_series_oracle(x: float) -> float:
     return -(math.log(x / 2.0) + EULER_GAMMA) * i0 + s
 
 
-def trapezoid_by_recurrence(order: int, x: np.ndarray, stride: int) -> np.ndarray:
-    """e^x K_order(x) by the same rule on every stride-th node, with T_order(1 + s^2/x) per node.
+def trapezoid_by_recurrence(order: int, x: np.ndarray) -> np.ndarray:
+    """e^x K_order(x) by the same 33-node rule, with T_order(1 + s^2/x) per node.
 
     The reference for the moment-matrix sum: the Chebyshev recurrence
     T_{j+1} = 2u T_j - T_{j-1} runs at every (point, node), with no shared
     moments and no Horner sum.
     """
     xb = np.asarray(x, dtype=float)[:, None]
-    s2 = besselk._TRAP_S2[::stride]
+    s2 = besselk._TRAP_S2
     u = 1.0 + s2 / xb
-    weight = 2.0 * stride * besselk._TRAP_W[::stride] / np.sqrt(2.0 * xb + s2)
+    weight = 2.0 * besselk._TRAP_W / np.sqrt(2.0 * xb + s2)
     # T_{-1} = T_1 = u and T_0 = 1
     t_prev, t = u, np.ones_like(u)
     for _ in range(order):
@@ -151,8 +151,8 @@ class TestBesselK:
     )
     def test_region_joins(self, twice_nu, x, expected):
         # frozen references straddling the series/trapezoid seam at x = 1, the
-        # seam of the full and every-second-node trapezoid rules at 16, and
-        # the former quadrature join at 6
+        # seam of the trapezoid rule and the Chebyshev series at 16, and the
+        # former quadrature join at 6
         assert bessel_k(twice_nu, x) == pytest.approx(expected, rel=1e-10)
 
     def test_scaled_large_argument(self):
@@ -180,39 +180,53 @@ class TestBesselK:
                 bessel_k_scaled_array(order, np.array([1.0]))
 
     def test_trapezoid_blocks_match_one_table(self, monkeypatch):
-        # several blocks of the trapezoid rule against one unblocked evaluation
+        # several blocks of the trapezoid rule against one unblocked
+        # evaluation, and the Chebyshev series in blocks of 100 points
+        # against one block, bitwise (its sum is pointwise)
         x = np.linspace(1.001, 700.0, 3 * besselk._TRAP_BLOCK + 17)
-        for stride in (1, 2):
-            for order in range(MAX_TWICE_NU // 2 + 1):
-                blocked = besselk._k_trapezoid_scaled(order, x, stride)
-                with monkeypatch.context() as m:
-                    m.setattr(besselk, "_TRAP_BLOCK", x.size)
-                    whole = besselk._k_trapezoid_scaled(order, x, stride)
-                assert np.max(np.abs(blocked - whole) / whole) <= 1e-15, (stride, order)
+        for order in range(MAX_TWICE_NU // 2 + 1):
+            blocked = besselk._k_trapezoid_scaled(order, x)
+            series = besselk._k_chebyshev_scaled(order, x[x >= 16.0])
+            with monkeypatch.context() as m:
+                m.setattr(besselk, "_TRAP_BLOCK", x.size)
+                m.setattr(besselk, "_CHEB_BLOCK", 100)
+                whole = besselk._k_trapezoid_scaled(order, x)
+                np.testing.assert_array_equal(
+                    besselk._k_chebyshev_scaled(order, x[x >= 16.0]), series, err_msg=str(order)
+                )
+            assert np.max(np.abs(blocked - whole) / whole) <= 1e-15, order
 
     def test_trapezoid_matches_chebyshev_recurrence(self):
         # the moment-matrix sum against the per-node recurrence of the same
-        # rule, on a grid spanning several blocks, for both node strides
+        # rule, on a grid spanning several blocks
         x = np.geomspace(1.0 + 1e-9, 700.0, 4 * besselk._TRAP_BLOCK + 5)
-        for stride in (1, 2):
-            for order in range(MAX_TWICE_NU // 2 + 1):
-                got = besselk._k_trapezoid_scaled(order, x, stride)
-                want = trapezoid_by_recurrence(order, x, stride)
-                assert np.max(np.abs(got - want) / want) <= 4e-15, (stride, order)
-
-    def test_wide_step_matches_full_rule(self):
-        # every second node against all 33 over the stride-2 region [16, 700]:
-        # 9.7e-16 at most on this grid (orders 4-6; 1.45e-15 on 200,001
-        # points), against 2e-15
-        x = np.geomspace(besselk._WIDE_STEP_CUT, 700.0, 4 * besselk._TRAP_BLOCK + 5)
         for order in range(MAX_TWICE_NU // 2 + 1):
-            wide = besselk._k_trapezoid_scaled(order, x, 2)
-            full = besselk._k_trapezoid_scaled(order, x, 1)
-            assert np.max(np.abs(wide - full) / full) <= 2e-15, order
+            got = besselk._k_trapezoid_scaled(order, x)
+            want = trapezoid_by_recurrence(order, x)
+            assert np.max(np.abs(got - want) / want) <= 4e-15, order
+
+    def test_chebyshev_series_matches_full_rule(self):
+        # the series against the 33-node rule it interpolates, over [16, 700]
+        # and far beyond: 1.2e-15 at most (order 6), against 2e-15
+        x = np.concatenate([np.geomspace(besselk._CHEB_CUT, 700.0, 4 * besselk._TRAP_BLOCK + 5),
+                            [1e3, 1e4, 1e5]])
+        for order in range(MAX_TWICE_NU // 2 + 1):
+            series = besselk._k_chebyshev_scaled(order, x)
+            rule = besselk._k_trapezoid_scaled(order, x)
+            assert np.max(np.abs(series - rule) / rule) <= 2e-15, order
+
+    def test_chebyshev_series_trailing_coefficient(self):
+        # each order's last coefficient is below one unit in the last place
+        # of the leading 1 (1.3e-16 at most, order 6): more terms add nothing
+        coeffs = besselk._CHEB_COEFFS
+        assert coeffs.shape == (MAX_TWICE_NU // 2 + 1, besselk._CHEB_TERMS)
+        for order, coef in enumerate(coeffs):
+            assert abs(coef[-1]) <= np.finfo(float).eps, order
 
     def test_mixed_regions_match_each_region_alone(self):
-        # a shuffled array over the series, full-rule and every-second-node
-        # regions gives, bitwise, each region's values evaluated on its own
+        # a shuffled array over the ascending-series, trapezoid-rule and
+        # Chebyshev-series regions gives, bitwise, each region's values
+        # evaluated on its own
         rng = np.random.default_rng(3)
         x = np.concatenate([rng.uniform(1e-3, 1.0, 600), rng.uniform(1.0, 16.0, 700),
                             rng.uniform(16.0, 700.0, 800), [1.0, 16.0]])
@@ -238,8 +252,9 @@ class TestBesselK:
 
 # The README's relative accuracy for K_nu, rounded up.  Against 40-digit
 # mpmath the largest error on the grid below is 2.2e-15 (K_0 at x = 1.001),
-# and 4.1e-16 from x = 16 on (K_4 at x = 16.002); the README's denser scan of
-# 1,124 points found 2.2e-15 (K_0, x = 1.0034) and 5.7e-16 from x = 16 on.
+# and 7.9e-16 from x = 16 on (K_6 at x = 84.3, the Chebyshev series); the
+# README's denser scan of 1,124 points found 2.26e-15 (K_0, x = 1.0044) and
+# 8.9e-16 from x = 16 on (K_6, x = 67.1).
 BESSEL_REL_ERROR = 1e-14
 
 
@@ -247,7 +262,7 @@ def test_region_seams_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     # [1e-3, 700], the series/trapezoid seam at x = 1 and the seam of the
-    # full and every-second-node rules at x = 16
+    # rule and the Chebyshev series at x = 16
     xs = np.concatenate([np.geomspace(1e-3, 700.0, 160), np.linspace(0.99, 1.01, 21),
                          np.linspace(15.99, 16.01, 11)])
     refs = {twice_nu: [] for twice_nu in range(14)}

@@ -548,9 +548,7 @@ class TestRepresentation:
         p = ProblemParams(n, k, alpha)
         geom = torus.TorusGeometry(n, 1.0)
         offsets, _ = torus.orthant_image_offsets(p, geom, 1e-10)
-        table = torus._radial_table(
-            lambda r: euclid.kernel_alpha_array(p, r), geom, m, m // 2 + m * max(map(abs, offsets))
-        )
+        table = torus._radial_table(lambda r: euclid.kernel_alpha_array(p, r), geom, m, offsets)
         weights = np.random.default_rng(n * m).uniform(0.5, 1.5, size=(2, n, m // 2 + 1))
         got = torus._weighted_fold(table, n, m, offsets, weights)
         box = np.array(list(itertools.product(offsets, repeat=n)))
@@ -578,12 +576,50 @@ class TestRepresentation:
 
         monkeypatch.setattr(euclid, "kernel_alpha_array", recording)
         torus.representation_check(p, geom, {(0, 0, 0): 1.0}, np.zeros(3), grid=32)
-        distinct = len(torus._sums_of_squares(3, 32 // 2 + 32 * max(map(abs, offsets)))) - 1
+        distinct = len(torus._sums_of_squares(3, 32 * 3 + 32 // 2)) - 1  # reach of -3..3
         assert offsets == tuple(range(-3, 4))
         assert distinct == 25615
         assert len(sizes) > 1
         assert max(sizes) <= torus._BLOCK_ELEMENTS
         assert sum(sizes) == distinct
+
+    @pytest.mark.parametrize("m", [8, 9, 32])
+    @pytest.mark.parametrize("offsets", [(0,), (-1, 0), (-1, 0, 1), (-2, -1, 0, 1), tuple(range(-3, 4))])
+    def test_table_reach_is_the_fold_reach(self, m, offsets):
+        # the table ends exactly at the largest |j + m M|^2 the fold reads,
+        # and the fold over it sums |v + L M|^2 over the image box
+        geom = torus.TorusGeometry(2, 1.0)
+        table = torus._radial_table(lambda r: r * r, geom, m, offsets)
+        index = np.arange(m // 2 + 1)
+        reach = max(int(np.max(np.abs(index + m * o))) for o in offsets)
+        assert len(table) == 2 * reach * reach + 1
+        folded = torus._orthant_fold([table], 2, m, offsets)[0]
+        sums = np.sum(np.add.outer(index, m * np.array(offsets)) ** 2, axis=1)
+        want = (geom.L / m) ** 2 * len(offsets) * np.add.outer(sums, sums)
+        np.testing.assert_allclose(folded, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("n, k, alpha, m", [(3, 1, 2000.0, 32), (3, 1, 50.0, 16), (5, 2, 300.0, 8)])
+    def test_check_equals_a_build_at_the_old_reach(self, n, k, alpha, m, monkeypatch):
+        # sizing the table by the fold's reach and subtracting the parametrix
+        # only below tau0 changes no bit of the check: a table built as
+        # before, over |q_a| <= m//2 + m max|M| with chi over every radius,
+        # gives the same defect and estimate
+        p = ProblemParams(n, k, alpha)
+        geom = torus.TorusGeometry(n, 1.0)
+        phi = {(1,) + (0,) * (n - 1): 1.0, (0, 2) + (1,) * (n - 2): 0.5 - 0.25j}
+        x = np.linspace(0.1, 0.7, n)
+        new = torus.representation_check(p, geom, phi, x, grid=m)
+        cut, c = cutoff_for(n, k, 1.0), euclid.c_nk(n, k)
+        radial_table = torus._radial_table
+
+        def old_build(f, geometry, grid, offsets):
+            return radial_table(
+                lambda r: euclid.kernel_alpha_array(p, r) - cut.chi(r) * c * r ** (-(n - 2 * k)),
+                geometry, grid, (max(map(abs, offsets)),),
+            )
+
+        monkeypatch.setattr(torus, "_radial_table", old_build)
+        assert torus.representation_check(p, geom, phi, x, grid=m) == new
 
     @pytest.mark.parametrize("n, m", [(3, 32), (3, 30), (5, 16), (5, 14)])
     def test_folded_grid_sum_matches_full_grid(self, n, m):
