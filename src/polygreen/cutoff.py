@@ -4,7 +4,9 @@ chi is identically 1 on [0, tau0/2], identically 0 on [tau0, inf), and on the
 transition annulus equals 1 - S((r - tau0/2)/(tau0/2)) where S is the
 polynomial smoothstep whose first ``smoothness`` derivatives vanish at both
 junctions.  Being polynomial, all derivatives are exact, which the radial
-operator pipeline relies on.
+operator pipeline relies on.  chi itself is evaluated as S(1 - u), by the
+symmetry 1 - S(u) = S(1 - u), in a form with no cancellation, so it keeps its
+relative accuracy up to tau0.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError
 
@@ -60,10 +63,18 @@ class CutoffSpec:
         return (np.asarray(r, dtype=float) - self.half) / self.half
 
     def chi(self, r):
-        """chi(r), elementwise."""
+        """chi(r) = S(1 - u), elementwise: exactly 1 for r <= tau0/2 and 0 from tau0 on.
+
+        S(x) = x^{N+1} sum_j C(N+j, j) (1 - x)^j sums nonnegative terms, so
+        chi = v^{N+1} sum_j C(N+j, j) u^j with v = 1 - u has no cancellation;
+        u and v = (tau0 - r)/(tau0/2) take one rounding each on the annulus,
+        where r - tau0/2 and tau0 - r are exact (Sterbenz).
+        """
         r = np.asarray(r, dtype=float)
         u = np.clip(self.scaled(r), 0.0, 1.0)
-        out = 1.0 - self.step(u)
+        v = np.clip((self.tau0 - r) / self.half, 0.0, 1.0)
+        n = self.smoothness
+        out = v ** (n + 1) * polyval(u, [float(math.comb(n + j, j)) for j in range(n + 1)])
         return out if out.shape else float(out)
 
 

@@ -83,6 +83,8 @@ def kernel_closed_form_array(n: int, k: int, x: np.ndarray) -> np.ndarray:
         raise DomainError("kernel radius must be positive")
     twice_nu = n - 2 * k
     d = closed_form_constant(n, k)
+    if x.max(initial=0.0) <= UNDERFLOW_ARG:  # no radius underflows: no mask, gather or scatter
+        return d * x ** (-0.5 * twice_nu) * (bessel_k_scaled_array(twice_nu, x) * np.exp(-x))
     out = np.zeros_like(x)
     ok = x <= UNDERFLOW_ARG
     if np.any(ok):

@@ -6,11 +6,12 @@ The torus Green's function is the periodisation of the Euclidean kernel,
 
 convergent for every alpha > 0 thanks to the far-field exponential decay.
 One blocked image sum serves the values and their derivatives of order 1
-to 3 along a unit direction (radial derivatives, gradients), each over the
-image box whose certified shell-count tail bound at that order falls below
-the tolerance.  A spectral solver provides the independent route
-(Delta + alpha)^k u = phi per Fourier mode, and the verification operations
-(representation formula, symmetry/positivity scans) compare the two.
+to 3 along a unit direction, each over the image box whose certified
+shell-count tail bound at that order falls below the tolerance; the
+gradient takes one order-1 pass over that box for every axis.  A spectral
+solver provides the independent route (Delta + alpha)^k u = phi per Fourier
+mode, and the verification operations (representation formula,
+symmetry/positivity scans) compare the two.
 """
 
 from __future__ import annotations
@@ -291,10 +292,22 @@ def green_derivative(params: ProblemParams, geometry: TorusGeometry, x, y, l: in
 
 
 def green_gradient(params: ProblemParams, geometry: TorusGeometry, x, y) -> np.ndarray:
-    """Full gradient vector of y -> G(x, y): the first derivative along each axis."""
+    """Full gradient vector of y -> G(x, y): the first derivative along each axis.
+
+    ``_image_sum`` at order 1 along axis a is sum_m G'(s) w_a / s, w = v + L m,
+    s = |w|, over the order-1 box; G'(s)/s is evaluated once per image and
+    serves every axis.
+    """
     _, v = _off_diagonal(params, geometry, x, y)
-    n = geometry.n
-    return _image_sum(params, geometry, np.tile(v, (n, 1)), 1e-10, 1, np.eye(n))[0]
+    m_max, _ = image_radius(params, geometry, 1e-10, 1)
+    shifts = geometry.L * _lattice_box(geometry.n, m_max)
+    first = euclid.kernel_terms(params, 1)
+    out = np.zeros(geometry.n)
+    for start in range(0, len(shifts), _BLOCK_ELEMENTS):
+        w = v + shifts[start : start + _BLOCK_ELEMENTS]
+        s = np.linalg.norm(w, axis=1)
+        out += (first.evaluate(s) / s) @ w
+    return out
 
 
 def green_product_derivative(params: ProblemParams, geometry: TorusGeometry, x, y) -> float:

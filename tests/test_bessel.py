@@ -67,6 +67,35 @@ def k0_series_oracle(x: float) -> float:
     return -(math.log(x / 2.0) + EULER_GAMMA) * i0 + s
 
 
+def k01_series_loop(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled (K_0, K_1) by the ascending series, term by term to convergence.
+
+    The reference for the fixed Horner sums: each term follows from the last
+    by one multiplication, and the loop stops once every point's K_0 term
+    is below 1e-18 of its sum.
+    """
+    z = x * x / 4.0
+    lg = np.log(x / 2.0)
+    i0, i1_half = np.ones_like(x), np.ones_like(x)   # I_0(x) and I_1(x)/(x/2)
+    s0 = np.zeros_like(x)
+    s1 = np.full_like(x, 1.0 - 2.0 * EULER_GAMMA)     # j = 0 term, H_0 + H_1 = 1
+    term0, term1 = np.ones_like(x), np.ones_like(x)
+    h = 0.0
+    for j in range(1, 64):
+        term0 = term0 * z / (j * j)
+        term1 = term1 * z / (j * (j + 1))
+        h += 1.0 / j
+        i0 = i0 + term0
+        i1_half = i1_half + term1
+        s0 = s0 + term0 * h
+        s1 = s1 + term1 * (2.0 * h + 1.0 / (j + 1.0) - 2.0 * EULER_GAMMA)
+        if np.all(term0 < 1e-18 * i0):
+            break
+    k0 = -(lg + EULER_GAMMA) * i0 + s0
+    k1 = 1.0 / x + lg * (x / 2.0) * i1_half - (x / 4.0) * s1
+    return k0, k1
+
+
 def trapezoid_by_recurrence(order: int, x: np.ndarray) -> np.ndarray:
     """e^x K_order(x) by the same 33-node rule, with T_order(1 + s^2/x) per node.
 
@@ -179,27 +208,27 @@ class TestBesselK:
             with pytest.raises(UnsupportedOrderError):
                 bessel_k_scaled_array(order, np.array([1.0]))
 
-    def test_trapezoid_blocks_match_one_table(self, monkeypatch):
-        # several blocks of the trapezoid rule against one unblocked
-        # evaluation, and the Chebyshev series in blocks of 100 points
-        # against one block, bitwise (its sum is pointwise)
-        x = np.linspace(1.001, 700.0, 3 * besselk._TRAP_BLOCK + 17)
+    def test_chebyshev_blocks_match_one_block(self, monkeypatch):
+        # both Chebyshev series, from x = 16 on and on 1 < x < 16, in blocks
+        # of 100 points against one block, bitwise (their sums are pointwise)
+        x = np.linspace(1.001, 700.0, 3 * besselk._CHEB_BLOCK // 2 + 17)
+        large, mid = x[x >= 16.0], x[x < 16.0]
         for order in range(MAX_TWICE_NU // 2 + 1):
-            blocked = besselk._k_trapezoid_scaled(order, x)
-            series = besselk._k_chebyshev_scaled(order, x[x >= 16.0])
+            series = besselk._k_chebyshev_scaled(order, large)
+            middle = besselk._k_middle_scaled(order, mid)
             with monkeypatch.context() as m:
-                m.setattr(besselk, "_TRAP_BLOCK", x.size)
                 m.setattr(besselk, "_CHEB_BLOCK", 100)
-                whole = besselk._k_trapezoid_scaled(order, x)
                 np.testing.assert_array_equal(
-                    besselk._k_chebyshev_scaled(order, x[x >= 16.0]), series, err_msg=str(order)
+                    besselk._k_chebyshev_scaled(order, large), series, err_msg=str(order)
                 )
-            assert np.max(np.abs(blocked - whole) / whole) <= 1e-15, order
+                np.testing.assert_array_equal(
+                    besselk._k_middle_scaled(order, mid), middle, err_msg=str(order)
+                )
 
     def test_trapezoid_matches_chebyshev_recurrence(self):
         # the moment-matrix sum against the per-node recurrence of the same
-        # rule, on a grid spanning several blocks
-        x = np.geomspace(1.0 + 1e-9, 700.0, 4 * besselk._TRAP_BLOCK + 5)
+        # rule, over (1, 700]
+        x = np.geomspace(1.0 + 1e-9, 700.0, 2053)
         for order in range(MAX_TWICE_NU // 2 + 1):
             got = besselk._k_trapezoid_scaled(order, x)
             want = trapezoid_by_recurrence(order, x)
@@ -208,12 +237,36 @@ class TestBesselK:
     def test_chebyshev_series_matches_full_rule(self):
         # the series against the 33-node rule it interpolates, over [16, 700]
         # and far beyond: 1.2e-15 at most (order 6), against 2e-15
-        x = np.concatenate([np.geomspace(besselk._CHEB_CUT, 700.0, 4 * besselk._TRAP_BLOCK + 5),
-                            [1e3, 1e4, 1e5]])
+        x = np.concatenate([np.geomspace(besselk._CHEB_CUT, 700.0, 2053), [1e3, 1e4, 1e5]])
         for order in range(MAX_TWICE_NU // 2 + 1):
             series = besselk._k_chebyshev_scaled(order, x)
             rule = besselk._k_trapezoid_scaled(order, x)
             assert np.max(np.abs(series - rule) / rule) <= 2e-15, order
+
+    def test_middle_series_matches_full_rule(self):
+        # the (K_0, K_1) series on 1 < x < 16 and the upward recurrence
+        # against the 33-node rule they come from, every integer order, on a
+        # dense grid reaching both ends: 2.2e-15 at most (order 2)
+        x = np.concatenate([np.geomspace(1.0 + 1e-12, 16.0 - 1e-12, 20001),
+                            np.linspace(1.0 + 1e-9, 1.01, 501), np.linspace(15.99, 16.0 - 1e-9, 501)])
+        for order in range(MAX_TWICE_NU // 2 + 1):
+            middle = besselk._k_middle_scaled(order, x)
+            rule = besselk._k_trapezoid_scaled(order, x)
+            assert np.max(np.abs(middle - rule) / rule) <= 3e-15, order
+
+    def test_middle_series_trailing_coefficients(self):
+        # one 20-term series each for orders 0 and 1; their last
+        # coefficients (6.4e-17 and 1.1e-16) are below 5e-16
+        coeffs = besselk._MID_COEFFS
+        assert coeffs.shape == (besselk._MID_TERMS, 2)
+        assert np.all(np.abs(coeffs[-1]) <= 5e-16), coeffs[-1]
+
+    def test_series_matches_convergent_loop(self):
+        # the fixed 11-term Horner sums against the term-by-term loop run to
+        # convergence, on (0, 1]: 5.7e-16 at most (K_0)
+        x = np.concatenate([np.geomspace(1e-8, 1.0, 4001), [0.5, 0.999, 1.0]])
+        for got, want in zip(besselk._k01_series(x), k01_series_loop(x)):
+            assert np.max(np.abs(got - want) / want) <= 1e-15
 
     def test_chebyshev_series_trailing_coefficient(self):
         # each order's last coefficient is below one unit in the last place
@@ -238,6 +291,28 @@ class TestBesselK:
                 alone = bessel_k_scaled_array(twice_nu, x[pick])
                 np.testing.assert_array_equal(mixed[pick], alone, err_msg=str(twice_nu))
 
+    @pytest.mark.parametrize(
+        "picked", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    )
+    def test_region_subsets_match_each_region_alone(self, picked):
+        # arrays meeting one, two or all three of the integer-order regions
+        # (series, the (K_0, K_1) series with recurrence, Chebyshev series
+        # from 16) take each branch of the dispatch; every region's points
+        # come out bitwise as evaluated alone, and the seams x = 1 and 16
+        # go to the series and to the series from 16
+        rng = np.random.default_rng(list(picked))
+        bands = [np.append(rng.uniform(1e-3, 1.0, 40), 1.0), rng.uniform(1.0 + 1e-12, 16.0, 50),
+                 np.append(rng.uniform(16.0, 700.0, 60), 16.0)]
+        x = np.concatenate([bands[i] for i in picked])
+        rng.shuffle(x)
+        alone_by = [besselk._k_series_scaled, besselk._k_middle_scaled, besselk._k_chebyshev_scaled]
+        for twice_nu in range(0, MAX_TWICE_NU + 1, 2):
+            mixed = bessel_k_scaled_array(twice_nu, x)
+            for i in picked:
+                pick = np.isin(x, bands[i])
+                alone = alone_by[i](twice_nu // 2, x[pick])
+                np.testing.assert_array_equal(mixed[pick], alone, err_msg=f"{twice_nu} {i}")
+
     def test_chebyshev_monomial_coefficients(self):
         # a[nu, p] are the monomial coefficients of T_nu(1 + z); all positive,
         # so the rule's sum has no cancellation
@@ -251,10 +326,11 @@ class TestBesselK:
 
 
 # The README's relative accuracy for K_nu, rounded up.  Against 40-digit
-# mpmath the largest error on the grid below is 2.2e-15 (K_0 at x = 1.001),
-# and 7.9e-16 from x = 16 on (K_6 at x = 84.3, the Chebyshev series); the
-# README's denser scan of 1,124 points found 2.26e-15 (K_0, x = 1.0044) and
-# 8.9e-16 from x = 16 on (K_6, x = 67.1).
+# mpmath the largest error on the grid below is 2.4e-15 (K_0 at x = 1.001,
+# the (K_0, K_1) series), and 7.9e-16 from x = 16 on (K_6 at x = 84.3, the
+# Chebyshev series per order); the README's denser scan of 1,124 points
+# found 2.39e-15 (K_0, x = 1.0051) and 8.9e-16 from x = 16 on (K_6,
+# x = 67.1).
 BESSEL_REL_ERROR = 1e-14
 
 

@@ -98,6 +98,20 @@ class TestClosedForm:
             b = (2 * PI) ** (-n / 2) * rs ** (-(n - 2) / 2) * k
             np.testing.assert_allclose(a, b, rtol=1e-14)
 
+    @pytest.mark.parametrize("lo,hi", [(1e-3, 700.0), (1e-3, 1400.0), (700.0 + 1e-9, 1400.0)])
+    def test_unmasked_path_matches_masked(self, lo, hi):
+        # arrays wholly below the underflow cut skip the mask; against the
+        # masked gather and scatter, bitwise, below 700, straddling it and
+        # wholly above it (exact zeros)
+        rs = np.append(np.geomspace(lo, hi, 301), min(hi, 700.0) if lo < 700.0 else hi)
+        for n, k in [(3, 1), (4, 1), (5, 2), (6, 1), (7, 2)]:
+            d, twice_nu = euclid.closed_form_constant(n, k), n - 2 * k
+            masked = np.zeros_like(rs)
+            ok = rs <= 700.0
+            xs = rs[ok]
+            masked[ok] = d * xs ** (-0.5 * twice_nu) * (bessel_k_scaled_array(twice_nu, xs) * np.exp(-xs))
+            np.testing.assert_array_equal(euclid.kernel_closed_form_array(n, k, rs), masked)
+
     @pytest.mark.parametrize(
         "n,k,r,expected",
         [

@@ -111,6 +111,59 @@ class TestCutoff:
         vals = cut.chi(r)
         assert np.all((0.0 <= vals) & (vals <= 1.0))
 
+    @pytest.mark.parametrize("smoothness", [4, 6, 8])
+    def test_chi_keeps_relative_accuracy_near_tau0(self, smoothness):
+        # chi = S(1 - u) against 50-digit mpmath on 2,000 radii of
+        # [0.9 tau0, tau0), where chi falls to 1e-32, and on the rest of the
+        # annulus; 1 - S(u) in doubles was off by up to 1.7e-10 there and
+        # negative at up to 113 of the radii
+        mpmath = pytest.importorskip("mpmath")
+        tau0, n = 0.09, smoothness
+        cut = CutoffSpec(tau0=tau0, smoothness=n)
+        r = np.concatenate([np.linspace(0.9 * tau0, tau0, 2000, endpoint=False),
+                            np.linspace(0.5 * tau0, 0.9 * tau0, 400, endpoint=False)])
+        got = cut.chi(r)
+        with mpmath.workdps(50):
+            half = mpmath.mpf(tau0) / 2
+            ref = []
+            for ri in r:
+                v = 1 - (mpmath.mpf(float(ri)) - half) / half
+                ref.append(float(v ** (n + 1) * sum(
+                    math.comb(n + j, j) * math.comb(2 * n + 1, n - j) * (-v) ** j for j in range(n + 1)
+                )))
+        ref = np.array(ref)
+        assert np.all(got > 0.0)
+        assert np.max(np.abs(got - ref) / ref) <= 4e-15
+
+    @pytest.mark.parametrize("smoothness", [1, 4, 8, 20, 30])
+    def test_chi_plateaus_are_exact(self, smoothness):
+        # exactly 1 on [0, tau0/2] and 0 from tau0 on, also where the
+        # monomial S(1) rounds away from 1 (smoothness 20 and up)
+        tau0 = 0.09
+        cut = CutoffSpec(tau0=tau0, smoothness=smoothness)
+        inner = np.append(np.linspace(0.0, tau0 / 2, 50), tau0 / 2)
+        outer = np.append(np.linspace(tau0, 1.0, 50), np.nextafter(tau0, 1.0))
+        assert np.all(cut.chi(inner) == 1.0) and cut.chi(tau0 / 2) == 1.0
+        assert np.all(cut.chi(outer) == 0.0) and cut.chi(tau0) == 0.0
+        inside = cut.chi(np.linspace(tau0 / 2, tau0, 101)[1:-1])
+        # next to tau0/2, v^(N+1) times the sum may round a few ulps over 1
+        assert np.all((0.0 < inside) & (inside <= 1.0 + smoothness * np.finfo(float).eps))
+
+    def test_chi_matches_the_smoothstep_polynomial(self):
+        # chi's nonnegative form v^(N+1) sum_j C(N+j, j) (1 - v)^j is the
+        # smoothstep S(v) exposed for the symbolic pipeline, in integers; its
+        # values agree with 1 - S(u) in doubles to the latter's cancellation
+        # (7.7e-11 at most, smoothness 8 = 2k + 2 at k = 3)
+        x = np.polynomial.Polynomial([0, 1])
+        for n in range(1, 13):
+            form = x ** (n + 1) * sum(math.comb(n + j, j) * (1 - x) ** j for j in range(n + 1))
+            np.testing.assert_array_equal(form.coef, smoothstep_polynomial(n).coef)
+            if n > 8:
+                continue
+            cut = CutoffSpec(tau0=2.0, smoothness=n)
+            r = np.linspace(1.0, 2.0, 41)
+            np.testing.assert_allclose(cut.chi(r), 1.0 - cut.step(cut.scaled(r)), rtol=0, atol=1e-10)
+
     def test_chi_derivative_matches_fd(self):
         cut = CutoffSpec(tau0=0.09, smoothness=4)
         h = 1e-7
