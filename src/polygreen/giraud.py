@@ -38,7 +38,7 @@ from .errors import (
     EstimateNotApplicableError,
 )
 from .euclid import RadialKernel, sphere_area
-from .torus import gauss_legendre
+from .torus import gauss_kronrod, gauss_legendre
 
 FractionLike = Fraction | int | str
 
@@ -388,14 +388,11 @@ def fit_far_slope(r: np.ndarray, values: np.ndarray, sqrt_alpha: float) -> tuple
 # ---------------------------------------------------------------------------
 
 _GL_X, _GL_W = gauss_legendre(15)
-_X24, _W24 = gauss_legendre(24)
-_X48, _W48 = gauss_legendre(48)
-# Nodes on [0, 1] of the 24- and 48-node rules for the polar-angle integral;
-# the two weight columns give the 48-node value and its gap to the 24-node one.
-_POLAR_NODES = 0.5 * (np.concatenate([_X24, _X48]) + 1.0)
-_POLAR_WEIGHTS = 0.5 * np.stack(
-    [np.concatenate([np.zeros(24), _W48]), np.concatenate([-_W24, _W48])], axis=1
-)
+_XK, _WK, _WG = gauss_kronrod(24)
+# The polar-angle rule on [0, 1], the nested 24/49-node Gauss-Kronrod pair;
+# the two weight columns give the 49-node value and its gap to the 24-node one.
+_POLAR_NODES = 0.5 * (_XK + 1.0)
+_POLAR_WEIGHTS = 0.5 * np.stack([_WK, _WK - _WG], axis=1)
 _EPS = np.finfo(float).eps
 
 
@@ -501,7 +498,8 @@ def radial_convolve(
     sits at theta = 0 for s near r and has width eps = |r-s| / sqrt(r s)
     in theta; the sinh substitution theta = eps sinh(v) (Johnston & Elliott,
     IJNME 62, 2005) spreads it over v in [0, asinh(theta_max / eps)], where
-    fixed 24- and 48-node Gauss-Legendre rules are applied.  The outer
+    the 49-node Gauss-Kronrod rule and its embedded 24-node Gauss rule
+    share one g evaluation (torus.gauss_kronrod).  The outer
     integral is adaptive in s with breaks at r, geometric breaks toward 0
     and the support breaks; each refinement level makes one f evaluation
     on the 15 nodes of both halves of every live panel and one g
@@ -509,16 +507,18 @@ def radial_convolve(
 
     The returned error is omega_{n-2} times the sum over accepted outer
     panels of the gap between the panel's 15-node value and its two halves,
-    plus the gap between the 48- and 24-node inner values integrated with
+    plus the gap between the 49- and 24-node inner values integrated with
     the outer weights, floored at 50 machine epsilons of each panel for
     rounding.  Raises ConvergenceError when that error exceeds four times
-    max(tol, tol_rel |value|), with the relative tolerance tol_rel = 1e-5.
+    max(tol, tol_rel |value|), with the relative tolerance tol_rel = 1e-5,
+    and DomainError for a non-finite or nonpositive r or tol.
     """
     tol_rel = 1e-5
     if n < 2:
         raise DomainError(f"radial convolution needs n >= 2, got n={n}")
-    if r <= 0:
-        raise DomainError(f"need r > 0, got {r}")
+    for name, value in (("r", r), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"need finite {name} > 0, got {name}={value}")
     for name, kern in (("f", f), ("g", g)):
         if kern.sing_exp <= -n:
             raise DomainError(
@@ -551,8 +551,11 @@ def radial_convolve(
         # t^2 = (r-s)^2 + 4 r s sin^2(theta/2) keeps t accurate where
         # r^2 + s^2 - 2 r s cos(theta) would cancel (s near r, theta small)
         t = np.sqrt(gap[:, None] ** 2 + rs4[:, None] * np.sin(0.5 * theta) ** 2)
-        dens = g.evaluator(t.ravel()).reshape(t.shape) * np.sin(theta) ** (n - 2)
-        dens *= (eps * v_max)[:, None] * np.cosh(v)
+        jacobian = (eps * v_max)[:, None] * np.cosh(v)
+        sin_theta = np.sin(theta)
+        for _ in range(n - 2):  # NumPy's general pow is slower for n - 2 >= 3
+            jacobian *= sin_theta
+        dens = g.evaluator(t.ravel()).reshape(t.shape) * jacobian
         inner, inner_gap = (dens @ _POLAR_WEIGHTS).T
         weight = f.evaluator(s) * s ** (n - 1)
         return np.stack([weight * inner, np.abs(weight * inner_gap)])

@@ -513,6 +513,43 @@ def gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@lru_cache(maxsize=4)
+def gauss_kronrod(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kronrod extension of gauss_legendre(count) on [-1, 1]; read-only, cached.
+
+    Returns the 2 count + 1 nodes, the Kronrod weights and the Gauss weights,
+    0 off the odd nodes, which are gauss_legendre(count)'s.  Laurie's algorithm
+    (Math. Comp. 66, 1997) extends b_k = k^2 / (4 k^2 - 1) to the zero-diagonal
+    Kronrod-Jacobi matrix, whose eigenpairs give the rule (Golub-Welsch).
+    """
+    k = np.arange(1, (3 * count + 1) // 2 + 1.0)
+    b = np.zeros(2 * count + 1)
+    b[1 : k.size + 1] = k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros((2, count // 2 + 2))
+    t[1] = b[count + 1]
+    for m in range(count - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + count + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(count - 1, 2 * count - 2):
+        k = np.arange(m + 1 - count, (m - 1) // 2 + 1)
+        j = count - 1 - m + k
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + count + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + count + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    # eigh reads the lower triangle: the subdiagonal sqrt(b_k) alone suffices
+    nodes, vectors = np.linalg.eigh(np.diag(np.sqrt(b[1:]), -1))
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = vectors[0] ** 2 + vectors[0, ::-1] ** 2
+    gauss = np.zeros_like(weights)
+    nodes[1::2], gauss[1::2] = gauss_legendre(count)
+    for a in (nodes, weights, gauss):
+        a.flags.writeable = False
+    return nodes, weights, gauss
+
+
 def plane_wave_spherical_mean(n: int, z) -> np.ndarray:
     """Mean of e^{i z <omega, e>} over the unit sphere S^{n-1}, odd n only.
 

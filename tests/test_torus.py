@@ -455,6 +455,55 @@ class TestRepresentation:
         nodes, weights = torus.gauss_legendre(calls[0])
         assert not nodes.flags.writeable and not weights.flags.writeable
 
+    def test_gauss_kronrod_49_is_exact_to_degree_73(self):
+        nodes, kronrod, gauss = torus.gauss_kronrod(24)
+        assert nodes.size == 49 and np.all(kronrod > 0)
+        for d in range(74):
+            exact = 0.0 if d % 2 else 2.0 / (d + 1)
+            assert abs(kronrod @ nodes**d - exact) <= 1e-14
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(24)
+        assert np.max(np.abs(nodes[1::2] - want_nodes)) <= 1e-15
+        assert np.array_equal(gauss[1::2], want_weights) and not np.any(gauss[::2])
+
+    def test_gauss_kronrod_matches_quadpack_qk15(self):
+        # xgk, wgk and wg of QUADPACK's qk15 (Piessens et al. 1983), outermost first
+        xgk = np.array([
+            0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+            0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+            0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+            0.207784955007898467600689403773245, 0.0,
+        ])
+        wgk = np.array([
+            0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+            0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+            0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+            0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+        ])
+        wg = np.array([
+            0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+            0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+        ])
+        nodes, kronrod, gauss = torus.gauss_kronrod(7)
+        np.testing.assert_allclose(nodes, np.concatenate([-xgk, xgk[-2::-1]]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(kronrod, np.concatenate([wgk, wgk[-2::-1]]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gauss[1::2], np.concatenate([wg, wg[-2::-1]]), rtol=0, atol=1e-15)
+
+    def test_gauss_kronrod_rule_computed_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def recording(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        torus.gauss_kronrod.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        first = torus.gauss_kronrod(24)
+        second = torus.gauss_kronrod(24)
+        assert calls == [(49, 49)]
+        assert all(a is b for a, b in zip(first, second))
+        assert not any(a.flags.writeable for a in first)
+
     @pytest.mark.parametrize("xi_max", [0.0, 1000.0, 1e5])
     def test_radial_quadrature_takes_panels_of_the_24_node_rule(self, xi_max, monkeypatch):
         # one cached rule on max(10, cycles) panels, where one rule of 240 to
