@@ -1,23 +1,23 @@
 """Modified Bessel functions of the second kind, K_nu, for the kernel evaluations.
 
 Only orders nu = 0, 1/2, 1, ..., 13/2 arise (nu = (n-2k)/2 plus derivative
-shifts), so the implementation is specialised:
+shifts), so every order is nu0 + m with nu0 = 0 or 1/2, and each follows
+from its family's first pair by the upward recurrence
+K_{nu+1} = K_{nu-1} + (2 nu / x) K_nu (DLMF 10.29.1), which is forward
+stable for K and adds only nonnegative terms.  The regions supply only that
+pair:
 
-* half-integer orders use the terminating closed form
-  K_{m+1/2}(x) = sqrt(pi/(2x)) e^{-x} sum_j (m+j)!/(j!(m-j)!) (2x)^{-j},
-  exact up to rounding for every x > 0;
-* integer orders use, for x <= 1, the ascending series for (K_0, K_1) as
-  fixed 11-term Horner sums in x^2/4, and for 1 < x < 16 one 20-term
-  Chebyshev series each for (K_0, K_1) in 2 log x / log 16 - 1; both
-  continue by the upward recurrence K_{nu+1} = K_{nu-1} + (2 nu / x) K_nu,
-  which is forward stable for K.  From x = 16 on, each order is one 12-term
-  Chebyshev series in 32/x - 1.  Both sets of Chebyshev coefficients are
-  interpolated at import from one fixed 33-node trapezoid rule on
-  e^x K_nu(x) = int_0^inf e^{-s^2} T_nu(1 + s^2/x) 2/sqrt(2x + s^2) ds,
-  with T_nu the Chebyshev polynomial, which sums only nonnegative terms:
-  the node table (2x + s_j^2)^{-1/2} times a constant matrix of moments
-  2 W_j s_j^{2p}, then a Horner sum in 1/x with the nonnegative monomial
-  coefficients of T_nu(1 + z).
+* half-integer orders start from K_{-1/2} = K_{1/2} = sqrt(pi/(2x)) e^{-x},
+  exact for every x > 0;
+* integer orders start from K_{-1} = K_1 and K_0: for x <= 1 by the
+  ascending series as fixed 11-term Horner sums in x^2/4, for 1 < x < 16 by
+  one 20-term Chebyshev series each in 2 log x / log 16 - 1, and from x = 16
+  on by one 12-term Chebyshev series each in 32/x - 1.  Both Chebyshev
+  pairs are interpolated at import from one fixed 33-node trapezoid rule on
+  e^x K_nu(x) = int_0^inf e^{-s^2} T_nu(1 + s^2/x) 2/sqrt(2x + s^2) ds
+  for nu = 0 and 1 (T_0 = 1, T_1(1 + z) = 1 + z), which sums only
+  nonnegative terms, and both are summed by one Horner evaluator in the
+  powers of their variable.
 
 The one evaluator, ``bessel_k_scaled_array``, returns the exponentially
 scaled function e^x K_nu(x), so that large arguments neither underflow nor
@@ -69,16 +69,6 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def _half_integer_scaled(m: int, x: np.ndarray) -> np.ndarray:
-    """e^x K_{m+1/2}(x) as sqrt(pi/(2x)) times a degree-m polynomial in 1/(2x)."""
-    acc = np.zeros_like(x)
-    inv = 1.0 / (2.0 * x)
-    for j in range(m, -1, -1):
-        c = math.factorial(m + j) // (math.factorial(j) * math.factorial(m - j))
-        acc = acc * inv + float(c)
-    return np.sqrt(math.pi * inv) * acc
-
-
 # Ascending series for x <= _SERIES_CUT in z = x^2/4 <= 1/4, with H_j the harmonic numbers:
 #   K_0 = -(log(x/2) + gamma) sum_j z^j/j!^2 + sum_j H_j z^j/j!^2,
 #   K_1 = 1/x + (x/2) log(x/2) sum_j z^j/(j!(j+1)!) - (x/4) sum_j (2H_j + 1/(j+1) - 2 gamma) z^j/(j!(j+1)!).
@@ -116,16 +106,17 @@ def _k01_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k0, k1
 
 
-def _upward(order: int, x: np.ndarray, k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
-    """K_order from (K_0, K_1), both under one common scale, by upward recurrence."""
-    # K_{-1} = K_1 and K_0 start K_{m+1} = K_{m-1} + (2m / x) K_m, forward stable for K
-    prev, cur = k1, k0
-    for m in range(order):
-        prev, cur = cur, prev + (2.0 * m / x) * cur
+def _upward(twice_nu: int, x: np.ndarray, prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """e^x K_{twice_nu/2}(x) from its family's first pair (K_{nu0-1}, K_{nu0}), nu0 = 0 or 1/2.
+
+    Both members of the pair are under one common scale.
+    """
+    for twice in range(twice_nu % 2, twice_nu, 2):  # K_{nu+1} = K_{nu-1} + (2 nu / x) K_nu
+        prev, cur = cur, prev + (twice / x) * cur
     return cur
 
 
-# Trapezoid rule for x > _SERIES_CUT, the one source of the two Chebyshev series below; it
+# Trapezoid rule for x > _SERIES_CUT, the one source of the two Chebyshev pairs below; it
 # runs only at import.  With s^2 = 2x sinh^2(t/2),
 #   e^x K_nu(x) = int_0^inf e^{-x(cosh t - 1)} cosh(nu t) dt
 #               = int_0^inf e^{-s^2} T_nu(1 + s^2/x) 2/sqrt(2x + s^2) ds,
@@ -134,65 +125,52 @@ def _upward(order: int, x: np.ndarray, k0: np.ndarray, k1: np.ndarray) -> np.nda
 # branch point s = i sqrt(2x), so the error is about e^{-2 pi sqrt(2x)/h},
 # largest at the cut (for large x the Gaussian caps it at e^{-pi^2/h^2}):
 # h = 0.25 gives e^{-35.5} = 4e-16 at x = 1.  The nodes stop at s = 8, where
-# e^{-s^2} = 2e-28 leaves the truncation below rounding for every supported
-# order: 33 nodes, the same for every x > 1 and every order.
+# e^{-s^2} = 2e-28 leaves the truncation below rounding: 33 nodes, the same
+# for every x > 1.  With T_0 = 1 and T_1(1 + z) = 1 + z the rule is the node
+# table R_j = (2x + s_j^2)^(-1/2) against the moments M[j, p] = 2 W_j s_j^(2p),
+# p = 0, 1: e^x K_0 = (R @ M)[0] and e^x K_1 = (R @ M)[0] + (R @ M)[1] / x.
+# Every term is nonnegative, so the sum has no cancellation.
 _TRAP_H = 0.25
 _TRAP_S2 = (_TRAP_H * np.arange(33)) ** 2
 _TRAP_W = _TRAP_H * np.exp(-_TRAP_S2)
 _TRAP_W[0] *= 0.5
-
-# The rule is summed through the monomials of T_nu(1 + z) = sum_p a[nu, p] z^p,
-# a[nu, 0] = 1 and a[nu, p] = nu/(nu+p) C(nu+p, 2p) 2^p > 0: with the moments
-# M[j, p] = 2 W_j s_j^(2p), e^x K_nu(x) = sum_p a[nu, p] x^-p (R @ M)[p] for
-# the node table R_j = (2x + s_j^2)^(-1/2).  Every term is nonnegative, so the
-# sum has no cancellation.  a is built in integers (C(nu+p, 2p) = 0 for p > nu).
-_MAX_INT_ORDER = MAX_TWICE_NU // 2
-_T_MONOMIALS = np.array(
-    [
-        [1.0] + [nu * math.comb(nu + p, 2 * p) * 2**p // (nu + p) for p in range(1, _MAX_INT_ORDER + 1)]
-        for nu in range(_MAX_INT_ORDER + 1)
-    ],
-    dtype=float,
-)
-_TRAP_MOMENTS = 2.0 * _TRAP_W[:, None] * _TRAP_S2[:, None] ** np.arange(_MAX_INT_ORDER + 1)
+_TRAP_MOMENTS = 2.0 * _TRAP_W[:, None] * _TRAP_S2[:, None] ** np.arange(2)
 
 
-def _k_trapezoid_scaled(order: int, x: np.ndarray) -> np.ndarray:
-    """e^x K_order(x) for an integer order and x > 1 by the 33-node rule."""
+def _k01_trapezoid_scaled(x: np.ndarray) -> np.ndarray:
+    """(e^x K_0(x), e^x K_1(x)) for x > 1 by the 33-node rule, as a (2, len(x)) array."""
     r = np.add.outer(2.0 * x, _TRAP_S2)
     np.sqrt(r, out=r)
     np.divide(1.0, r, out=r)
-    q = r @ _TRAP_MOMENTS[:, : order + 1]
-    inv = 1.0 / x
-    coeffs = _T_MONOMIALS[order]
-    acc = coeffs[order] * q[..., order]
-    for p in range(order - 1, -1, -1):
-        acc = acc * inv + coeffs[p] * q[..., p]
-    return acc
+    q = r @ _TRAP_MOMENTS
+    return np.array([q[:, 0], q[:, 1] * (1.0 / x) + q[:, 0]])
 
 
-# sqrt(2x/pi) e^x K_nu(x) = 1 + g_nu(y), g_nu smooth on y in [-1, 1] (Trefethen, Approximation
-# Theory and Approximation Practice, ch. 8), interpolated from the rule at first-kind
-# Chebyshev nodes (a DCT in math.fsum):
-# * from x = 16 on, one 12-term series per order in y = 32/x - 1, summed by Clenshaw's
-#   recurrence; trailing coefficients at most 1.3e-16 (order 6; more terms add rounding);
-# * on 1 < x < 16, one 20-term series each for orders 0 and 1 in y = 2 log x / log 16 - 1,
-#   trailing coefficients at most 1.1e-16, summed at once by Horner's rule in the powers of y:
-#   two passes per term against Clenshaw's three, and the power coefficients sum in magnitude
-#   to what the Chebyshev ones do (0.088 and 0.306).  The factor sqrt(2x/pi) keeps the sum
-#   from cancelling near x = 16, where e^x K_0 has fallen to a quarter of its value at 1.
+# sqrt(2x/pi) e^x K_nu(x) = 1 + g_nu(y) for nu = 0 and 1, g_nu smooth on y in [-1, 1]
+# (Trefethen, Approximation Theory and Approximation Practice, ch. 8), interpolated from the
+# rule at first-kind Chebyshev nodes (a DCT in math.fsum):
+# * on 1 < x < 16, 20 terms in y = 2 log x / log 16 - 1, trailing coefficients at most 1.1e-16;
+# * from x = 16 on, 12 terms in y = 32/x - 1, trailing coefficients at most one unit in the
+#   last place of the leading 1 (more terms add rounding).
+# Both pairs are summed by Horner's rule in the powers of y: two passes per term against
+# Clenshaw's three, and the power coefficients sum in magnitude to what the Chebyshev ones
+# do (0.088 and 0.306 on 1 < x < 16, 0.0077 and 0.023 from 16 on).  The factor sqrt(2x/pi)
+# keeps the sum from cancelling near x = 16, where e^x K_0 has fallen to a quarter of its
+# value at 1.
 _CHEB_CUT, _CHEB_TERMS, _CHEB_BLOCK = 16.0, 12, 8192
 _MID_TERMS = 20
 _MID_SCALE = 2.0 / math.log(_CHEB_CUT)  # y + 1 per log x
 
 
-def _chebyshev_coefficients(order: int, terms: int, node_x) -> np.ndarray:
-    """Coefficients of g_order interpolated at the x = node_x(y) of ``terms`` nodes y."""
+def _chebyshev_coefficients(terms: int, node_x) -> np.ndarray:
+    """Coefficients of g_0 and g_1, column nu, interpolated at the x = node_x(y) of ``terms`` nodes y."""
     theta = math.pi * (np.arange(terms) + 0.5) / terms
     x = node_x(np.cos(theta))
-    dev = _k_trapezoid_scaled(order, x) * np.sqrt(2.0 * x / math.pi) - 1.0
-    coef = [2.0 * math.fsum(dev * np.cos(j * theta)) / terms for j in range(terms)]
-    return np.array([0.5 * coef[0]] + coef[1:])
+    dev = _k01_trapezoid_scaled(x) * np.sqrt(2.0 * x / math.pi) - 1.0
+    coef = np.array([[2.0 * math.fsum(d * np.cos(j * theta)) / terms for d in dev]
+                     for j in range(terms)])
+    coef[0] *= 0.5
+    return coef
 
 
 def _chebyshev_to_powers(coef: np.ndarray) -> np.ndarray:
@@ -205,61 +183,49 @@ def _chebyshev_to_powers(coef: np.ndarray) -> np.ndarray:
     return t.T @ coef
 
 
-_CHEB_COEFFS = np.array([
-    _chebyshev_coefficients(nu, _CHEB_TERMS, lambda y: 2.0 * _CHEB_CUT / (1.0 + y))
-    for nu in range(_MAX_INT_ORDER + 1)
-])
-# (_MID_TERMS, 2): column nu holds g_nu's Chebyshev coefficients; _MID_POWERS those of
-# 1 + g_nu in the monomials y^j
-_MID_COEFFS = np.array([
-    _chebyshev_coefficients(nu, _MID_TERMS, lambda y: np.exp((y + 1.0) / _MID_SCALE))
-    for nu in (0, 1)
-]).T
-_MID_POWERS = _chebyshev_to_powers(_MID_COEFFS)
+_MID_COEFFS = _chebyshev_coefficients(_MID_TERMS, lambda y: np.exp((y + 1.0) / _MID_SCALE))
+_CHEB_COEFFS = _chebyshev_coefficients(_CHEB_TERMS, lambda y: 2.0 * _CHEB_CUT / (1.0 + y))
+# the coefficients of 1 + g_nu in the monomials y^j, column nu
+_MID_POWERS, _CHEB_POWERS = (_chebyshev_to_powers(c) for c in (_MID_COEFFS, _CHEB_COEFFS))
 _MID_POWERS[0] += 1.0
+_CHEB_POWERS[0] += 1.0
 
 
-def _k_chebyshev_scaled(order: int, x: np.ndarray) -> np.ndarray:
-    """e^x K_order(x) for an integer order and x >= 16 by its Chebyshev series."""
-    flat, out = x.reshape(-1), np.empty(x.size)
-    coef = _CHEB_COEFFS[order]
+def _k_powers_scaled(order: int, x: np.ndarray, y: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """e^x K_order(x) from the (K_0, K_1) pair's powers of y, then ``_upward``.
+
+    Orders 0 and 1 sum only their own column; higher orders sum both.
+    """
+    # (K_{-1}, K_0) = (K_1, K_0) start the recurrence
+    coef = powers[:, order : order + 1, None] if order < 2 else powers[:, ::-1, None]
+    flat, y, out = x.reshape(-1), y.reshape(-1), np.empty(x.size)
     for i in range(0, flat.size, _CHEB_BLOCK):
-        xb = flat[i : i + _CHEB_BLOCK]
-        y2 = 4.0 * _CHEB_CUT / xb - 2.0  # 2y
-        b1, b2, tmp = np.full_like(xb, coef[-1]), np.zeros_like(xb), np.empty_like(xb)
-        for c in coef[-2:0:-1]:  # b_j = c_j + 2y b_{j+1} - b_{j+2}, in place
-            np.multiply(y2, b1, out=tmp)
-            tmp -= b2
-            tmp += c
-            b1, b2, tmp = tmp, b1, b2
-        g = 0.5 * y2 * b1 - b2 + coef[0]
-        out[i : i + _CHEB_BLOCK] = np.sqrt(0.5 * math.pi / xb) * (1.0 + g)
+        xb, yb = flat[i : i + _CHEB_BLOCK], y[i : i + _CHEB_BLOCK]
+        acc = np.empty((coef.shape[1], xb.size))
+        acc[:] = coef[-1]
+        for a in coef[-2::-1]:
+            acc *= yb
+            acc += a
+        acc *= np.sqrt(0.5 * math.pi / xb)
+        out[i : i + _CHEB_BLOCK] = acc[0] if order < 2 else _upward(2 * order, xb, *acc)
     return out.reshape(x.shape)
 
 
 def _k_middle_scaled(order: int, x: np.ndarray) -> np.ndarray:
-    """e^x K_order(x) for an integer order and 1 < x < 16: (K_0, K_1) series, then ``_upward``."""
-    flat, out = x.reshape(-1), np.empty(x.size)
-    for i in range(0, flat.size, _CHEB_BLOCK):
-        xb = flat[i : i + _CHEB_BLOCK]
-        y = np.log(xb)
-        y *= _MID_SCALE
-        y -= 1.0
-        acc = np.empty((2, xb.size))
-        acc[:] = _MID_POWERS[-1, :, None]
-        for a in _MID_POWERS[-2::-1, :, None]:
-            acc *= y
-            acc += a
-        acc *= np.sqrt(0.5 * math.pi / xb)
-        out[i : i + _CHEB_BLOCK] = _upward(order, xb, acc[0], acc[1])
-    return out.reshape(x.shape)
+    """e^x K_order(x) for an integer order and 1 < x < 16."""
+    return _k_powers_scaled(order, x, np.log(x) * _MID_SCALE - 1.0, _MID_POWERS)
+
+
+def _k_chebyshev_scaled(order: int, x: np.ndarray) -> np.ndarray:
+    """e^x K_order(x) for an integer order and x >= 16."""
+    return _k_powers_scaled(order, x, 2.0 * _CHEB_CUT / x - 1.0, _CHEB_POWERS)
 
 
 def _k_series_scaled(order: int, x: np.ndarray) -> np.ndarray:
     """e^x K_order(x) for an integer order and x <= 1: series, then ``_upward``."""
     k0, k1 = _k01_series(x)
     scale = np.exp(x)
-    return _upward(order, x, k0 * scale, k1 * scale)
+    return _upward(2 * order, x, k1 * scale, k0 * scale)
 
 
 def bessel_k_scaled_array(twice_nu: int, x: np.ndarray) -> np.ndarray:
@@ -273,7 +239,8 @@ def bessel_k_scaled_array(twice_nu: int, x: np.ndarray) -> np.ndarray:
     if not lo > 0:  # min propagates NaN, so NaN fails too
         raise DomainError("K_nu requires arguments x > 0")
     if twice_nu % 2 == 1:
-        return _half_integer_scaled((twice_nu - 1) // 2, x)
+        half = np.sqrt(math.pi * (0.5 / x))  # e^x K_{-1/2} = e^x K_{1/2}
+        return _upward(twice_nu, x, half, half)
     order = twice_nu // 2
     # a region holding every point runs its rule on x itself: no gather or scatter
     if hi <= _SERIES_CUT:

@@ -347,7 +347,7 @@ def compose_psi(
 
 def envelope_value(spec: EnvelopeSpec, n: int, alpha: float, r: float) -> float:
     """Numeric value of the (constant-free) envelope bound at distance r."""
-    if r <= 0:
+    if not r > 0:  # NaN fails too
         raise DomainError(f"need r > 0, got {r}")
     if spec.support is not None and r >= float(spec.support):
         return 0.0

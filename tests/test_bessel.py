@@ -99,9 +99,9 @@ def k01_series_loop(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def trapezoid_by_recurrence(order: int, x: np.ndarray) -> np.ndarray:
     """e^x K_order(x) by the same 33-node rule, with T_order(1 + s^2/x) per node.
 
-    The reference for the moment-matrix sum: the Chebyshev recurrence
+    The all-order reference above x = 1: the Chebyshev recurrence
     T_{j+1} = 2u T_j - T_{j-1} runs at every (point, node), with no shared
-    moments and no Horner sum.
+    moments, no Chebyshev series and no recurrence in the order of K.
     """
     xb = np.asarray(x, dtype=float)[:, None]
     s2 = besselk._TRAP_S2
@@ -112,6 +112,20 @@ def trapezoid_by_recurrence(order: int, x: np.ndarray) -> np.ndarray:
     for _ in range(order):
         t_prev, t = t, 2.0 * u * t - t_prev
     return (t * weight).sum(axis=1)
+
+
+def half_integer_closed_form(m: int, x: np.ndarray) -> np.ndarray:
+    """e^x K_{m+1/2}(x) as sqrt(pi/(2x)) times a degree-m polynomial in 1/(2x).
+
+    The terminating closed form sum_j (m+j)!/(j!(m-j)!) (2x)^{-j}, the oracle
+    for the upward recurrence from K_{-1/2} = K_{1/2}.
+    """
+    acc = np.zeros_like(x)
+    inv = 1.0 / (2.0 * x)
+    for j in range(m, -1, -1):
+        c = math.factorial(m + j) // (math.factorial(j) * math.factorial(m - j))
+        acc = acc * inv + float(c)
+    return np.sqrt(math.pi * inv) * acc
 
 
 class TestGamma:
@@ -209,7 +223,7 @@ class TestBesselK:
                 bessel_k_scaled_array(order, np.array([1.0]))
 
     def test_chebyshev_blocks_match_one_block(self, monkeypatch):
-        # both Chebyshev series, from x = 16 on and on 1 < x < 16, in blocks
+        # both Chebyshev pairs, from x = 16 on and on 1 < x < 16, in blocks
         # of 100 points against one block, bitwise (their sums are pointwise)
         x = np.linspace(1.001, 700.0, 3 * besselk._CHEB_BLOCK // 2 + 17)
         large, mid = x[x >= 16.0], x[x < 16.0]
@@ -226,32 +240,40 @@ class TestBesselK:
                 )
 
     def test_trapezoid_matches_chebyshev_recurrence(self):
-        # the moment-matrix sum against the per-node recurrence of the same
-        # rule, over (1, 700]
+        # the (K_0, K_1) moment sum against the per-node recurrence of the
+        # same rule, over (1, 700]: 4.3e-16 at most (K_1)
         x = np.geomspace(1.0 + 1e-9, 700.0, 2053)
-        for order in range(MAX_TWICE_NU // 2 + 1):
-            got = besselk._k_trapezoid_scaled(order, x)
+        for order, got in enumerate(besselk._k01_trapezoid_scaled(x)):
             want = trapezoid_by_recurrence(order, x)
             assert np.max(np.abs(got - want) / want) <= 4e-15, order
 
     def test_chebyshev_series_matches_full_rule(self):
-        # the series against the 33-node rule it interpolates, over [16, 700]
-        # and far beyond: 1.2e-15 at most (order 6), against 2e-15
+        # the (K_0, K_1) pair from x = 16 against the 33-node rule it
+        # interpolates, over [16, 700] and far beyond: 6.6e-16 at most (K_1),
+        # against 2e-15
         x = np.concatenate([np.geomspace(besselk._CHEB_CUT, 700.0, 2053), [1e3, 1e4, 1e5]])
-        for order in range(MAX_TWICE_NU // 2 + 1):
+        for order, rule in enumerate(besselk._k01_trapezoid_scaled(x)):
             series = besselk._k_chebyshev_scaled(order, x)
-            rule = besselk._k_trapezoid_scaled(order, x)
             assert np.max(np.abs(series - rule) / rule) <= 2e-15, order
+        # the orders the upward recurrence builds from that pair, against the
+        # per-node recurrence of the rule: 2.8e-15 at most (order 6).  That
+        # reference is itself off by up to 2.9e-15 there against 40-digit
+        # mpmath (order 6), where the evaluator is within 5.6e-16, so the
+        # bound is 4e-15
+        for order in range(2, MAX_TWICE_NU // 2 + 1):
+            series = besselk._k_chebyshev_scaled(order, x)
+            rule = trapezoid_by_recurrence(order, x)
+            assert np.max(np.abs(series - rule) / rule) <= 4e-15, order
 
     def test_middle_series_matches_full_rule(self):
         # the (K_0, K_1) series on 1 < x < 16 and the upward recurrence
-        # against the 33-node rule they come from, every integer order, on a
-        # dense grid reaching both ends: 2.2e-15 at most (order 2)
+        # against the 33-node rule, every integer order, on a dense grid
+        # reaching both ends: 2.0e-15 at most (order 2)
         x = np.concatenate([np.geomspace(1.0 + 1e-12, 16.0 - 1e-12, 20001),
                             np.linspace(1.0 + 1e-9, 1.01, 501), np.linspace(15.99, 16.0 - 1e-9, 501)])
         for order in range(MAX_TWICE_NU // 2 + 1):
             middle = besselk._k_middle_scaled(order, x)
-            rule = besselk._k_trapezoid_scaled(order, x)
+            rule = trapezoid_by_recurrence(order, x)
             assert np.max(np.abs(middle - rule) / rule) <= 3e-15, order
 
     def test_middle_series_trailing_coefficients(self):
@@ -269,15 +291,15 @@ class TestBesselK:
             assert np.max(np.abs(got - want) / want) <= 1e-15
 
     def test_chebyshev_series_trailing_coefficient(self):
-        # each order's last coefficient is below one unit in the last place
-        # of the leading 1 (1.3e-16 at most, order 6): more terms add nothing
+        # one 12-term series each for orders 0 and 1 from x = 16; their last
+        # coefficients (5.7e-17 and 8.1e-17) are below one unit in the last
+        # place of the leading 1: more terms add nothing
         coeffs = besselk._CHEB_COEFFS
-        assert coeffs.shape == (MAX_TWICE_NU // 2 + 1, besselk._CHEB_TERMS)
-        for order, coef in enumerate(coeffs):
-            assert abs(coef[-1]) <= np.finfo(float).eps, order
+        assert coeffs.shape == (besselk._CHEB_TERMS, 2)
+        assert np.all(np.abs(coeffs[-1]) <= np.finfo(float).eps), coeffs[-1]
 
     def test_mixed_regions_match_each_region_alone(self):
-        # a shuffled array over the ascending-series, trapezoid-rule and
+        # a shuffled array over the ascending-series region and the two
         # Chebyshev-series regions gives, bitwise, each region's values
         # evaluated on its own
         rng = np.random.default_rng(3)
@@ -313,24 +335,25 @@ class TestBesselK:
                 alone = alone_by[i](twice_nu // 2, x[pick])
                 np.testing.assert_array_equal(mixed[pick], alone, err_msg=f"{twice_nu} {i}")
 
-    def test_chebyshev_monomial_coefficients(self):
-        # a[nu, p] are the monomial coefficients of T_nu(1 + z); all positive,
-        # so the rule's sum has no cancellation
-        cheb = np.polynomial.Chebyshev
-        shift = np.polynomial.Polynomial([1.0, 1.0])
-        for nu in range(MAX_TWICE_NU // 2 + 1):
-            mono = cheb.basis(nu).convert(kind=np.polynomial.Polynomial)(shift).coef
-            a = besselk._T_MONOMIALS[nu]
-            np.testing.assert_array_equal(a[: nu + 1], mono)
-            assert np.all(a[: nu + 1] > 0) and np.all(a[nu + 1 :] == 0), nu
+    def test_half_integer_recurrence_matches_closed_form(self):
+        # every half-integer order by the upward recurrence from
+        # K_{-1/2} = K_{1/2} against the terminating closed form on
+        # [1e-3, 700]: 1.2e-15 at most (nu = 13/2); nu = 1/2 is the closed
+        # form itself, bitwise
+        x = np.concatenate([np.geomspace(1e-3, 700.0, 4001), [1.0, 16.0]])
+        np.testing.assert_array_equal(bessel_k_scaled_array(1, x), half_integer_closed_form(0, x))
+        for twice_nu in range(3, MAX_TWICE_NU + 1, 2):
+            got = bessel_k_scaled_array(twice_nu, x)
+            want = half_integer_closed_form((twice_nu - 1) // 2, x)
+            assert np.max(np.abs(got - want) / want) <= 2e-15, twice_nu
 
 
 # The README's relative accuracy for K_nu, rounded up.  Against 40-digit
 # mpmath the largest error on the grid below is 2.4e-15 (K_0 at x = 1.001,
-# the (K_0, K_1) series), and 7.9e-16 from x = 16 on (K_6 at x = 84.3, the
-# Chebyshev series per order); the README's denser scan of 1,124 points
-# found 2.39e-15 (K_0, x = 1.0051) and 8.9e-16 from x = 16 on (K_6,
-# x = 67.1).
+# the (K_0, K_1) series), and 5.1e-16 from x = 16 on (K_2 at x = 16.01, the
+# (K_0, K_1) series there and the recurrence); the README's denser scan of
+# 1,124 points found 2.39e-15 (K_0, x = 1.0051) and 5.6e-16 from x = 16 on
+# (K_3, x = 329).
 BESSEL_REL_ERROR = 1e-14
 
 

@@ -467,6 +467,17 @@ class TestRadialConvolve:
             giraud.radial_convolve(ball_kernel(), ball_kernel(), 1, 0.5)
 
 
+class TestEnvelopeValue:
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+    def test_bad_radius_rejected(self, r):
+        # NaN fails the r > 0 check too instead of propagating into the bound
+        with pytest.raises(DomainError, match="need r > 0"):
+            giraud.envelope_value(giraud.kernel_far_envelope(3, 1), 3, 100.0, r)
+
+    def test_infinite_radius_is_zero(self):
+        assert giraud.envelope_value(giraud.kernel_far_envelope(3, 1), 3, 100.0, math.inf) == 0.0
+
+
 class TestCertifyBound:
     def test_yukawa_type_stable(self):
         n, k = 3, 1
