@@ -99,18 +99,23 @@ def k01_series_loop(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def trapezoid_by_recurrence(order: int, x: np.ndarray) -> np.ndarray:
     """e^x K_order(x) by the same 33-node rule, with T_order(1 + s^2/x) per node.
 
-    The all-order reference above x = 1: the Chebyshev recurrence
-    T_{j+1} = 2u T_j - T_{j-1} runs at every (point, node), with no shared
-    moments, no Chebyshev series and no recurrence in the order of K.
+    The all-order reference above x = 1: the Chebyshev recurrence runs at
+    every (point, node), with no shared moments, no Chebyshev series and no
+    recurrence in the order of K.  It runs in z = s^2/x rather than
+    u = 1 + z (Reinsch's form): with D_j = T_j - T_{j-1}, the steps
+    D_{j+1} = D_j + 2z T_j and T_{j+1} = T_j + D_{j+1} add only positive
+    terms, where T_{j+1} = 2u T_j - T_{j-1} cancels near u = 1 and lost up
+    to 2.9e-15 at orders 4-6 from x = 16 on.
     """
     xb = np.asarray(x, dtype=float)[:, None]
     s2 = besselk._TRAP_S2
-    u = 1.0 + s2 / xb
+    z = s2 / xb
     weight = 2.0 * besselk._TRAP_W / np.sqrt(2.0 * xb + s2)
-    # T_{-1} = T_1 = u and T_0 = 1
-    t_prev, t = u, np.ones_like(u)
+    # T_0 = 1 and D_0 = T_0 - T_{-1} = -z, as T_{-1} = T_1 = 1 + z
+    t, d = np.ones_like(z), -z
     for _ in range(order):
-        t_prev, t = t, 2.0 * u * t - t_prev
+        d = d + 2.0 * z * t
+        t = t + d
     return (t * weight).sum(axis=1)
 
 
@@ -256,14 +261,12 @@ class TestBesselK:
             series = besselk._k_chebyshev_scaled(order, x)
             assert np.max(np.abs(series - rule) / rule) <= 2e-15, order
         # the orders the upward recurrence builds from that pair, against the
-        # per-node recurrence of the rule: 2.8e-15 at most (order 6).  That
-        # reference is itself off by up to 2.9e-15 there against 40-digit
-        # mpmath (order 6), where the evaluator is within 5.6e-16, so the
-        # bound is 4e-15
+        # per-node recurrence of the rule: 6.8e-16 at most (order 4), against
+        # the same 2e-15
         for order in range(2, MAX_TWICE_NU // 2 + 1):
             series = besselk._k_chebyshev_scaled(order, x)
             rule = trapezoid_by_recurrence(order, x)
-            assert np.max(np.abs(series - rule) / rule) <= 4e-15, order
+            assert np.max(np.abs(series - rule) / rule) <= 2e-15, order
 
     def test_middle_series_matches_full_rule(self):
         # the (K_0, K_1) series on 1 < x < 16 and the upward recurrence

@@ -354,10 +354,34 @@ class TestRadialConvolve:
 
         counting = dataclasses.replace(kern, evaluator=counted)
         giraud.radial_convolve(counting, counting, n, r, tol=1e-8)
-        # one f call and one g call per refinement level; the point count
-        # pins the panel tree
-        assert len(calls) <= 16
+        # f is g: one call per refinement level for the outer and polar
+        # nodes together; the point count pins the panel tree
+        assert len(calls) <= 8
         assert sum(calls) == points
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("r", [0.25, 0.8, 1.5])
+    def test_one_call_path_matches_two_calls(self, n, r):
+        # the shared call evaluates the same points as the separate f and g
+        # calls, so value and error estimate agree bitwise
+        f = euclid.green_radial_kernel(ProblemParams(n, 1, 1.0))
+        g = dataclasses.replace(f)  # equal to f, but not f
+        assert giraud.radial_convolve(f, f, n, r, tol=1e-8) == giraud.radial_convolve(
+            f, g, n, r, tol=1e-8
+        )
+
+    def test_sine_from_half_angle(self):
+        # 2 s sqrt((1 - s)(1 + s)) with s = sin(theta/2) against np.sin on
+        # [0, pi], densest near the ends: within 5e-16 (1 + 1/(pi - theta))
+        rng = np.random.default_rng(32)
+        u = rng.random(200_000)
+        theta = np.concatenate(
+            [np.linspace(0.0, math.pi, 100_001), math.pi * u**6, math.pi * (1.0 - u**6)]
+        )
+        got = giraud._sin_from_half(np.sin(0.5 * theta))
+        gap = math.pi - theta
+        assert np.all(np.abs(got - np.sin(theta)) * gap <= 5e-16 * (1.0 + gap))
+        assert got[0] == 0.0 and got[100_000] == 0.0
 
     @pytest.mark.parametrize(
         "kern,n,r",
@@ -477,6 +501,13 @@ class TestEnvelopeValue:
     def test_infinite_radius_is_zero(self):
         assert giraud.envelope_value(giraud.kernel_far_envelope(3, 1), 3, 100.0, math.inf) == 0.0
 
+    @pytest.mark.parametrize("alpha", [math.nan, -1.0, math.inf, 0.0])
+    def test_bad_alpha_rejected(self, alpha):
+        # as ProblemParams: a NaN, negative, infinite or zero alpha is a
+        # domain error, not nan, a bare ValueError, 0.0 or a value
+        with pytest.raises(DomainError, match="alpha must be positive and finite"):
+            giraud.envelope_value(giraud.kernel_far_envelope(3, 1), 3, alpha, 0.5)
+
 
 class TestCertifyBound:
     def test_yukawa_type_stable(self):
@@ -494,6 +525,25 @@ class TestCertifyBound:
         # only a loose ceiling: the constants fitted on these 10 radii (0.036
         # and 0.026) are sampled maxima, below the true supremum 1/(8 pi)
         assert max(report.fitted.values()) < 1.0
+
+    def test_shared_family_built_once_per_alpha(self):
+        n = 3
+        base = giraud.kernel_far_envelope(n, 1)
+        composed = giraud.compose_alpha(base, base, n)
+        built = []
+
+        def family(a):
+            built.append(a)
+            return yukawa_type(n, 1, a)
+
+        giraud.certify_bound(family, family, composed, n, alpha_list=[100.0, 400.0], r_grid=[0.05])
+        assert built == [100.0, 400.0]
+        built.clear()
+        # two family objects: each builds its own kernel
+        giraud.certify_bound(
+            family, lambda a: family(a), composed, n, alpha_list=[100.0], r_grid=[0.05]
+        )
+        assert built == [100.0, 100.0]
 
     def test_support_violation_counterexample(self):
         # halved support: the convolution of two unit balls lives out to r=2
