@@ -51,8 +51,8 @@ class CutoffSpec:
     step: Polynomial = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.tau0 <= 0:
-            raise DomainError(f"need tau0 > 0, got {self.tau0}")
+        if not (math.isfinite(self.tau0) and self.tau0 > 0):
+            raise DomainError(f"tau0 must be positive and finite, got tau0={self.tau0}")
         self.step = smoothstep_polynomial(self.smoothness)
 
     @property

@@ -15,8 +15,11 @@ critical dimension n = 2k + 1, a Richardson extrapolation of the diagonal
 remainder G - c_{n,k}/r to its exact limit -c_{n,k} sqrt(alpha).
 
 Radial derivatives are exact: ``RadialTerms`` keeps finite sums of
-q(u) r^p K_m(s r) terms, q polynomial, closed under d/dr; the kernel
-derivatives (``kernel_terms``) and the parametrix error field both use it.
+q(u) r^p K_m(s r) terms, q polynomial, closed under d/dr, and evaluates
+them by one path with one underflow rule.  The kernel itself
+(``kernel_alpha_array``, the one term D_{n,k} alpha^{nu/2} r^{-nu}
+K_nu(sqrt(alpha) r)), its derivatives (``kernel_terms``) and the
+parametrix error field all use it.
 """
 
 from __future__ import annotations
@@ -76,23 +79,7 @@ def eta(t: float, n: int, k: int) -> float:
 
 def kernel_closed_form_array(n: int, k: int, x: np.ndarray) -> np.ndarray:
     """Closed-form alpha = 1 kernel on an array of radii."""
-    if n <= 2 * k:
-        raise DomainError(f"need n > 2k, got n={n}, k={k}")
-    x = np.asarray(x, dtype=float)
-    if not np.all(x > 0):
-        raise DomainError("kernel radius must be positive")
-    twice_nu = n - 2 * k
-    d = closed_form_constant(n, k)
-    if x.max(initial=0.0) <= UNDERFLOW_ARG:  # no radius underflows: no mask, gather or scatter
-        return d * x ** (-0.5 * twice_nu) * (bessel_k_scaled_array(twice_nu, x) * np.exp(-x))
-    out = np.zeros_like(x)
-    ok = x <= UNDERFLOW_ARG
-    if np.any(ok):
-        xs = x[ok]
-        out[ok] = d * xs ** (-0.5 * twice_nu) * (
-            bessel_k_scaled_array(twice_nu, xs) * np.exp(-xs)
-        )
-    return out
+    return kernel_alpha_array(ProblemParams(n, k, 1.0), x)
 
 
 def kernel_closed_form(n: int, k: int, r: float) -> float:
@@ -100,14 +87,10 @@ def kernel_closed_form(n: int, k: int, r: float) -> float:
 
 
 def kernel_alpha_array(params: ProblemParams, r: np.ndarray) -> np.ndarray:
-    """G_alpha^(k) on an array of radii, by scaling the alpha = 1 closed form.
+    """G_alpha^(k) on an array of radii, the one-term sum of ``kernel_terms``.
 
     Radii with sqrt(alpha) r > 700 return exact 0.0 (underflow policy)."""
-    r = np.asarray(r, dtype=float)
-    s = params.sqrt_alpha
-    return params.alpha ** (0.5 * params.twice_nu) * kernel_closed_form_array(
-        params.n, params.k, s * r
-    )
+    return kernel_terms(params).evaluate(r)
 
 
 def kernel_alpha(params: ProblemParams, r: float) -> float:
@@ -142,6 +125,14 @@ class RadialTerms:
         self.s = s
         self.r0 = r0
         self.h = h
+        # the largest radius with s r <= UNDERFLOW_ARG in floating point: s r is
+        # nondecreasing in r, so a radius is beyond the cut exactly when r > r_cut
+        r_cut = UNDERFLOW_ARG / s
+        while s * r_cut > UNDERFLOW_ARG:
+            r_cut = math.nextafter(r_cut, 0.0)
+        while s * math.nextafter(r_cut, math.inf) <= UNDERFLOW_ARG:
+            r_cut = math.nextafter(r_cut, math.inf)
+        self.r_cut = r_cut
 
     def _with(self, entries: dict) -> "RadialTerms":
         return RadialTerms(entries, self.s, self.r0, self.h)
@@ -184,22 +175,20 @@ class RadialTerms:
     def evaluate(self, r: np.ndarray) -> np.ndarray:
         """The sum at radii r, sharing one exponential factor and one K_m per order.
 
-        A constant q is a scalar.  Radii with s r > 700 return exact 0.0."""
+        A constant q is a scalar.  Radii are clipped at r_cut (s r = UNDERFLOW_ARG
+        = 700), and those beyond it return exact 0.0, inf included; a NaN or
+        nonpositive radius raises DomainError from the Bessel front end."""
         r = np.asarray(r, dtype=float)
-        x = self.s * r
-        out = np.zeros_like(r)
-        ok = x <= UNDERFLOW_ARG
-        if not np.any(ok):
-            return out
-        xs = x[ok]
-        rs = r[ok]
-        u = (rs - self.r0) / self.h
-        acc = np.zeros_like(rs)
-        bessel = {tm: bessel_k_scaled_array(tm, xs) for tm in {tm for _, tm in self.entries}}
-        for (tp, tm), q in self.entries.items():
-            acc += (q.coef[0] if q.degree() == 0 else q(u)) * rs ** (0.5 * tp) * bessel[tm]
-        out[ok] = acc * np.exp(-xs)
-        return out
+        rc = np.minimum(r, self.r_cut)  # NaN stays NaN, for the Bessel front end to reject
+        x = self.s * rc
+        bessel = {tm: bessel_k_scaled_array(tm, x) for tm in {tm for _, tm in self.entries}}
+        u = (rc - self.r0) / self.h if any(q.degree() for q in self.entries.values()) else None
+        acc = sum(
+            (q.coef[0] if q.degree() == 0 else q(u)) * rc ** (0.5 * tp) * bessel[tm]
+            for (tp, tm), q in self.entries.items()
+        )
+        acc *= np.exp(-x)
+        return np.where(r <= self.r_cut, acc, 0.0)
 
 
 def kernel_terms(params: ProblemParams, l: int = 0, gap: int = 0) -> RadialTerms:
@@ -293,7 +282,7 @@ class RadialKernel:
 def green_radial_kernel(params: ProblemParams) -> RadialKernel:
     """RadialKernel wrapper of G_alpha^(k), tagged with its semigroup order."""
     return RadialKernel(
-        evaluator=lambda r: kernel_alpha_array(params, r),
+        evaluator=kernel_terms(params).evaluate,  # one term set per kernel object
         sing_exp=float(2 * params.k - params.n),
         support_radius=None,
         decay_rate=params.sqrt_alpha,

@@ -32,6 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .besselk import UNDERFLOW_ARG
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -365,7 +366,7 @@ def envelope_value(spec: EnvelopeSpec, n: int, alpha: float, r: float) -> float:
             return 1.0
         return alpha ** float(spec.near.alpha_exp)
     arg = float(spec.rate) * t
-    if arg > 700.0:
+    if arg > UNDERFLOW_ARG:
         return 0.0
     return alpha ** float(spec.p) * r ** float(spec.rho) * math.exp(-arg)
 
@@ -442,7 +443,9 @@ def _adaptive_segments(
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         nodes = mid[:, None] + half[:, None] * _GL_X
-        return half * (func(nodes.ravel()).reshape(2, lo.size, _GL_X.size) @ _GL_W)
+        # a C-ordered integrand fixes the matmul's summation order whatever func returns
+        vals = np.ascontiguousarray(func(nodes.ravel()))
+        return half * (vals.reshape(2, lo.size, _GL_X.size) @ _GL_W)
 
     pts = np.array(sorted({a, b, *[p for p in breaks if a < p < b]}), dtype=float)
     lo, hi = pts[:-1], pts[1:]

@@ -773,7 +773,7 @@ def symmetry_positivity_scan(
     value underflows to exact zero are counted separately, not failed; a
     NaN value or asymmetry fails.
     """
-    if isinstance(sample_pairs, int):
+    if isinstance(sample_pairs, numbers.Integral):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0.0, geometry.L, size=(max(sample_pairs, 0), 2, geometry.n))
         pts = pts[np.any(pts[:, 0] != pts[:, 1], axis=1)]  # coincident pairs are singular

@@ -317,6 +317,19 @@ class TestParametrixCommand:
         assert err.startswith("error: ") and "underflows" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("tau0", ["nan", "inf", "-0.05"])
+    def test_bad_tau0_is_domain_error(self, tau0, capsys):
+        # rejected by the cutoff, naming tau0, before any precondition reads it
+        code, out, err = run_cli(
+            ["parametrix", "run", "--n", "3", "--k", "1", "--alpha", "2000", "--grid", "32",
+             "--tau0", tau0, "--alias-limit", "1", "--pairs", "20"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tau0 must be positive and finite")
+        assert "precondition" not in err
+
     @pytest.mark.filterwarnings("ignore:error-field annulus:RuntimeWarning")
     def test_nan_score_fails(self, monkeypatch, capsys):
         run_pipeline = parametrix.run_pipeline

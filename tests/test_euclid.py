@@ -2,6 +2,7 @@
 two-regime envelope, near-diagonal remainders."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygreen import euclid, giraud
-from polygreen.besselk import bessel_k_scaled_array
+from polygreen.besselk import UNDERFLOW_ARG, bessel_k_scaled_array
 from polygreen.errors import DomainError, OutOfRegimeError, UnsupportedOrderError
 from polygreen.giraud import radial_convolve
 from polygreen.params import ProblemParams
@@ -98,20 +99,6 @@ class TestClosedForm:
             b = (2 * PI) ** (-n / 2) * rs ** (-(n - 2) / 2) * k
             np.testing.assert_allclose(a, b, rtol=1e-14)
 
-    @pytest.mark.parametrize("lo,hi", [(1e-3, 700.0), (1e-3, 1400.0), (700.0 + 1e-9, 1400.0)])
-    def test_unmasked_path_matches_masked(self, lo, hi):
-        # arrays wholly below the underflow cut skip the mask; against the
-        # masked gather and scatter, bitwise, below 700, straddling it and
-        # wholly above it (exact zeros)
-        rs = np.append(np.geomspace(lo, hi, 301), min(hi, 700.0) if lo < 700.0 else hi)
-        for n, k in [(3, 1), (4, 1), (5, 2), (6, 1), (7, 2)]:
-            d, twice_nu = euclid.closed_form_constant(n, k), n - 2 * k
-            masked = np.zeros_like(rs)
-            ok = rs <= 700.0
-            xs = rs[ok]
-            masked[ok] = d * xs ** (-0.5 * twice_nu) * (bessel_k_scaled_array(twice_nu, xs) * np.exp(-xs))
-            np.testing.assert_array_equal(euclid.kernel_closed_form_array(n, k, rs), masked)
-
     @pytest.mark.parametrize(
         "n,k,r,expected",
         [
@@ -182,23 +169,82 @@ class TestKernelAlpha:
         assert euclid.kernel_alpha(p, 1.0) == 0.0  # sqrt(alpha) r = 1000 > 700
 
 
+def masked_terms_reference(terms, r):
+    """RadialTerms.evaluate as a gather below s r = 700 and a scatter into zeros."""
+    x = terms.s * r
+    out = np.zeros_like(r)
+    ok = x <= UNDERFLOW_ARG
+    xs, rs = x[ok], r[ok]
+    acc = np.zeros_like(rs)
+    for (tp, tm), q in terms.entries.items():
+        acc += q.coef[0] * rs ** (0.5 * tp) * bessel_k_scaled_array(tm, xs)
+    out[ok] = acc * np.exp(-xs)
+    return out
+
+
+class TestUnderflowRule:
+    # one evaluator for values and derivatives: clipped at s r = 700, exact
+    # 0.0 beyond it, DomainError for a NaN or nonpositive radius
+
+    @pytest.mark.parametrize("lo,hi", [(1e-3, 700.0), (1e-3, 1400.0), (700.0 + 1e-9, 1400.0)])
+    def test_evaluate_matches_masked_reference(self, lo, hi):
+        # bitwise, at orders 0-3, below 700, straddling it and wholly above it
+        # (exact zeros), with the radii on both sides of the cut
+        t = np.append(np.geomspace(lo, hi, 301), min(hi, 700.0) if lo < 700.0 else hi)
+        for n, k in [(3, 1), (4, 1), (5, 2), (6, 1), (7, 2)]:
+            for alpha in (1.0, 50.0):
+                p = ProblemParams(n, k, alpha)
+                for l in range(4):
+                    terms = euclid.kernel_terms(p, l)
+                    r = t / p.sqrt_alpha
+                    if lo < 700.0 < hi:
+                        r = np.append(r, [terms.r_cut, np.nextafter(terms.r_cut, np.inf)])
+                    got = terms.evaluate(r)
+                    np.testing.assert_array_equal(got, masked_terms_reference(terms, r))
+                    assert np.array_equal(got == 0.0, p.sqrt_alpha * r > UNDERFLOW_ARG)
+
+    def test_inf_is_zero_without_warning(self):
+        r = np.array([np.inf, 0.5, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (ProblemParams(3, 1, 1.0), ProblemParams(4, 1, 2000.0)):
+                for l in range(3):
+                    vals = euclid.kernel_terms(p, l).evaluate(r)
+                    assert vals[0] == 0.0 and vals[2] == 0.0 and vals[1] != 0.0
+                assert euclid.kernel_alpha(p, math.inf) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, -math.inf])
+    def test_nan_or_nonpositive_radius_raises(self, bad):
+        p = ProblemParams(4, 1, 3.0)
+        r = np.array([bad, 0.5])
+        for l in range(3):
+            with pytest.raises(DomainError):
+                euclid.kernel_terms(p, l).evaluate(r)
+        with pytest.raises(DomainError):
+            euclid.kernel_alpha_array(p, r)
+        with pytest.raises(DomainError):
+            euclid.kernel_radial_derivative(p, bad, 1)
+
+
 class TestRadialDerivative:
     def test_zeroth_is_kernel(self):
         p = ProblemParams(5, 2, 3.0)
         assert euclid.kernel_radial_derivative(p, 0.7, 0) == pytest.approx(
             euclid.kernel_alpha(p, 0.7), rel=1e-14
         )
-        # the two evaluators of G_alpha, kernel_alpha_array and the term
-        # algebra, over both Bessel regions (series below sqrt(alpha) r = 1,
-        # trapezoid rule above); the largest gap measured is 1.2e-15
+        # the term algebra's G_alpha against the closed form
+        # D_{n,k} alpha^nu x^{-nu} K_nu(x), x = sqrt(alpha) r, at all 13 orders
+        # and over every Bessel region
         t = np.geomspace(1e-3, 600.0, 401)
         for k in (1, 2, 3):
             for n in range(2 * k + 1, 2 * k + 14):
                 for alpha in (1.0, 50.0, 2000.0):
                     p = ProblemParams(n, k, alpha)
                     r = t / p.sqrt_alpha
-                    want = euclid.kernel_alpha_array(p, r)
-                    got = euclid.kernel_terms(p).evaluate(r)
+                    x, nu = p.sqrt_alpha * r, 0.5 * p.twice_nu
+                    want = (euclid.closed_form_constant(n, k) * alpha**nu * x ** (-nu)
+                            * bessel_k_scaled_array(p.twice_nu, x) * np.exp(-x))
+                    got = euclid.kernel_alpha_array(p, r)
                     assert np.max(np.abs(got - want) / want) <= 4e-15, (n, k, alpha)
 
     def test_yukawa_first_derivative(self):

@@ -439,6 +439,22 @@ class TestRadialConvolve:
         assert math.isfinite(info.value.best_estimate)
         assert math.isfinite(info.value.error_estimate)
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_integrand_layout_does_not_change_sums(self, tol):
+        # the same integrand returned C-ordered and F-ordered gives the same
+        # (value, error estimate) bitwise: the panel sums read C order
+        def integrand(x):
+            out = np.empty((2, x.size))
+            out[0] = np.sin(37.0 * x) * np.exp(x) / (1.0 + x * x)
+            out[1] = 1e-9 * np.abs(np.cos(11.0 * x))
+            return out
+
+        c_order = giraud._adaptive_segments(integrand, 0.0, 3.0, [0.5, 1.0], tol, tol)
+        f_order = giraud._adaptive_segments(
+            lambda x: np.asfortranarray(integrand(x)), 0.0, 3.0, [0.5, 1.0], tol, tol
+        )
+        assert c_order == f_order
+
     @pytest.mark.parametrize("count", [15, 24])
     def test_gauss_rules_from_the_shared_table(self, count):
         # the 24-node rule is the one embedded at the odd Kronrod nodes

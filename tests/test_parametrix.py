@@ -174,6 +174,13 @@ class TestCutoff:
     def test_auto_tau0(self):
         assert auto_tau0(3, 1.0) == pytest.approx(0.09)
 
+    @pytest.mark.parametrize("tau0", [math.nan, math.inf, 0.0, -0.1])
+    def test_bad_tau0_rejected(self, tau0):
+        with pytest.raises(DomainError, match="tau0 must be positive and finite"):
+            CutoffSpec(tau0=tau0, smoothness=4)
+        with pytest.raises(DomainError, match="tau0"):
+            cutoff_for(3, 1, 1.0, tau0)
+
 
 class TestBuildH:
     def test_chi_one_region_is_kernel(self):

@@ -757,6 +757,13 @@ class TestScan:
         assert [sorted(f) for f in report.failures] == [["value", "x", "y"], ["asymmetry", "x", "y"]]
         assert math.isnan(report.failures[0]["value"]) and math.isnan(report.min_value)
 
+    def test_numpy_integer_count(self):
+        # any integral count draws pairs, as green_derivative takes any integral order
+        p = ProblemParams(3, 1, 500.0)
+        assert torus.symmetry_positivity_scan(p, G3, np.int64(5), seed=3) == (
+            torus.symmetry_positivity_scan(p, G3, 5, seed=3)
+        )
+
     @pytest.mark.parametrize("pairs", [0, -3, []])
     def test_zero_pairs_rejected(self, pairs):
         with pytest.raises(DomainError, match="at least one pair"):
