@@ -283,14 +283,15 @@ def run_pipeline(
     inner = sums[sums < (depth * cut.tau0 / spacing) ** 2]
     radii = spacing * np.sqrt(inner)
     profiles = _field_profiles(h_profile, l_profile, depth, radii, 2 * math.pi * math.sqrt(n) / spacing)
-    supports = cut.tau0 * np.tile(np.arange(2, depth + 1), 2)[:, None]  # Gamma^i, layer i-1
-    tables = np.zeros((2 * depth - 2, n * h * h + 1))
-    tables[:, inner] = np.where(radii > supports, 0.0, profiles[:-1])
-    fields = torus._orthant_fold(tables, n, grid, (0,))
+    # u first: its fold's per-shift index and gather are freed before the other fields exist
     offsets, _ = torus.orthant_image_offsets(params, geometry, IMAGE_TOL)
     u_table = torus._radial_table(lambda r: euclid.kernel_alpha_array(params, r), geometry, grid, offsets)
     u_table[inner] = profiles[-1]
     u = torus._orthant_fold([u_table], n, grid, offsets)[0]
+    supports = cut.tau0 * np.tile(np.arange(2, depth + 1), 2)[:, None]  # Gamma^i, layer i-1
+    tables = np.zeros((2 * depth - 2, n * h * h + 1))
+    tables[:, inner] = np.where(radii > supports, 0.0, profiles[:-1])
+    fields = torus._orthant_fold(tables, n, grid, (0,))
     return ParametrixState(
         params=params,
         geometry=geometry,
@@ -317,17 +318,33 @@ class ComparisonReport:
         return self.max_rel_error <= self.tolerance
 
 
-def _draw_pairs(dist: np.ndarray, m: int, lo: float, hi: float, count: int, seed: int):
-    """Grid indices (rows) of up to count seeded grid points in C order with lo <= |v| <= hi.
+def _draw_pairs(mask: np.ndarray, m: int, count: int, seed: int) -> np.ndarray:
+    """Grid indices (rows) of up to count seeded candidates of the m-grid, in C order.
 
-    ``dist`` is |v| on the orthant; only the boolean mask is unfolded.
+    ``mask`` marks them on the orthant, where grid index j reads cell
+    min(j, m - j).  ``within[a]`` counts the grid's candidates under each
+    orthant prefix of length a, and cumulative counts map the seeded ranks
+    to rows axis by axis: the rows of ``choice`` over the unfolded mask's
+    candidates, which indexes them by ``choice(total)``, with no grid array.
     """
-    candidates = np.flatnonzero(torus.unfold_orthant((dist >= lo) & (dist <= hi), m))
-    take = min(count, len(candidates))
+    fold = np.minimum(np.arange(m), m - np.arange(m))
+    within = [mask]
+    for _ in range(mask.ndim):
+        within.insert(0, within[0][..., fold].sum(axis=-1))
+    total = int(within[0])
+    take = min(count, total)
     if take < 1:
-        raise DomainError(f"no pairs to compare: {count} requested of {len(candidates)}")
-    picked = np.random.default_rng(seed).choice(candidates, size=take, replace=False)
-    return np.stack(np.unravel_index(picked, (m,) * dist.ndim), axis=-1)
+        raise DomainError(f"no pairs to compare: {count} requested of {total}")
+    ranks = np.random.default_rng(seed).choice(total, size=take, replace=False)
+    rows = np.empty((take, mask.ndim), dtype=np.intp)
+    cells = ()
+    for a in range(mask.ndim):
+        sizes = np.broadcast_to(within[a + 1][cells][..., fold], (take, m))
+        ends = np.cumsum(sizes, axis=1)
+        rows[:, a] = np.count_nonzero(ends <= ranks[:, None], axis=1)
+        ranks = ranks - (ends - sizes)[np.arange(take), rows[:, a]]
+        cells += (fold[rows[:, a]],)
+    return rows
 
 
 def assemble_and_compare(
@@ -340,18 +357,23 @@ def assemble_and_compare(
     """Compare H + layers + u against the lattice-sum oracle on grid pairs.
 
     Pairs are displacement grid points with distance in ``d_range`` and at
-    least two grid spacings off the diagonal; the orthant fields are read
-    at min(j, grid - j).  A tol outside (0, inf), or an oracle that
-    underflows to 0, is a DomainError; a NaN score fails the comparison.
+    least two grid spacings off the diagonal, drawn from the radius table's
+    mask gathered on the orthant; the orthant fields are read at
+    min(j, grid - j).  A tol outside (0, inf), a negative seed, or an oracle
+    that underflows to 0, is a DomainError; a NaN score fails the comparison.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"need a finite tol > 0, got {tol}")
+    torus.check_seed(seed)
     geom = state.geometry
     m = state.grid
-    dist = torus.sample_radial(lambda r: r, geom, m)
-    chosen = _draw_pairs(dist, m, max(d_range[0], 2.0 * geom.L / m), d_range[1], n_pairs, seed)
-    at = tuple(np.minimum(chosen, m - chosen).T)
-    d = dist[at]
+    radii = torus._radial_table(lambda r: r, geom, m, (0,))
+    lo, hi = max(d_range[0], 2.0 * geom.L / m), d_range[1]
+    mask = torus._orthant_fold([(radii >= lo) & (radii <= hi)], geom.n, m, (0,))[0]
+    chosen = _draw_pairs(mask, m, n_pairs, seed)
+    cells = np.minimum(chosen, m - chosen)
+    at = tuple(cells.T)
+    d = radii[np.sum(cells * cells, axis=1)]
     approx = state.u[at] + state.H(d)
     for layer in state.layers:
         approx = approx + layer[at]

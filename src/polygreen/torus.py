@@ -55,6 +55,12 @@ def check_dimensions(params: ProblemParams, geometry: TorusGeometry) -> None:
         raise DomainError("params and geometry dimensions differ")
 
 
+def check_seed(seed: int) -> None:
+    """Raise DomainError unless seed is the nonnegative integer that np.random.default_rng takes."""
+    if seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
+
+
 def torus_distance(geometry: TorusGeometry, x, y) -> tuple[float, np.ndarray]:
     """Geodesic distance and the shortest displacement of y - x.
 
@@ -399,18 +405,30 @@ def _orthant_fold(
 
     Offset 0 alone samples a radial table on the grid, and the one-sided
     shifts of ``orthant_image_offsets`` periodise it to their certified
-    tail.  Each |j + m M|^2 array is built once and gathers every table; the
-    M are summed in ``itertools.product`` order.
+    tail.  Each |j + m M|^2 array gathers every table: at M = 0 the cached
+    ``_orthant_squares``, otherwise one built for that shift.  The M are
+    summed in ``itertools.product`` order.
     """
     index = np.arange(m // 2 + 1)
-    shifts = itertools.product([(index + m * o) ** 2 for o in offsets], repeat=n)
-    qsq = reduce(np.add.outer, next(shifts))
-    fields = [table[qsq] for table in tables]
-    for squares in shifts:
-        qsq = reduce(np.add.outer, squares)
-        for field, table in zip(fields, tables):
-            field += table[qsq]
+    squares = {o: (index + m * o) ** 2 for o in offsets}
+    fields = None
+    for shift in itertools.product(offsets, repeat=n):
+        qsq = reduce(np.add.outer, [squares[o] for o in shift]) if any(shift) else _orthant_squares(n, m)
+        if fields is None:
+            fields = [table[qsq] for table in tables]
+        else:
+            for field, table in zip(fields, tables):
+                field += table[qsq]
     return fields
+
+
+@lru_cache(maxsize=8)
+def _orthant_squares(n: int, m: int) -> np.ndarray:
+    """|j|^2 on the orthant 0 <= j_a <= m//2, shape (m//2 + 1,)*n; read-only, cached."""
+    squares = np.arange(m // 2 + 1) ** 2
+    qsq = reduce(np.add.outer, [squares] * n)
+    qsq.flags.writeable = False
+    return qsq
 
 
 def _weighted_fold(
@@ -771,8 +789,9 @@ def symmetry_positivity_scan(
     ``sample_pairs`` is either an explicit sequence of (x, y) pairs or a
     count of uniform random pairs drawn with the given seed.  Pairs whose
     value underflows to exact zero are counted separately, not failed; a
-    NaN value or asymmetry fails.
+    NaN value or asymmetry fails.  A negative seed is a DomainError.
     """
+    check_seed(seed)
     if isinstance(sample_pairs, numbers.Integral):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0.0, geometry.L, size=(max(sample_pairs, 0), 2, geometry.n))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polygreen import cli, parametrix
+from polygreen import cli, parametrix, torus
 
 PI = math.pi
 
@@ -232,6 +232,25 @@ class TestDegenerateRuns:
         assert out == ""
         assert err.startswith("error: ") and "alias_limit" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["parametrix", "run", "--grid", "128", "--alias-limit", "0.05"],
+         ["torus", "scan", "--pairs", "1000"]],
+    )
+    def test_negative_seed_exits_1_before_any_work(self, argv, monkeypatch, capsys):
+        # numpy's "expected non-negative integer" came only after the whole run
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(parametrix, "run_pipeline", refuse)
+        monkeypatch.setattr(torus, "green_lattice_sum_many", refuse)
+        code, out, err = run_cli(
+            argv[:2] + ["--n", "3", "--k", "1", "--alpha", "2000", "--seed", "-1"] + argv[2:], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be a nonnegative integer, got -1\n"
 
     def test_empty_alpha_ladder_exits_1(self, capsys):
         code, out, err = run_cli(["mass", "sweep", "--n", "3", "--k", "1", "--alphas", ","], capsys)

@@ -9,6 +9,7 @@ transforms against each other.
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -546,7 +547,8 @@ class TestPipeline:
         # sha256 of the (200, 3) int64 grid indices that np.argwhere over the
         # full float distance grid gave at the acceptance draw (seed 2024)
         dist = torus.sample_radial(lambda r: r, G3, m)
-        chosen = parametrix._draw_pairs(dist, m, max(0.05, 2.0 / m), 0.45, 200, 2024)
+        lo = max(0.05, 2.0 / m)
+        chosen = parametrix._draw_pairs((dist >= lo) & (dist <= 0.45), m, 200, 2024)
         assert chosen.shape == (200, 3)
         assert hashlib.sha256(chosen.astype("<i8").tobytes()).hexdigest() == digest
 
@@ -557,7 +559,62 @@ class TestPipeline:
         rng = np.random.default_rng(seed)
         want = candidates[rng.choice(len(candidates), size=60, replace=False)]
         dist = torus.sample_radial(lambda r: r, G3, m)
-        assert np.array_equal(parametrix._draw_pairs(dist, m, 0.06, 0.3, 60, seed), want)
+        got = parametrix._draw_pairs((dist >= 0.06) & (dist <= 0.3), m, 60, seed)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "n, m, count",
+        [(1, 2, 1), (1, 7, 3), (1, 8, 100), (2, 2, 3), (2, 9, 10), (2, 10, 1000),
+         (4, 2, 5), (4, 5, 40), (4, 6, 40), (4, 3, 10**4)],
+    )
+    def test_pairs_match_argwhere_over_unfolded_mask(self, n, m, count):
+        # a random orthant mask, drawn from by rank, against the draw over the
+        # grid's candidates in C order; a count at or above the candidates
+        # takes every one of them, in the seeded order
+        mask = np.random.default_rng(m + n).random((m // 2 + 1,) * n) < 0.5
+        candidates = np.argwhere(torus.unfold_orthant(mask, m))
+        take = min(count, len(candidates))
+        want = candidates[np.random.default_rng(5).choice(len(candidates), size=take, replace=False)]
+        got = parametrix._draw_pairs(mask, m, count, 5)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, m", [(1, 2), (2, 7), (4, 6)])
+    def test_draw_from_empty_mask_rejected(self, n, m):
+        mask = np.zeros((m // 2 + 1,) * n, dtype=bool)
+        with pytest.raises(DomainError, match="no pairs to compare: 3 requested of 0"):
+            parametrix._draw_pairs(mask, m, 3, 2024)
+
+    def test_readme_run_never_unfolds(self, state128, monkeypatch):
+        # the README run's pipeline and comparison never unfold a field
+        def refuse(*args, **kwargs):
+            raise AssertionError("unfold_orthant called")
+
+        monkeypatch.setattr(torus, "unfold_orthant", refuse)
+        parametrix.run_pipeline(P2000, G3, grid=128, alias_limit=0.05)
+        parametrix.assemble_and_compare(state128)
+
+    def test_comparison_peak_below_one_orthant_array(self, state128):
+        # the pair draw holds boolean orthant and radius-table arrays only:
+        # its traced peak stays below one float64 orthant array, 8 * 65^3 B
+        # (10.7 MB when it unfolded the candidate mask to the grid)
+        parametrix.assemble_and_compare(state128)  # the caches of the draw are warm
+        tracemalloc.start()
+        try:
+            parametrix.assemble_and_compare(state128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 65**3
+
+    @pytest.mark.parametrize("seed", [-1, -2024])
+    def test_negative_seed_rejected_before_the_draw(self, state64, seed, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("radius table built")
+
+        monkeypatch.setattr(torus, "_radial_table", refuse)
+        with pytest.raises(DomainError, match="seed"):
+            parametrix.assemble_and_compare(state64, seed=seed)
 
     @pytest.mark.parametrize("n_pairs, d_range", [(0, (0.06, 0.30)), (10, (0.30, 0.06))])
     def test_comparison_without_pairs_rejected(self, state64, n_pairs, d_range):

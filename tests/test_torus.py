@@ -405,9 +405,58 @@ class TestRepresentation:
         assert calls == [
             (1, 16, (0,)),
             (1, 16, (0,)),  # the error field
+            (1, 16, offsets),  # u, before the other fields exist
             (2, 16, (0,)),  # Gamma^2 and one layer
-            (1, 16, offsets),  # u
         ]
+
+    def test_orthant_squares_cached_read_only(self):
+        qsq = torus._orthant_squares(3, 9)
+        assert torus._orthant_squares(3, 9) is qsq
+        assert not qsq.flags.writeable
+        j = np.arange(5)
+        assert np.array_equal(qsq, j[:, None, None] ** 2 + j[None, :, None] ** 2 + j**2)
+
+    @pytest.mark.parametrize("n, m", [(3, 16), (3, 33), (5, 8), (5, 9)])
+    @pytest.mark.parametrize("offsets", [(0,), (-1, 0), (-2, -1, 0, 1)])
+    def test_orthant_fold_bitwise_as_fresh_index(self, n, m, offsets):
+        # the cached index at M = 0 sums the same gathers in the same order as
+        # a fold that builds every |j + m M|^2 afresh, bit for bit
+        def fresh_fold(tables):
+            index = np.arange(m // 2 + 1)
+            shifts = itertools.product([(index + m * o) ** 2 for o in offsets], repeat=n)
+            qsq = functools.reduce(np.add.outer, next(shifts))
+            fields = [table[qsq] for table in tables]
+            for squares in shifts:
+                qsq = functools.reduce(np.add.outer, squares)
+                for field, table in zip(fields, tables):
+                    field += table[qsq]
+            return fields
+
+        h = m // 2 + m * max(abs(o) for o in offsets)
+        rng = np.random.default_rng(n * m)
+        tables = [rng.standard_normal(n * h * h + 1) for _ in range(2)]
+        for got, want in zip(torus._orthant_fold(tables, n, m, offsets), fresh_fold(tables)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, grid", [(3, 16), (5, 8)])
+    def test_pipeline_u_bitwise_as_fresh_index(self, n, grid, monkeypatch):
+        # u's fold, and the error field's and the fields' offset-0 folds, read
+        # the same values with the cached index as with one built per call
+        p = ProblemParams(n, 1, 2000.0)
+        geom = torus.TorusGeometry(n, 1.0)
+        with pytest.warns(RuntimeWarning, match="error-field annulus"):
+            cached = parametrix.run_pipeline(p, geom, grid, alias_limit=1.0)
+        monkeypatch.setattr(
+            torus, "_orthant_squares",
+            lambda n, m: functools.reduce(np.add.outer, [np.arange(m // 2 + 1) ** 2] * n),
+        )
+        with pytest.warns(RuntimeWarning, match="error-field annulus"):
+            fresh = parametrix.run_pipeline(p, geom, grid, alias_limit=1.0)
+        for got, want in zip(
+            [cached.l, cached.u] + cached.gammas + cached.layers,
+            [fresh.l, fresh.u] + fresh.gammas + fresh.layers,
+        ):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [32, 33, 1000, 1001])
     def test_mirror_cosines_reduce_the_argument(self, m):
@@ -763,6 +812,15 @@ class TestScan:
         assert torus.symmetry_positivity_scan(p, G3, np.int64(5), seed=3) == (
             torus.symmetry_positivity_scan(p, G3, 5, seed=3)
         )
+
+    @pytest.mark.parametrize("seed", [-1, -2024])
+    def test_negative_seed_rejected_before_any_sum(self, seed, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lattice sum called")
+
+        monkeypatch.setattr(torus, "green_lattice_sum_many", refuse)
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            torus.symmetry_positivity_scan(ProblemParams(3, 1, 500.0), G3, 5, seed=seed)
 
     @pytest.mark.parametrize("pairs", [0, -3, []])
     def test_zero_pairs_rejected(self, pairs):
