@@ -270,7 +270,7 @@ def _cmd_parametrix_run(args) -> int:
             "tau0": state.cutoff.tau0, "seed": args.seed,
         },
         "N": state.N,
-        "sup_error_field": _sup(state.l),
+        "sup_error_field": _sup(state.gammas[0]),  # Gamma^1 = -l
         "sup_gamma": _sup(state.gamma),
         "sup_u": _sup(state.u),
         "comparison": {

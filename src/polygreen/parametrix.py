@@ -10,6 +10,8 @@ correction layers against H; Step 3 solves the spectral remainder problem
 for the final iterate; Step 4 assembles G = H + sum_i layer_i + u for
 cross-validation against the lattice-sum oracle.
 
+H and l are ``euclid.RadialKernel``s, supported in tau0, with the
+singular exponents 2k - n and 0 that ``giraud.radial_convolve`` reads.
 The iterates, layers and remainder are radial on R^n, with Fourier
 transforms that are products of lhat and Hhat.  Those come from
 semi-analytic radial quadrature (the error field is a sharp annulus shell
@@ -53,10 +55,21 @@ IMAGE_TOL = 1e-14  # certified absolute tail of u's image sum and of the lattice
 # Step 1: cutoff parametrix and its error field
 # ---------------------------------------------------------------------------
 
-def error_field_profile(
-    params: ProblemParams, cutoff: CutoffSpec
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Radial profile of l = (Delta + alpha)^k (chi G).
+def _masked(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
+    """f on lo < r < hi and exact 0.0 elsewhere, as a ``RadialKernel`` evaluator."""
+
+    def evaluator(r: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(r)
+        inside = (r > lo) & (r < hi)
+        if np.any(inside):
+            out[inside] = f(r[inside])
+        return out
+
+    return evaluator
+
+
+def error_field_profile(params: ProblemParams, cutoff: CutoffSpec) -> euclid.RadialKernel:
+    """l = (Delta + alpha)^k (chi G) as a radial kernel, bounded, supported in tau0.
 
     Exactly zero off the annulus: inside tau0/2 the kernel solves the
     equation, beyond tau0 everything vanishes.  k <= 3 (the operator algebra
@@ -71,60 +84,18 @@ def error_field_profile(
     expr = euclid.RadialTerms(entries, kernel.s, cutoff.half, cutoff.half)
     for _ in range(params.k):
         expr = expr.apply_operator(params.n, params.alpha)
-
-    lo, hi = cutoff.half, cutoff.tau0
-
-    def profile(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        mask = (r > lo) & (r < hi)
-        if np.any(mask):
-            out[mask] = expr.evaluate(r[mask])
-        return out
-
-    return profile
-
-
-@dataclass
-class HProfile:
-    """The cutoff kernel H(r) = chi(r) G_alpha(r) with its radial metadata."""
-
-    params: ProblemParams
-    cutoff: CutoffSpec
-
-    def __call__(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.zeros_like(r)
-        pos = (r > 0) & (r < self.cutoff.tau0)
-        if np.any(pos):
-            out[pos] = self.cutoff.chi(r[pos]) * euclid.kernel_alpha_array(
-                self.params, r[pos]
-            )
-        return out
-
-    def integral(self) -> float:
-        """int_{R^n} H, by radial quadrature (equals the zero Fourier mode)."""
-        return float(self.fourier(np.zeros(1))[0])
-
-    def fourier(self, xi: np.ndarray) -> np.ndarray:
-        """Hhat(|xi|) by semi-analytic radial quadrature.
-
-        Never samples the d^{2k-n} spike on a grid; the radial integrand is
-        chi G r^{n-1}, integrable and smooth.
-        """
-        return _radial_fourier(
-            self.params.n,
-            lambda r: self.cutoff.chi(r) * euclid.kernel_alpha_array(self.params, r),
-            0.0,
-            self.cutoff.tau0,
-            xi,
-        )
+    return euclid.RadialKernel(
+        _masked(expr.evaluate, cutoff.half, cutoff.tau0), sing_exp=0.0, support_radius=cutoff.tau0
+    )
 
 
 def build_H(
     params: ProblemParams, geometry: torus.TorusGeometry, cutoff: Optional[CutoffSpec] = None
-) -> HProfile:
-    """Cutoff parametrix profile; requires 1/sqrt(alpha) < tau0/2."""
+) -> euclid.RadialKernel:
+    """H = chi G_alpha as a radial kernel ~ r^{2k-n} at 0, supported in tau0.
+
+    Requires tau0 below the injectivity radius and 1/sqrt(alpha) < tau0/2.
+    """
     cut = cutoff if cutoff is not None else cutoff_for(geometry.n, params.k, geometry.L)
     if cut.tau0 >= geometry.injectivity_radius:
         raise PreconditionError(
@@ -136,7 +107,11 @@ def build_H(
             f"precondition 1/sqrt(alpha) < tau0/2 violated: "
             f"1/sqrt({params.alpha}) = {1.0 / params.sqrt_alpha:.6g} >= {cut.tau0 / 2.0:.6g}"
         )
-    return HProfile(params=params, cutoff=cut)
+    return euclid.RadialKernel(
+        _masked(lambda r: cut.chi(r) * euclid.kernel_alpha_array(params, r), 0.0, cut.tau0),
+        sing_exp=float(2 * params.k - params.n),
+        support_radius=cut.tau0,
+    )
 
 
 def error_field(
@@ -165,14 +140,6 @@ def _sample_error_field(profile, geometry: torus.TorusGeometry, cutoff: CutoffSp
     return torus.sample_radial(profile, geometry, grid)
 
 
-def error_field_fourier(
-    params: ProblemParams, cutoff: CutoffSpec, xi: np.ndarray
-) -> np.ndarray:
-    """lhat(|xi|) by semi-analytic radial quadrature over the annulus."""
-    profile = error_field_profile(params, cutoff)
-    return _radial_fourier(params.n, profile, cutoff.half, cutoff.tau0, xi)
-
-
 # ---------------------------------------------------------------------------
 # Steps 2 to 4: iterates, layers and remainder from radial tables
 # ---------------------------------------------------------------------------
@@ -181,17 +148,16 @@ def error_field_fourier(
 class ParametrixState:
     """Assembled pipeline artifacts for one base point (translation covers all).
 
-    The radial fields l, gammas, layers and u hold the orthant 0 <= j_a <= grid//2
+    The radial fields gammas, layers and u hold the orthant 0 <= j_a <= grid//2
     of the displacement grid, shape (grid//2 + 1,)*n; ``torus.unfold_orthant``
-    gives the grid.
+    gives the grid.  The error field is held once, as Gamma^1 = -l.
     """
 
     params: ProblemParams
     geometry: torus.TorusGeometry
     grid: int
     cutoff: CutoffSpec
-    H: HProfile
-    l: np.ndarray
+    H: euclid.RadialKernel
     gammas: list
     layers: list
     u: np.ndarray
@@ -201,22 +167,36 @@ class ParametrixState:
     def gamma(self) -> np.ndarray:
         return self.gammas[-1]
 
+    @property
+    def l(self) -> np.ndarray:
+        """The error field l = -Gamma^1, a new array per read."""
+        return -self.gammas[0]
 
-def _field_profiles(h_profile: HProfile, l_profile, depth: int, radii: np.ndarray, xi_max: float):
+
+def _field_profiles(
+    params: ProblemParams,
+    cut: CutoffSpec,
+    h: euclid.RadialKernel,
+    l: euclid.RadialKernel,
+    depth: int,
+    radii: np.ndarray,
+    xi_max: float,
+) -> np.ndarray:
     """Gamma^2..Gamma^N, layers 1..N-1 and U = G_alpha * Gamma^N on R^n at the radii.
 
     One row each, the inverse transform of (-lhat)^i, (-lhat)^i Hhat or
     (-lhat)^N / (xi^2 + alpha)^k over xi <= xi_max: (2 pi)^{-n} times the
-    stacked ``torus._radial_quadrature`` with r and xi exchanged.
+    stacked ``torus._radial_quadrature`` with r and xi exchanged.  lhat and
+    Hhat are the radial transforms of l over the annulus and of H over
+    [0, tau0] (``torus._radial_fourier``).
     """
-    params, cut = h_profile.params, h_profile.cutoff
 
     def transforms(xi: np.ndarray) -> np.ndarray:
-        lhat = _radial_fourier(params.n, l_profile, cut.half, cut.tau0, xi)
+        lhat = _radial_fourier(params.n, l, cut.half, cut.tau0, xi)
         powers = [-lhat]
         for _ in range(depth - 1):
             powers.append(powers[-1] * (-lhat))
-        hhat = h_profile.fourier(xi)
+        hhat = _radial_fourier(params.n, h, 0.0, cut.tau0, xi)
         remainder = powers[-1] / (xi * xi + params.alpha) ** params.k
         return np.stack(powers[1:] + [cur * hhat for cur in powers[:-1]] + [remainder])
 
@@ -235,9 +215,10 @@ def run_pipeline(
 
     Each field is the periodisation of its R^n profile (Poisson summation):
     one table over the orthant's integer radii (L/grid) sqrt(Q).  Gamma^1 =
-    -l is sampled.  Gamma^i and layer i-1 (i >= 2) vanish beyond i tau0 <
-    L/2, so their tables hold ``_field_profiles`` below N tau0, transformed
-    up to Xi = 2 pi grid sqrt(n) / L, zero beyond, gathered at offset 0.
+    -l is sampled and negated in place, the one array of the error field.
+    Gamma^i and layer i-1 (i >= 2) vanish beyond i tau0 < L/2, so their
+    tables hold ``_field_profiles`` below N tau0, transformed up to
+    Xi = 2 pi grid sqrt(n) / L, zero beyond, gathered at offset 0.
     On R^n, H + sum layers + U = G_alpha, and H and the layers vanish beyond
     N tau0, so U's table holds G_alpha there, and u folds it over the orthant's
     image box of tail ``IMAGE_TOL`` (``torus.orthant_image_offsets``).
@@ -261,7 +242,8 @@ def run_pipeline(
         )
     h_profile = build_H(params, geometry, cut)
     l_profile = error_field_profile(params, cut)  # one symbolic build for the three readers
-    l_field = _sample_error_field(l_profile, geometry, cut, grid)
+    gamma1 = _sample_error_field(l_profile, geometry, cut, grid)
+    np.negative(gamma1, out=gamma1)
     h = grid // 2
     sums = _sums_of_squares(n, h)
     lhat = _radial_fourier(n, l_profile, cut.half, cut.tau0, 2 * math.pi / geometry.L * np.sqrt(sums))
@@ -282,7 +264,9 @@ def run_pipeline(
     spacing = geometry.L / grid
     inner = sums[sums < (depth * cut.tau0 / spacing) ** 2]
     radii = spacing * np.sqrt(inner)
-    profiles = _field_profiles(h_profile, l_profile, depth, radii, 2 * math.pi * math.sqrt(n) / spacing)
+    profiles = _field_profiles(
+        params, cut, h_profile, l_profile, depth, radii, 2 * math.pi * math.sqrt(n) / spacing
+    )
     # u first: its fold's per-shift index and gather are freed before the other fields exist
     offsets, _ = torus.orthant_image_offsets(params, geometry, IMAGE_TOL)
     u_table = torus._radial_table(lambda r: euclid.kernel_alpha_array(params, r), geometry, grid, offsets)
@@ -298,8 +282,7 @@ def run_pipeline(
         grid=grid,
         cutoff=cut,
         H=h_profile,
-        l=l_field,
-        gammas=[-l_field] + fields[: depth - 1],
+        gammas=[gamma1] + fields[: depth - 1],
         layers=fields[depth - 1 :],
         u=u,
         N=depth,
@@ -359,8 +342,9 @@ def assemble_and_compare(
     Pairs are displacement grid points with distance in ``d_range`` and at
     least two grid spacings off the diagonal, drawn from the radius table's
     mask gathered on the orthant; the orthant fields are read at
-    min(j, grid - j).  A tol outside (0, inf), a negative seed, or an oracle
-    that underflows to 0, is a DomainError; a NaN score fails the comparison.
+    min(j, grid - j).  A tol outside (0, inf), a seed that is not a
+    nonnegative integer, or an oracle that underflows to 0, is a DomainError;
+    a NaN score fails the comparison.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"need a finite tol > 0, got {tol}")

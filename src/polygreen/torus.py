@@ -57,7 +57,7 @@ def check_dimensions(params: ProblemParams, geometry: TorusGeometry) -> None:
 
 def check_seed(seed: int) -> None:
     """Raise DomainError unless seed is the nonnegative integer that np.random.default_rng takes."""
-    if seed < 0:
+    if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed}")
 
 
@@ -789,9 +789,12 @@ def symmetry_positivity_scan(
     ``sample_pairs`` is either an explicit sequence of (x, y) pairs or a
     count of uniform random pairs drawn with the given seed.  Pairs whose
     value underflows to exact zero are counted separately, not failed; a
-    NaN value or asymmetry fails.  A negative seed is a DomainError.
+    NaN value or asymmetry fails.  A seed that is not a nonnegative integer,
+    or a count that is a non-integral number, is a DomainError.
     """
     check_seed(seed)
+    if isinstance(sample_pairs, numbers.Real) and not isinstance(sample_pairs, numbers.Integral):
+        raise DomainError(f"pair count must be an integer, got {sample_pairs}")
     if isinstance(sample_pairs, numbers.Integral):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0.0, geometry.L, size=(max(sample_pairs, 0), 2, geometry.n))

@@ -75,6 +75,17 @@ def direct_gamma2_at_zero(params, cut):
     return euclid.sphere_area(params.n) * float(np.sum(w * prof(r) ** 2 * r ** (params.n - 1)))
 
 
+def l_hat(params, cut, xi):
+    """lhat(|xi|): the radial transform of l over its annulus [tau0/2, tau0]."""
+    l = parametrix.error_field_profile(params, cut)
+    return torus._radial_fourier(params.n, l, cut.half, cut.tau0, xi)
+
+
+def h_hat(params, h, xi):
+    """Hhat(|xi|): the radial transform of a built H over its support [0, tau0]."""
+    return torus._radial_fourier(params.n, h, 0.0, h.support_radius, xi)
+
+
 def reach(n, m):
     """Xi = 2 pi m sqrt(n) / L at L = 1: the pipeline's transform bound at grid m."""
     return 2.0 * math.pi * m * math.sqrt(n)
@@ -215,9 +226,25 @@ class TestBuildH:
         # (xi^2 + alpha) Hhat(xi) = 1 + lhat(xi) for k = 1 (delta + error)
         h = parametrix.build_H(P2000, G3)
         xi = np.array([0.0, 5.0, 40.0, 200.0, 700.0])
-        lhs = (xi**2 + P2000.alpha) * h.fourier(xi)
-        rhs = 1.0 + parametrix.error_field_fourier(P2000, h.cutoff, xi)
+        lhs = (xi**2 + P2000.alpha) * h_hat(P2000, h, xi)
+        rhs = 1.0 + l_hat(P2000, cutoff_for(3, 1, 1.0), xi)
         np.testing.assert_allclose(lhs, rhs, rtol=2e-9)
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (5, 2), (7, 2), (7, 3)])
+    def test_H_and_l_are_radial_kernels(self, n, k):
+        # the one radial-profile type: H ~ r^{2k-n} and the bounded l, both
+        # supported in tau0, with no Green-kernel order or decay tag
+        p = ProblemParams(n, k, 2000.0)
+        geom = torus.TorusGeometry(n, 1.0)
+        cut = cutoff_for(n, k, 1.0)
+        h = parametrix.build_H(p, geom, cut)
+        l = parametrix.error_field_profile(p, cut)
+        assert isinstance(h, euclid.RadialKernel) and isinstance(l, euclid.RadialKernel)
+        assert (h.sing_exp, h.support_radius) == (2 * k - n, cut.tau0)
+        assert (l.sing_exp, l.support_radius) == (0.0, cut.tau0)
+        for kern in (h, l):
+            assert kern.decay_rate == 0.0 and kern.semigroup_order is None
+            assert np.all(kern(np.array([cut.tau0, 1.5 * cut.tau0, 0.45])) == 0.0)
 
 
 class TestErrorField:
@@ -299,7 +326,7 @@ class TestErrorField:
 
     def test_integral_identity(self, state64):
         # int l = alpha^k int H - 1 (defining identity against phi = 1)
-        int_h = state64.H.integral()
+        int_h = h_hat(P2000, state64.H, np.zeros(1))[0]
         expected = P2000.alpha * int_h - 1.0
         # grid-64 samples span the annulus with ~2.9 cells; the semi-
         # analytic identity at xi = 0 is tested exactly elsewhere
@@ -336,11 +363,10 @@ class TestRadialInterpolant:
         xi = 2.0 * math.pi * np.sqrt(torus._sums_of_squares(n, m))
         assert len(xi) > math.ceil(xi[-1] * cut.tau0) + 16  # interpolated, not direct
         if transform == "lhat":
-            got = parametrix.error_field_fourier(p, cut, xi)
             profile, r_lo = parametrix.error_field_profile(p, cut), cut.half
         else:
-            got = parametrix.HProfile(p, cut).fourier(xi)
-            profile, r_lo = parametrix.HProfile(p, cut), 0.0
+            profile, r_lo = parametrix.build_H(p, torus.TorusGeometry(n, 1.0), cut), 0.0
+        got = torus._radial_fourier(n, profile, r_lo, cut.tau0, xi)
         pick = np.arange(len(xi))
         if m == 128:
             rng = np.random.default_rng(11)
@@ -350,10 +376,10 @@ class TestRadialInterpolant:
 
     def test_short_tables_are_direct(self):
         cut = cutoff_for(3, 1, 1.0)
-        h = parametrix.HProfile(P2000, cut)
-        xi = np.linspace(0.0, 1000.0, 50)
-        assert np.array_equal(h.fourier(xi), torus._radial_quadrature(3, h, 0.0, cut.tau0, xi, 1000.0))
-        assert h.integral() == torus._radial_quadrature(3, h, 0.0, cut.tau0, np.zeros(1), 0.0)[0]
+        h = parametrix.build_H(P2000, G3, cut)
+        for xi, xi_max in ((np.linspace(0.0, 1000.0, 50), 1000.0), (np.zeros(1), 0.0)):
+            want = torus._radial_quadrature(3, h, 0.0, cut.tau0, xi, xi_max)
+            assert np.array_equal(h_hat(P2000, h, xi), want)
 
     def test_nan_profile_raises_with_estimate(self):
         xi = np.linspace(0.0, 1000.0, 400)
@@ -386,7 +412,7 @@ class TestGammaIterateSampled:
             counts = sum(np.pad(counts, (q * q, h * h - q * q)) for q in range(-h, h + 1))
         qsq = np.flatnonzero(counts)
         xi = 2.0 * math.pi * np.sqrt(qsq)
-        energy = counts[qsq] * parametrix.error_field_fourier(p, cutoff_for(n, k, 1.0), xi) ** 2
+        energy = counts[qsq] * l_hat(p, cutoff_for(n, k, 1.0), xi) ** 2
         exact = energy[qsq > (2.0 / 3.0 * h) ** 2].sum() / energy.sum()
         assert err.value.error_estimate == pytest.approx(exact, rel=1e-12)
 
@@ -414,29 +440,28 @@ class TestFieldProfiles:
         # at 16^5, Xi = 225, the state's Gamma^2(0) is 95% off
         p = ProblemParams(5, 2, 2000.0)
         cut = cutoff_for(5, 2, 1.0)
-        got = parametrix._field_profiles(
-            parametrix.HProfile(p, cut), parametrix.error_field_profile(p, cut), 3, np.zeros(1), 2000.0
-        )
+        h = parametrix.build_H(p, torus.TorusGeometry(5, 1.0), cut)
+        l = parametrix.error_field_profile(p, cut)
+        got = parametrix._field_profiles(p, cut, h, l, 3, np.zeros(1), 2000.0)
         assert got[0, 0] == pytest.approx(direct_gamma2_at_zero(p, cut), rel=1e-5)
 
     def test_gamma2_and_layer_against_convolutions(self, state128):
         # Gamma^2 = l * l and layer 1 = -(l * H) at the 128^3 reach; the
         # measured gaps are at most 3.1e-9 and 5.3e-7 of the sup.
         # radial_convolve cannot resolve l * l: l's inner edge at tau0/2
-        # is a kink inside its fixed polar rules (estimate 0.18 at r = 0.07)
+        # is a kink inside its fixed polar rules (estimate 0.18 at r = 0.07).
+        # radial_convolve takes the built l and the state's H as they are
         cut = state128.cutoff
-        l_profile = parametrix.error_field_profile(P2000, cut)
+        l = parametrix.error_field_profile(P2000, cut)
         radii = np.array([0.02, 0.07, 0.12, 0.17])
-        rows = parametrix._field_profiles(state128.H, l_profile, 2, radii, reach(3, 128))
-        l_kernel = euclid.RadialKernel(l_profile, sing_exp=0.0, support_radius=cut.tau0)
-        h_kernel = euclid.RadialKernel(state128.H, sing_exp=-1.0, support_radius=cut.tau0)
+        rows = parametrix._field_profiles(P2000, cut, state128.H, l, 2, radii, reach(3, 128))
         sup_gamma2 = np.max(np.abs(state128.gammas[1]))
         sup_layer = np.max(np.abs(state128.layers[0]))
         edges = [cut.half, cut.tau0]
         for r, gamma2, layer in zip(radii, rows[0], rows[1]):
-            want = bispherical_convolve(l_profile, edges, l_profile, edges, 3, r)
+            want = bispherical_convolve(l, edges, l, edges, 3, r)
             assert abs(gamma2 - want) <= 1e-8 * sup_gamma2
-            conv, _ = giraud.radial_convolve(l_kernel, h_kernel, 3, r, tol=1e-10 * sup_layer)
+            conv, _ = giraud.radial_convolve(l, state128.H, 3, r, tol=1e-10 * sup_layer)
             assert abs(layer + conv) <= 1e-6 * sup_layer
 
     @pytest.mark.parametrize(
@@ -452,11 +477,11 @@ class TestFieldProfiles:
         depth = n // 2 + 1
         radii = np.unique(torus.sample_radial(lambda r: r, torus.TorusGeometry(n, 1.0), m))
         radii = radii[(radii > 0) & (radii < depth * cut.tau0)]
-        rows = parametrix._field_profiles(
-            parametrix.HProfile(p, cut), parametrix.error_field_profile(p, cut), depth, radii, xi_max
-        )
+        h = parametrix.build_H(p, torus.TorusGeometry(n, 1.0), cut)
+        l = parametrix.error_field_profile(p, cut)
+        rows = parametrix._field_profiles(p, cut, h, l, depth, radii, xi_max)
         kernel = euclid.kernel_alpha_array(p, radii)
-        residual = parametrix.HProfile(p, cut)(radii) + rows[depth - 1 :].sum(axis=0) - kernel
+        residual = h(radii) + rows[depth - 1 :].sum(axis=0) - kernel
         assert np.max(np.abs(residual) / kernel) <= bound
 
 
@@ -495,8 +520,8 @@ class TestPipeline:
         for q in (0.0, 1.0, 2.0, 5.0):
             xi = 2 * math.pi * q
             mult = xi**2 + P2000.alpha
-            hhat = float(h.fourier(np.array([xi]))[0])
-            lhat = float(parametrix.error_field_fourier(P2000, h.cutoff, np.array([xi]))[0])
+            hhat = float(h_hat(P2000, h, np.array([xi]))[0])
+            lhat = float(l_hat(P2000, cutoff_for(3, 1, 1.0), np.array([xi]))[0])
             assert mult * hhat * (1.0 - lhat) + lhat**2 == pytest.approx(1.0, abs=5e-9)
 
     def test_u_contraction_in_alpha(self):
@@ -607,8 +632,29 @@ class TestPipeline:
             tracemalloc.stop()
         assert peak < 8 * 65**3
 
-    @pytest.mark.parametrize("seed", [-1, -2024])
+    def test_error_field_held_once(self, state128):
+        # Gamma^1 = -l is the state's one array of the error field, and l
+        # reads it negated: u, Gamma^1, Gamma^2 and the layer, no fifth array
+        arrays = [v for v in vars(state128).values() if isinstance(v, np.ndarray)]
+        arrays += state128.gammas + state128.layers
+        assert len({id(a) for a in arrays}) == len(arrays) == 2 * state128.N
+        assert state128.gammas[0].tobytes() == (-state128.l).tobytes()
+
+    def test_pipeline_peak_below_five_orthant_arrays(self):
+        # a warm 128^3 run holds Gamma^1, u, Gamma^2 and the layer: 9.6 MB
+        # traced, where storing l and -l both peaked at 11.8 MB
+        parametrix.run_pipeline(P2000, G3, grid=128, alias_limit=0.05)  # warm caches
+        tracemalloc.start()
+        try:
+            parametrix.run_pipeline(P2000, G3, grid=128, alias_limit=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * 65**3
+
+    @pytest.mark.parametrize("seed", [-1, -2024, 1.5, np.float64(3.0)])
     def test_negative_seed_rejected_before_the_draw(self, state64, seed, monkeypatch):
+        # and any seed that is no integer, which numpy would refuse with a TypeError
         def refuse(*args, **kwargs):
             raise AssertionError("radius table built")
 

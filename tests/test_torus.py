@@ -813,14 +813,20 @@ class TestScan:
             torus.symmetry_positivity_scan(p, G3, 5, seed=3)
         )
 
-    @pytest.mark.parametrize("seed", [-1, -2024])
+    @pytest.mark.parametrize("seed", [-1, -2024, 1.5, np.float64(3.0)])
     def test_negative_seed_rejected_before_any_sum(self, seed, monkeypatch):
+        # and any seed that is no integer, which numpy would refuse with a TypeError
         def refuse(*args, **kwargs):
             raise AssertionError("lattice sum called")
 
         monkeypatch.setattr(torus, "green_lattice_sum_many", refuse)
         with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
             torus.symmetry_positivity_scan(ProblemParams(3, 1, 500.0), G3, 5, seed=seed)
+
+    @pytest.mark.parametrize("count", [2.5, np.float64(5.0)])
+    def test_non_integral_count_rejected(self, count):
+        with pytest.raises(DomainError, match=f"pair count must be an integer, got {count}"):
+            torus.symmetry_positivity_scan(ProblemParams(3, 1, 500.0), G3, count)
 
     @pytest.mark.parametrize("pairs", [0, -3, []])
     def test_zero_pairs_rejected(self, pairs):
