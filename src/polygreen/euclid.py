@@ -18,8 +18,9 @@ Radial derivatives are exact: ``RadialTerms`` keeps finite sums of
 q(u) r^p K_m(s r) terms, q polynomial, closed under d/dr, and evaluates
 them by one path with one underflow rule.  The kernel itself
 (``kernel_alpha_array``, the one term D_{n,k} alpha^{nu/2} r^{-nu}
-K_nu(sqrt(alpha) r)), its derivatives (``kernel_terms``) and the
-parametrix error field all use it.
+K_nu(sqrt(alpha) r)), its derivatives (``kernel_terms``), the parametrix
+H = chi G_alpha (``parametrix_kernel``, which the torus pipeline and the
+representation check read) and its error field all use it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .besselk import UNDERFLOW_ARG, bessel_k_scaled_array, gamma_fn
+from .cutoff import CutoffSpec
 from .errors import DomainError, OutOfRegimeError, UnsupportedOrderError
 from .params import ProblemParams
 
@@ -287,4 +289,27 @@ def green_radial_kernel(params: ProblemParams) -> RadialKernel:
         support_radius=None,
         decay_rate=params.sqrt_alpha,
         semigroup_order=params.k,
+    )
+
+
+def _masked(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
+    """f on lo < r < hi and exact 0.0 elsewhere, as a ``RadialKernel`` evaluator."""
+
+    def evaluator(r: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(r)
+        inside = (r > lo) & (r < hi)
+        if np.any(inside):
+            out[inside] = f(r[inside])
+        return out
+
+    return evaluator
+
+
+def parametrix_kernel(params: ProblemParams, cutoff: CutoffSpec) -> RadialKernel:
+    """The parametrix H = chi G_alpha, ~ r^{2k-n} at 0 and exact 0.0 from tau0 on."""
+    kernel = kernel_terms(params)
+    return RadialKernel(
+        _masked(lambda r: cutoff.chi(r) * kernel.evaluate(r), 0.0, cutoff.tau0),
+        sing_exp=float(2 * params.k - params.n),
+        support_radius=cutoff.tau0,
     )

@@ -32,9 +32,10 @@ that form, so (Delta + alpha)^k applies exactly to chi G.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -55,19 +56,6 @@ IMAGE_TOL = 1e-14  # certified absolute tail of u's image sum and of the lattice
 # Step 1: cutoff parametrix and its error field
 # ---------------------------------------------------------------------------
 
-def _masked(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
-    """f on lo < r < hi and exact 0.0 elsewhere, as a ``RadialKernel`` evaluator."""
-
-    def evaluator(r: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(r)
-        inside = (r > lo) & (r < hi)
-        if np.any(inside):
-            out[inside] = f(r[inside])
-        return out
-
-    return evaluator
-
-
 def error_field_profile(params: ProblemParams, cutoff: CutoffSpec) -> euclid.RadialKernel:
     """l = (Delta + alpha)^k (chi G) as a radial kernel, bounded, supported in tau0.
 
@@ -84,15 +72,14 @@ def error_field_profile(params: ProblemParams, cutoff: CutoffSpec) -> euclid.Rad
     expr = euclid.RadialTerms(entries, kernel.s, cutoff.half, cutoff.half)
     for _ in range(params.k):
         expr = expr.apply_operator(params.n, params.alpha)
-    return euclid.RadialKernel(
-        _masked(expr.evaluate, cutoff.half, cutoff.tau0), sing_exp=0.0, support_radius=cutoff.tau0
-    )
+    evaluator = euclid._masked(expr.evaluate, cutoff.half, cutoff.tau0)
+    return euclid.RadialKernel(evaluator, sing_exp=0.0, support_radius=cutoff.tau0)
 
 
 def build_H(
     params: ProblemParams, geometry: torus.TorusGeometry, cutoff: Optional[CutoffSpec] = None
 ) -> euclid.RadialKernel:
-    """H = chi G_alpha as a radial kernel ~ r^{2k-n} at 0, supported in tau0.
+    """H = chi G_alpha (``euclid.parametrix_kernel``), ~ r^{2k-n} at 0, supported in tau0.
 
     Requires tau0 below the injectivity radius and 1/sqrt(alpha) < tau0/2.
     """
@@ -107,11 +94,7 @@ def build_H(
             f"precondition 1/sqrt(alpha) < tau0/2 violated: "
             f"1/sqrt({params.alpha}) = {1.0 / params.sqrt_alpha:.6g} >= {cut.tau0 / 2.0:.6g}"
         )
-    return euclid.RadialKernel(
-        _masked(lambda r: cut.chi(r) * euclid.kernel_alpha_array(params, r), 0.0, cut.tau0),
-        sing_exp=float(2 * params.k - params.n),
-        support_radius=cut.tau0,
-    )
+    return euclid.parametrix_kernel(params, cut)
 
 
 def error_field(
@@ -343,12 +326,14 @@ def assemble_and_compare(
     least two grid spacings off the diagonal, drawn from the radius table's
     mask gathered on the orthant; the orthant fields are read at
     min(j, grid - j).  A tol outside (0, inf), a seed that is not a
-    nonnegative integer, or an oracle that underflows to 0, is a DomainError;
-    a NaN score fails the comparison.
+    nonnegative integer, a pair count that is not an integer, or an oracle
+    that underflows to 0, is a DomainError; a NaN score fails the comparison.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"need a finite tol > 0, got {tol}")
     torus.check_seed(seed)
+    if not isinstance(n_pairs, numbers.Integral):
+        raise DomainError(f"pair count must be an integer, got {n_pairs}")
     geom = state.geometry
     m = state.grid
     radii = torus._radial_table(lambda r: r, geom, m, (0,))

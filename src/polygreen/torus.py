@@ -574,12 +574,10 @@ def plane_wave_spherical_mean(n: int, z) -> np.ndarray:
     Equals (2l+1)!! j_l(z) / z^l with l = (n-3)/2 in terms of spherical
     Bessel functions; elementary for odd n.
     """
-    if n % 2 == 0:
-        raise DomainError("spherical mean implemented for odd dimensions only")
+    if n % 2 == 0 or n > 7:
+        raise DomainError(f"spherical mean implemented for odd n <= 7 only, got n = {n}")
     z = np.asarray(z, dtype=float)
     el = (n - 3) // 2
-    if el > 2:
-        raise DomainError(f"dimension n = {n} not supported (need n <= 7)")
     out = np.empty_like(z)
     # the closed forms for l >= 1 cancel like eps / z^(2l) toward 0, so
     # below |z| = 2 they give way to the series 0F1(; n/2; -z^2/4)
@@ -688,12 +686,13 @@ def representation_check(
 ) -> tuple[float, float]:
     """Defect |int_T G(x, .) phi - u(x)| for a trigonometric polynomial phi.
 
-    The integral is split: the near-diagonal power singularity is removed by
-    subtracting the cutoff parametrix chi(d) c_{n,k} d^{2k-n} (integrated
-    against phi by exact per-mode radial quadrature), and the remaining
-    continuous part is integrated by the periodic rectangle rule on the
-    grid.  Returns (defect, quadrature error estimate).  The estimate
-    compares with the half-resolution grid, so ``grid`` must be even.
+    The integral is split: the near-diagonal singularity is removed by
+    subtracting the parametrix H = chi(d) G_alpha(d)
+    (``euclid.parametrix_kernel``, integrated against phi by exact per-mode
+    radial quadrature), and the remaining continuous part G - H is
+    integrated by the periodic rectangle rule on the grid.  Returns (defect,
+    quadrature error estimate).  The estimate compares with the
+    half-resolution grid, so ``grid`` must be even.
 
     The continuous part is even in each coordinate of the displacement v:
     the lattice L Z^n is invariant under each coordinate sign flip, so the
@@ -702,18 +701,16 @@ def representation_check(
     ``orthant_image_offsets``, tail 1e-10), against phi(x + .) folded over
     the sign flips, per mode a product of one ``_mirror_cosines`` factor per
     axis.  Every cell plus image sits at the integer radius
-    Q = |j + grid M|^2, so one table G_alpha - chi c d^{2k-n} per Q is
-    contracted with those factors (``_weighted_fold``): chi vanishes before
-    L/2, where the images M != 0 begin, and only the diagonal cell's own
-    image has Q = 0, which reads the analytic limit.
+    Q = |j + grid M|^2, so one table G_alpha - H per Q is contracted with
+    those factors (``_weighted_fold``): H vanishes before L/2, where the
+    images M != 0 begin, and G_alpha - H is exactly 0 inside tau0/2, so the
+    diagonal cell's own image, Q = 0, reads 0.
     Index grid - j has the parity of j, so the factors' even orthant indices
     give the half-resolution sum.
 
-    Requires n = 2k + 1, where the subtracted integrand extends continuously
-    to the diagonal (limit -c_{n,k} sqrt(alpha) plus the nonzero images).
+    Any odd n <= 7 is accepted, the dimensions of
+    ``plane_wave_spherical_mean``; others are a DomainError before any work.
     """
-    if params.n != 2 * params.k + 1:
-        raise DomainError("representation check requires n = 2k + 1")
     check_dimensions(params, geometry)
     if grid < 2 or grid % 2:
         raise DomainError(
@@ -725,19 +722,18 @@ def representation_check(
     n, L = geometry.n, geometry.L
     m = grid
     cut = cutoff_for(n, params.k, L)
-    c = euclid.c_nk(n, params.k)
-    gap = params.n - 2 * params.k  # = 1
+    h = euclid.parametrix_kernel(params, cut)
 
-    # periodised kernel minus the cutoff parametrix, one value per integer
-    # radius, contracted with the per-axis factors of each mode: one weight
-    # set per mode on the grid and one on its even indices
+    # singular part first, mode by mode: the radial Fourier transform of H at
+    # |xi| = 2 pi |q| / L, whose spherical mean rejects an even n or n > 7
+    radial = _radial_fourier(n, h, 0.0, cut.tau0, 2.0 * math.pi * np.sqrt(np.sum(q * q, axis=1)) / L)
+    singular_part = float(np.real(np.sum(shifted * radial)))
+
+    # periodised kernel minus the parametrix (H is exactly 0.0 from tau0 on),
+    # one value per integer radius, contracted with the per-axis factors of
+    # each mode: one weight set per mode on the grid and one on its even indices
     offsets, _ = orthant_image_offsets(params, geometry, 1e-10)
-    def kernel_minus_parametrix(r):  # chi is exactly 0.0 from tau0 on
-        out, near = euclid.kernel_alpha_array(params, r), r < cut.tau0
-        out[near] -= cut.chi(r[near]) * c * r[near] ** (-gap)
-        return out
-    table = _radial_table(kernel_minus_parametrix, geometry, m, offsets)
-    table[0] = euclid.euclid_remainder_at_zero(params)
+    table = _radial_table(lambda r: euclid.kernel_alpha_array(params, r) - h(r), geometry, m, offsets)
     factors = _mirror_cosines(q, m)  # [mode, axis, orthant index]
     factors[:, 0] *= shifted.real[:, None]
     even = factors.copy()
@@ -746,14 +742,6 @@ def representation_check(
     spacing = L / m
     grid_part = float(np.sum(sums[: len(q)])) * spacing**n
     half = float(np.sum(sums[len(q) :])) * (2 * spacing) ** n
-
-    # singular part, mode by mode: the radial Fourier transform of the
-    # subtracted parametrix c chi(r) r^{2k-n} at |xi| = 2 pi |q| / L
-    radial = _radial_fourier(
-        n, lambda r: c * cut.chi(r) * r ** (-gap), 0.0, cut.tau0,
-        2.0 * math.pi * np.sqrt(np.sum(q * q, axis=1)) / L,
-    )
-    singular_part = float(np.real(np.sum(shifted * radial)))
 
     u_x = solve_value_at(params, geometry, phi_hat, x)
     defect = abs(grid_part + singular_part - u_x)

@@ -652,15 +652,23 @@ class TestPipeline:
             tracemalloc.stop()
         assert peak < 5 * 8 * 65**3
 
-    @pytest.mark.parametrize("seed", [-1, -2024, 1.5, np.float64(3.0)])
-    def test_negative_seed_rejected_before_the_draw(self, state64, seed, monkeypatch):
-        # and any seed that is no integer, which numpy would refuse with a TypeError
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [pytest.param({"seed": s}, "seed", id=str(s)) for s in (-1, -2024, 1.5, np.float64(3.0))]
+        + [
+            pytest.param({"n_pairs": c}, f"pair count must be an integer, got {c}", id=f"pairs-{c}")
+            for c in (2.5, np.float64(3.0))
+        ],
+    )
+    def test_negative_seed_rejected_before_the_draw(self, state64, kwargs, match, monkeypatch):
+        # and any seed or pair count that is no integer, which numpy would
+        # refuse with a TypeError
         def refuse(*args, **kwargs):
             raise AssertionError("radius table built")
 
         monkeypatch.setattr(torus, "_radial_table", refuse)
-        with pytest.raises(DomainError, match="seed"):
-            parametrix.assemble_and_compare(state64, seed=seed)
+        with pytest.raises(DomainError, match=match):
+            parametrix.assemble_and_compare(state64, **kwargs)
 
     @pytest.mark.parametrize("n_pairs, d_range", [(0, (0.06, 0.30)), (10, (0.30, 0.06))])
     def test_comparison_without_pairs_rejected(self, state64, n_pairs, d_range):

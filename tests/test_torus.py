@@ -272,6 +272,46 @@ class TestRepresentation:
                 p, torus.TorusGeometry(4, 1.0), {(0, 0, 0, 0): 1.0}, np.zeros(4), grid=8
             )
 
+    @pytest.mark.parametrize("n, k", [(4, 1), (9, 4)])
+    def test_unsupported_dimension_rejected_before_any_table(self, n, k, monkeypatch):
+        # the plane-wave spherical mean takes odd n <= 7 only; the check
+        # refuses the others before it builds a table
+        def refuse(*args, **kwargs):
+            raise AssertionError("radius table built")
+
+        monkeypatch.setattr(torus, "_radial_table", refuse)
+        with pytest.raises(DomainError, match="odd n <= 7"):
+            torus.representation_check(
+                ProblemParams(n, k, 300.0), torus.TorusGeometry(n, 1.0), {(0,) * n: 1.0},
+                np.zeros(n), grid=4,
+            )
+
+    @staticmethod
+    def _verify_modes(n):
+        # the two sources of ``torus verify``: phi = 1 and cos(2 pi x_1 / L)
+        e = (1,) + (0,) * (n - 1)
+        return [{(0,) * n: 1.0}, {e: 0.5, tuple(-c for c in e): 0.5}]
+
+    def test_readme_defect_below_1e8(self):
+        # subtracting H itself leaves G - H, exactly 0 inside tau0/2, for
+        # the rectangle rule: the README's 128^3 defects read 1.8e-10, where
+        # subtracting chi c_{n,k} / d read 7.8e-8
+        p = ProblemParams(3, 1, 2000.0)
+        for phi in self._verify_modes(3):
+            defect, est = torus.representation_check(p, G3, phi, np.zeros(3), grid=128)
+            assert defect <= 1e-8
+            assert defect <= est
+
+    @pytest.mark.parametrize("n, k, alpha, m", [(5, 1, 300.0, 16), (7, 2, 300.0, 8), (7, 3, 300.0, 8)])
+    def test_defect_within_estimate_beyond_n_2k_plus_1(self, n, k, alpha, m):
+        # any odd n <= 7 runs, n = 2k + 1 or not; the half-resolution
+        # estimate bounds the defect
+        p = ProblemParams(n, k, alpha)
+        geom = torus.TorusGeometry(n, 1.0)
+        for phi in self._verify_modes(n):
+            defect, est = torus.representation_check(p, geom, phi, np.zeros(n), grid=m)
+            assert defect <= est
+
     @pytest.mark.parametrize("grid", [0, -4])
     def test_degenerate_grid_rejected(self, grid):
         p = ProblemParams(3, 1, 2000.0)
@@ -585,8 +625,9 @@ class TestRepresentation:
     @pytest.mark.parametrize("m", [16, 18])
     def test_grid_sums_match_full_grid_rows(self, m):
         # defect and estimate against the float-row image sum minus the
-        # parametrix times phi(x + .) on the whole grid and on every second
-        # sample, at a base point off the grid and a source with three modes
+        # parametrix H times phi(x + .) on the whole grid and on every second
+        # sample, at a base point off the grid and a source with three modes;
+        # the diagonal cell sums the other images, as G - H reads 0 at d = 0
         p = ProblemParams(3, 1, 2000.0)
         phi = {(1, 0, 0): 0.5, (-1, 2, 0): 0.3 - 0.2j, (0, 1, -3): 0.25j}
         x = np.array([0.3, 0.7, 0.1])
@@ -595,17 +636,14 @@ class TestRepresentation:
         rows = np.stack(np.meshgrid(*([reps] * 3), indexing="ij"), axis=-1).reshape(-1, 3)
         r = np.linalg.norm(rows, axis=1)
         cut = cutoff_for(3, 1, 1.0)
-        c = euclid.c_nk(3, 1)
+        h = euclid.parametrix_kernel(p, cut)
         smooth = torus._image_sum(p, G3, rows, 1e-10)[0]
-        smooth[1:] -= cut.chi(r[1:]) * c / r[1:]
-        smooth[0] += euclid.euclid_remainder_at_zero(p)
+        smooth[1:] -= h(r[1:])
         weighted = smooth.reshape((m,) * 3) * _modes_on_full_grid(G3, phi, m, x)
         grid_part = np.sum(weighted) / m**3
         half = np.sum(weighted[::2, ::2, ::2]) * 8 / m**3
         q, shifted = torus._shifted_modes(G3, phi, x)
-        radial = torus._radial_fourier(
-            3, lambda t: c * cut.chi(t) / t, 0.0, cut.tau0, 2 * PI * np.linalg.norm(q, axis=1)
-        )
+        radial = torus._radial_fourier(3, h, 0.0, cut.tau0, 2 * PI * np.linalg.norm(q, axis=1))
         singular = np.sum(shifted * radial).real
         u = torus.solve_value_at(p, G3, phi, x)
         scale = np.sum(np.abs(weighted)) / m**3
@@ -698,21 +736,21 @@ class TestRepresentation:
 
     @pytest.mark.parametrize("n, k, alpha, m", [(3, 1, 2000.0, 32), (3, 1, 50.0, 16), (5, 2, 300.0, 8)])
     def test_check_equals_a_build_at_the_old_reach(self, n, k, alpha, m, monkeypatch):
-        # sizing the table by the fold's reach and subtracting the parametrix
+        # sizing the table by the fold's reach and evaluating the parametrix
         # only below tau0 changes no bit of the check: a table built as
-        # before, over |q_a| <= m//2 + m max|M| with chi over every radius,
-        # gives the same defect and estimate
+        # before, over |q_a| <= m//2 + m max|M| with chi G_alpha subtracted
+        # at every radius, gives the same defect and estimate
         p = ProblemParams(n, k, alpha)
         geom = torus.TorusGeometry(n, 1.0)
         phi = {(1,) + (0,) * (n - 1): 1.0, (0, 2) + (1,) * (n - 2): 0.5 - 0.25j}
         x = np.linspace(0.1, 0.7, n)
         new = torus.representation_check(p, geom, phi, x, grid=m)
-        cut, c = cutoff_for(n, k, 1.0), euclid.c_nk(n, k)
+        cut = cutoff_for(n, k, 1.0)
         radial_table = torus._radial_table
 
         def old_build(f, geometry, grid, offsets):
             return radial_table(
-                lambda r: euclid.kernel_alpha_array(p, r) - cut.chi(r) * c * r ** (-(n - 2 * k)),
+                lambda r: euclid.kernel_alpha_array(p, r) - cut.chi(r) * euclid.kernel_alpha_array(p, r),
                 geometry, grid, (max(map(abs, offsets)),),
             )
 
