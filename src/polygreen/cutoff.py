@@ -1,17 +1,20 @@
-"""Polynomial smoothstep cutoff used to localise the parametrix.
+"""Polynomial cutoff used to localise the parametrix.
 
 chi is identically 1 on [0, tau0/2], identically 0 on [tau0, inf), and on the
-transition annulus equals 1 - S((r - tau0/2)/(tau0/2)) where S is the
-polynomial smoothstep whose first ``smoothness`` derivatives vanish at both
-junctions.  Being polynomial, all derivatives are exact, which the radial
-operator pipeline relies on.  chi itself is evaluated as S(1 - u), by the
-symmetry 1 - S(u) = S(1 - u), in a form with no cancellation, so it keeps its
-relative accuracy up to tau0.
+transition annulus, in u = (r - tau0/2)/(tau0/2) and v = 1 - u, equals
+v^{N+1} sum_{j=0}^{N} C(N+j, j) u^j, whose first N = ``smoothness``
+derivatives vanish at both junctions.  chi has one polynomial: the integer
+coefficients C(N+j, j) are built once per cutoff, and both the evaluation of
+chi and its exact polynomial in u, which the radial operator pipeline
+multiplies the kernel by, read them.  Being polynomial, all derivatives are
+exact.  The sum has nonnegative terms, so chi keeps its relative accuracy up
+to tau0.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,39 +24,27 @@ from numpy.polynomial.polynomial import polyval
 from .errors import DomainError
 
 
-def smoothstep_polynomial(smoothness: int) -> Polynomial:
-    """S_N on [0, 1] with S(0)=0, S(1)=1 and N vanishing derivatives at both ends.
-
-    S_N(x) = x^{N+1} sum_{j=0}^{N} binom(N+j, j) binom(2N+1, N-j) (-x)^j.
-    """
-    if smoothness < 1:
-        raise DomainError(f"need smoothness >= 1, got {smoothness}")
-    n = smoothness
-    coeffs = [0.0] * (n + 1)
-    for j in range(n + 1):
-        coeffs.append(
-            float(math.comb(n + j, j) * math.comb(2 * n + 1, n - j) * (-1) ** j)
-        )
-    return Polynomial(coeffs)
-
-
-@dataclass
+@dataclass(frozen=True)
 class CutoffSpec:
     """Radial cutoff: 1 on [0, tau0/2], polynomial drop to 0 at tau0.
 
-    ``smoothness`` derivatives vanish at both junctions; the transition
-    polynomial (in the scaled variable u = (r - tau0/2)/(tau0/2)) is exposed
-    for the symbolic radial pipeline.
+    ``smoothness`` = N derivatives vanish at both junctions; ``coefficients``
+    holds C(N+j, j), j = 0..N, the nonnegative factor of chi on the annulus.
+    Frozen, so the coefficients cannot go stale.
     """
 
     tau0: float
     smoothness: int
-    step: Polynomial = field(init=False, repr=False)
+    coefficients: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.tau0) and self.tau0 > 0):
             raise DomainError(f"tau0 must be positive and finite, got tau0={self.tau0}")
-        self.step = smoothstep_polynomial(self.smoothness)
+        n = self.smoothness
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise DomainError(f"need an integer smoothness >= 1, got {n}")
+        coefficients = tuple(float(math.comb(n + j, j)) for j in range(n + 1))
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def half(self) -> float:
@@ -63,19 +54,25 @@ class CutoffSpec:
         return (np.asarray(r, dtype=float) - self.half) / self.half
 
     def chi(self, r):
-        """chi(r) = S(1 - u), elementwise: exactly 1 for r <= tau0/2 and 0 from tau0 on.
+        """chi(r) = v^{N+1} sum_j C(N+j, j) u^j elementwise, no cancellation.
 
-        S(x) = x^{N+1} sum_j C(N+j, j) (1 - x)^j sums nonnegative terms, so
-        chi = v^{N+1} sum_j C(N+j, j) u^j with v = 1 - u has no cancellation;
-        u and v = (tau0 - r)/(tau0/2) take one rounding each on the annulus,
-        where r - tau0/2 and tau0 - r are exact (Sterbenz).
+        Exactly 1 for r <= tau0/2 and 0 from tau0 on.  u and v = (tau0 - r)/(tau0/2)
+        take one rounding each on the annulus, where r - tau0/2 and tau0 - r
+        are exact (Sterbenz).
         """
         r = np.asarray(r, dtype=float)
         u = np.clip(self.scaled(r), 0.0, 1.0)
         v = np.clip((self.tau0 - r) / self.half, 0.0, 1.0)
-        n = self.smoothness
-        out = v ** (n + 1) * polyval(u, [float(math.comb(n + j, j)) for j in range(n + 1)])
+        out = v ** (self.smoothness + 1) * polyval(u, self.coefficients)
         return out if out.shape else float(out)
+
+    def polynomial(self) -> Polynomial:
+        """chi on the annulus as a polynomial in u: (1 - u)^{N+1} sum_j C(N+j, j) u^j.
+
+        Exact up to N = 18: every coefficient and partial sum of the product
+        is an integer below 2^53.
+        """
+        return Polynomial([1.0, -1.0]) ** (self.smoothness + 1) * Polynomial(self.coefficients)
 
 
 def auto_tau0(n: int, L: float) -> float:

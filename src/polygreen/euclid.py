@@ -26,6 +26,7 @@ representation check read) and its error field all use it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -209,8 +210,8 @@ def kernel_radial_derivative(params: ProblemParams, r: float, l: int) -> float:
     ``l = 0`` is the kernel itself; orders above 2k are not supported (the
     Bessel order would leave the table driven by the operator order).
     """
-    if l < 0:
-        raise DomainError(f"derivative order must be >= 0, got {l}")
+    if not isinstance(l, numbers.Integral) or l < 0:
+        raise DomainError(f"derivative order must be an integer >= 0, got {l}")
     if l > 2 * params.k:
         raise UnsupportedOrderError(
             f"derivative order {l} exceeds operator order 2k = {2 * params.k}"

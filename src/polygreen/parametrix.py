@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from . import euclid, torus
 from .besselk import UNDERFLOW_ARG
@@ -67,7 +66,7 @@ def error_field_profile(params: ProblemParams, cutoff: CutoffSpec) -> euclid.Rad
     if params.k > 3:
         raise DomainError("symbolic radial pipeline supports k <= 3")
     kernel = euclid.kernel_terms(params)
-    chi = Polynomial([1.0]) - cutoff.step  # chi in the annulus variable u
+    chi = cutoff.polynomial()  # chi in the annulus variable u
     entries = {key: chi * q for key, q in kernel.entries.items()}
     expr = euclid.RadialTerms(entries, kernel.s, cutoff.half, cutoff.half)
     for _ in range(params.k):
@@ -97,30 +96,20 @@ def build_H(
     return euclid.parametrix_kernel(params, cut)
 
 
-def error_field(
-    params: ProblemParams,
-    geometry: torus.TorusGeometry,
-    cutoff: CutoffSpec,
-    grid: int,
-) -> np.ndarray:
-    """l = (Delta + alpha)^k H_x on the orthant of the displacement grid around x.
+def error_field(l: euclid.RadialKernel, geometry: torus.TorusGeometry, grid: int) -> np.ndarray:
+    """Sample a built ``error_field_profile`` l on the orthant of the displacement grid.
 
     Shape (grid//2 + 1,)*n (``torus.sample_radial``).  Warns when fewer than
-    4 grid cells span the annulus width tau0/2.
+    4 grid cells span the annulus width tau0/2 = ``l.support_radius / 2``.
     """
-    return _sample_error_field(error_field_profile(params, cutoff), geometry, cutoff, grid)
-
-
-def _sample_error_field(profile, geometry: torus.TorusGeometry, cutoff: CutoffSpec, grid: int):
-    """``error_field`` from a built ``error_field_profile``."""
-    cells = (cutoff.tau0 - cutoff.half) / (geometry.L / grid)
+    cells = (l.support_radius / 2) / (geometry.L / grid)
     if cells < 4.0:
         warnings.warn(
             f"error-field annulus spans only {cells:.2f} grid cells; "
             "increase the grid for a faithful sampling",
             RuntimeWarning,
         )
-    return torus.sample_radial(profile, geometry, grid)
+    return torus.sample_radial(l, geometry, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +133,11 @@ class ParametrixState:
     gammas: list
     layers: list
     u: np.ndarray
-    N: int
+
+    @property
+    def N(self) -> int:
+        """The iterate depth floor(n/2) + 1, one Gamma per level."""
+        return len(self.gammas)
 
     @property
     def gamma(self) -> np.ndarray:
@@ -213,8 +206,8 @@ def run_pipeline(
     """
     if not 0.0 <= alias_limit <= 1.0:
         raise DomainError(f"alias_limit must lie in [0, 1], got {alias_limit}")
-    if grid < 2:
-        raise DomainError(f"pipeline grid must be at least 2, got {grid}")
+    if not isinstance(grid, numbers.Integral) or grid < 2:
+        raise DomainError(f"pipeline grid must be an integer at least 2, got {grid}")
     n = geometry.n
     depth = n // 2 + 1  # 2N > n
     cut = cutoff if cutoff is not None else cutoff_for(n, params.k, geometry.L)
@@ -225,7 +218,7 @@ def run_pipeline(
         )
     h_profile = build_H(params, geometry, cut)
     l_profile = error_field_profile(params, cut)  # one symbolic build for the three readers
-    gamma1 = _sample_error_field(l_profile, geometry, cut, grid)
+    gamma1 = error_field(l_profile, geometry, grid)
     np.negative(gamma1, out=gamma1)
     h = grid // 2
     sums = _sums_of_squares(n, h)
@@ -268,7 +261,6 @@ def run_pipeline(
         gammas=[gamma1] + fields[: depth - 1],
         layers=fields[depth - 1 :],
         u=u,
-        N=depth,
     )
 
 

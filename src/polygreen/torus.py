@@ -150,12 +150,15 @@ def image_radius(
 
     ``order`` 0 bounds the values, 1 to 3 the derivatives of that order
     along a unit direction.  Returns (m, tail bound).  Raises DomainError
-    unless tol > 0 (NaN fails; tol = inf accepts radius 1), and BudgetError,
+    unless tol > 0 (NaN fails; tol = inf accepts radius 1) and the order is
+    an integer in 0..3, and BudgetError,
     carrying the tail bound at the cap, when no radius within the image
     budget reaches tol (small alpha on a small torus).
     """
     if not tol > 0:
         raise DomainError(f"need tol > 0, got {tol}")
+    if not (isinstance(order, numbers.Integral) and 0 <= order <= 3):
+        raise DomainError(f"need an integer order 0 <= order <= 3, got {order}")
     cap = _box_cap(geometry.n)
     for m_max in range(1, cap + 1):
         tail = _certified_tail(params, geometry, 2 * m_max + 1, 2, order)
@@ -692,7 +695,8 @@ def representation_check(
     radial quadrature), and the remaining continuous part G - H is
     integrated by the periodic rectangle rule on the grid.  Returns (defect,
     quadrature error estimate).  The estimate compares with the
-    half-resolution grid, so ``grid`` must be even.
+    half-resolution grid, so ``grid`` must be an even integer; it is no
+    upper bound (at (3, 1, 2000) grid 32 the defect exceeds it).
 
     The continuous part is even in each coordinate of the displacement v:
     the lattice L Z^n is invariant under each coordinate sign flip, so the
@@ -712,9 +716,9 @@ def representation_check(
     ``plane_wave_spherical_mean``; others are a DomainError before any work.
     """
     check_dimensions(params, geometry)
-    if grid < 2 or grid % 2:
+    if not isinstance(grid, numbers.Integral) or grid < 2 or grid % 2:
         raise DomainError(
-            f"representation check needs an even grid >= 2, got {grid}: its error "
+            f"representation check needs an even grid >= 2 (an integer), got {grid}: its error "
             "estimate compares with every second sample, a half-resolution "
             "grid only when the grid is even"
         )

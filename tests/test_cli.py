@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polygreen import cli, parametrix, torus
+from polygreen import cli, giraud, mass, parametrix, torus
 
 PI = math.pi
 
@@ -51,6 +51,18 @@ class TestKernelCommands:
         )
         assert code == 0
         assert float(out.strip()) == pytest.approx(10 * math.exp(-5) / (20 * PI), rel=1e-12)
+
+    def test_eval_format_writes_a_report_row(self, capsys):
+        code, out, _ = run_cli(
+            ["kernel", "eval", "--n", "3", "--k", "1", "--alpha", "100", "--r", "0.5",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        [row] = cli.parse_report(out)
+        assert (row["alpha"], row["d"]) == (100.0, 0.5)
+        assert row["value"] == pytest.approx(10 * math.exp(-5) / (20 * PI), rel=1e-12)
+        assert row["ratio"] == pytest.approx(row["value"] / row["envelope"], rel=1e-15)
 
     def test_deriv(self, capsys):
         code, out, _ = run_cli(
@@ -101,6 +113,36 @@ class TestGiraudCommands:
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
 
+    def test_compose_euclid_mode(self, capsys):
+        # the README's two envelopes composed by the Euclidean rule
+        x = json.dumps({"beta": "2", "p": "1", "rho": "1", "rate": "1", "support": "9/100"})
+        code, out, _ = run_cli(
+            ["giraud", "compose", "--n", "3", "--mode", "euclid", "--x", x, "--y", x], capsys
+        )
+        assert code == 0
+        assert json.loads(out) == {"beta": "const", "p": "0", "rho": "5", "rate": "1", "support": "9/50"}
+
+    def test_certify_failure_exits_2(self, monkeypatch, capsys):
+        failed = giraud.CertificationReport(
+            fitted={100.0: 0.5, 10000.0: 0.25}, passed=False, drift=3.25,
+            counterexample={"alpha": 100.0, "r": 0.02},
+        )
+        monkeypatch.setattr(giraud, "certify_bound", lambda *a, **k: failed)
+        code, out, err = run_cli(
+            ["giraud", "certify", "--n", "3", "--k", "1",
+             "--alphas", "100,10000", "--radii", "0.02,0.05,0.2", "--format", "json"],
+            capsys,
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            "certification failed: drift 3.25",
+            "counterexample: {'alpha': 100.0, 'r': 0.02}",
+        ]
+        assert cli.parse_report(out) == [
+            {"alpha": 100.0, "fitted_C": 0.5, "ratio": 3.25},
+            {"alpha": 10000.0, "fitted_C": 0.25, "ratio": 3.25},
+        ]
+
     def test_certify_passes(self, capsys):
         code, out, _ = run_cli(
             ["giraud", "certify", "--n", "3", "--k", "1",
@@ -127,6 +169,28 @@ class TestTorusCommands:
         code2, out2, _ = run_cli(args, capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("out_name", [None, "scan.csv"])
+    def test_scan_failure_writes_counterexamples(self, out_name, tmp_path, monkeypatch, capsys):
+        # without --out the counterexamples go to scan.counterexamples.json
+        monkeypatch.chdir(tmp_path)
+        failures = [
+            {"x": [0.0, 0.0, 0.0], "y": [0.25, 0.0, 0.0], "value": -1e-3},
+            {"x": [0.1, 0.0, 0.0], "y": [0.0, 0.2, 0.0], "asymmetry": 0.5},
+        ]
+        failed = torus.ScanReport(
+            pairs=20, min_value=-1e-3, max_asymmetry=0.5, underflow_pairs=0, failures=failures
+        )
+        monkeypatch.setattr(torus, "symmetry_positivity_scan", lambda *a, **k: failed)
+        argv = ["torus", "scan", "--n", "3", "--k", "1", "--alpha", "500", "--pairs", "20",
+                "--seed", "11", "--format", "csv"]
+        code, out, err = run_cli(argv + (["--out", out_name] if out_name else []), capsys)
+        assert code == 2
+        assert err == "scan failed on 2 pairs\n"
+        report = (tmp_path / out_name).read_text() if out_name else out
+        assert report.splitlines() == ["alpha,d,value,envelope,ratio,fitted_C", "500.0,,-0.001,,0.5,0"]
+        payload = json.loads((tmp_path / f"{out_name or 'scan'}.counterexamples.json").read_text())
+        assert payload == {"schema": cli.REPORT_SCHEMA, "rows": failures}
 
     def test_verify_small_grid(self, capsys):
         code, out, _ = run_cli(
@@ -401,6 +465,24 @@ class TestMassCommand:
         rows = cli.parse_report(out_path.read_text())
         assert len(rows) == 2
         assert rows[0]["ratio"] == pytest.approx(1 / (4 * PI), rel=1e-3)
+
+
+    def test_sweep_failure_exits_2(self, monkeypatch, capsys):
+        failed = mass.MassReport(
+            alphas=[100.0, 1000.0], mu=[0.5, -1.0], scaled=[-0.05, 0.03], bracket=(-0.05, 0.03)
+        )
+        monkeypatch.setattr(mass, "mass_sweep", lambda *a, **k: failed)
+        code, out, err = run_cli(
+            ["mass", "sweep", "--n", "3", "--k", "1", "--L", "1",
+             "--alphas", "100,1000", "--format", "json"],
+            capsys,
+        )
+        assert code == 2
+        assert err == "mass sweep failed: nonpositive -mu in range\n"
+        assert cli.parse_report(out) == [
+            {"alpha": 100.0, "value": 0.5, "ratio": -0.05, "fitted_C": 0.03},
+            {"alpha": 1000.0, "value": -1.0, "ratio": 0.03, "fitted_C": 0.03},
+        ]
 
 
 class TestReports:

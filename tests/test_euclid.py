@@ -272,6 +272,8 @@ class TestRadialDerivative:
             euclid.kernel_radial_derivative(p, 1.0, 3)
         with pytest.raises(DomainError):
             euclid.kernel_radial_derivative(p, 1.0, -1)
+        with pytest.raises(DomainError, match="integer"):
+            euclid.kernel_radial_derivative(p, 0.1, 1.5)
 
 
 class TestEnvelope:

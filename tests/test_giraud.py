@@ -242,6 +242,20 @@ class TestPsi:
         with pytest.raises(EstimateNotApplicableError):
             giraud.compose_psi(x, 0.1, 3, 0.5)
 
+    @pytest.mark.parametrize(
+        "near, p, rho, failed",
+        [
+            (giraud.NearRegime("power", beta=F(2)), F(0), F(0), "beta == n"),
+            (giraud.NearRegime("log"), F(0), F(0), "near regime bounded"),
+            (giraud.NearRegime("const"), F(1), F(1), "2p - rho <= 0"),
+        ],
+    )
+    def test_refusals_name_the_failed_hypothesis(self, near, p, rho, failed):
+        x = giraud.EnvelopeSpec(near=near, p=p, rho=rho)
+        with pytest.raises(EstimateNotApplicableError) as err:
+            giraud.compose_psi(x, 0.1, 3, 0.5)
+        assert err.value.failed_inequality == failed
+
     def test_psi_value_regimes(self):
         ig = 0.5
         alpha = 400.0
@@ -273,6 +287,21 @@ class TestSerialization:
             near=giraud.NearRegime("const_alpha", alpha_exp=F(-1, 2)), p=F(2), rho=F(5)
         )
         assert giraud.EnvelopeSpec.from_json_dict(x.to_json_dict()) == x
+
+    @pytest.mark.parametrize(
+        "near, beta",
+        [
+            (giraud.NearRegime("power", beta=F(3, 2)), "3/2"),
+            (giraud.NearRegime("log"), "log"),
+            (giraud.NearRegime("const"), "const"),
+            (giraud.NearRegime("const_alpha", alpha_exp=F(-1, 2)), {"const_alpha": "-1/2"}),
+        ],
+    )
+    def test_roundtrip_every_near_kind(self, near, beta):
+        x = giraud.EnvelopeSpec(near=near, p=F(1, 4), rho=F(-1, 2), rate=F(2), support=F(9, 100))
+        d = x.to_json_dict()
+        assert d == {"beta": beta, "p": "1/4", "rho": "-1/2", "rate": "2", "support": "9/100"}
+        assert giraud.EnvelopeSpec.from_json_dict(json.loads(json.dumps(d))) == x
 
     @pytest.mark.parametrize(
         "d, key",
@@ -513,6 +542,13 @@ class TestEnvelopeValue:
         # NaN fails the r > 0 check too instead of propagating into the bound
         with pytest.raises(DomainError, match="need r > 0"):
             giraud.envelope_value(giraud.kernel_far_envelope(3, 1), 3, 100.0, r)
+
+    def test_log_near_regime(self):
+        # 1 + |log(sqrt(alpha) r)| for sqrt(alpha) r <= 1: 1 + log 2 at sqrt(alpha) r = 1/2
+        spec = giraud.EnvelopeSpec(near=giraud.NearRegime("log"), p=F(0), rho=F(0))
+        assert giraud.envelope_value(spec, 3, 100.0, 0.05) == pytest.approx(1.0 + math.log(2.0), rel=1e-15)
+        assert giraud.envelope_value(spec, 3, 100.0, 0.1) == 1.0
+        assert giraud.envelope_value(spec, 3, 100.0, 0.2) == pytest.approx(math.exp(-2.0), rel=1e-15)
 
     def test_infinite_radius_is_zero(self):
         assert giraud.envelope_value(giraud.kernel_far_envelope(3, 1), 3, 100.0, math.inf) == 0.0

@@ -7,6 +7,7 @@ Fourier identity (xi^2 + alpha) Hhat = 1 + lhat checks the semi-analytic
 transforms against each other.
 """
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from polygreen import euclid, giraud, parametrix, torus
-from polygreen.cutoff import CutoffSpec, auto_tau0, cutoff_for, smoothstep_polynomial
+from polygreen.cutoff import CutoffSpec, auto_tau0, cutoff_for
 from polygreen.errors import ConvergenceError, DomainError, PreconditionError
 from polygreen.giraud import printed_iterate_exponents, psi_value
 from polygreen.params import ProblemParams
@@ -26,8 +27,8 @@ P2000 = ProblemParams(3, 1, 2000.0)
 
 
 def chi_derivative(cut, r, order):
-    """d^order chi / dr^order inside the annulus, from the smoothstep: chi = 1 - S(u)."""
-    return -cut.step.deriv(order)(cut.scaled(r)) / cut.half**order
+    """d^order chi / dr^order inside the annulus, from chi's polynomial in u."""
+    return cut.polynomial().deriv(order)(cut.scaled(r)) / cut.half**order
 
 
 def displacement_distances(geometry, m):
@@ -106,9 +107,10 @@ def state64():
 
 class TestCutoff:
     def test_smoothstep_endpoints(self):
-        s = smoothstep_polynomial(4)
-        assert s(0.0) == pytest.approx(0.0, abs=1e-15)
-        assert s(1.0) == pytest.approx(1.0, rel=1e-14)
+        # chi's polynomial in u falls from 1 to 0 with 4 vanishing derivatives at both ends
+        s = CutoffSpec(tau0=0.09, smoothness=4).polynomial()
+        assert s(0.0) == pytest.approx(1.0, rel=1e-14)
+        assert s(1.0) == pytest.approx(0.0, abs=1e-15)
         for order in range(1, 5):
             d = s.deriv(order)
             assert d(0.0) == pytest.approx(0.0, abs=1e-10)
@@ -162,19 +164,25 @@ class TestCutoff:
         assert np.all((0.0 < inside) & (inside <= 1.0 + smoothness * np.finfo(float).eps))
 
     def test_chi_matches_the_smoothstep_polynomial(self):
-        # chi's nonnegative form v^(N+1) sum_j C(N+j, j) (1 - v)^j is the
-        # smoothstep S(v) exposed for the symbolic pipeline, in integers; its
-        # values agree with 1 - S(u) in doubles to the latter's cancellation
-        # (7.7e-11 at most, smoothness 8 = 2k + 2 at k = 3)
-        x = np.polynomial.Polynomial([0, 1])
+        # chi's one polynomial (1 - u)^(N+1) sum_j C(N+j, j) u^j, built from
+        # the cutoff's coefficients, is 1 - S(u) for the smoothstep
+        # S(u) = u^(N+1) sum_j C(N+j, j) C(2N+1, N-j) (-u)^j, coefficient for
+        # coefficient, here rebuilt in integers; chi's values agree with
+        # 1 - S(u) in doubles to the latter's cancellation (7.7e-11 at most,
+        # smoothness 8 = 2k + 2 at k = 3)
         for n in range(1, 13):
-            form = x ** (n + 1) * sum(math.comb(n + j, j) * (1 - x) ** j for j in range(n + 1))
-            np.testing.assert_array_equal(form.coef, smoothstep_polynomial(n).coef)
+            step = [0] * (n + 1) + [
+                math.comb(n + j, j) * math.comb(2 * n + 1, n - j) * (-1) ** j for j in range(n + 1)
+            ]
+            one_minus_step = [1 - step[0]] + [-c for c in step[1:]]
+            cut = CutoffSpec(tau0=2.0, smoothness=n)
+            assert cut.coefficients == tuple(float(math.comb(n + j, j)) for j in range(n + 1))
+            assert cut.polynomial().coef.tolist() == [float(c) for c in one_minus_step]
             if n > 8:
                 continue
-            cut = CutoffSpec(tau0=2.0, smoothness=n)
             r = np.linspace(1.0, 2.0, 41)
-            np.testing.assert_allclose(cut.chi(r), 1.0 - cut.step(cut.scaled(r)), rtol=0, atol=1e-10)
+            s = np.polynomial.Polynomial([float(c) for c in step])
+            np.testing.assert_allclose(cut.chi(r), 1.0 - s(cut.scaled(r)), rtol=0, atol=1e-10)
 
     def test_chi_derivative_matches_fd(self):
         cut = CutoffSpec(tau0=0.09, smoothness=4)
@@ -182,6 +190,21 @@ class TestCutoff:
         for r in (0.05, 0.06, 0.08):
             fd = (cut.chi(r + h) - cut.chi(r - h)) / (2 * h)
             assert chi_derivative(cut, r, 1) == pytest.approx(fd, rel=1e-5)
+
+    def test_equality_compares_the_coefficient_tuple(self):
+        # the coefficients are a tuple, so dataclass equality stays a bool,
+        # and the spec is frozen, so they cannot go stale
+        cut = CutoffSpec(0.09, 4)
+        assert cut == CutoffSpec(0.09, 4)
+        assert cut != CutoffSpec(0.09, 6)
+        assert cut != CutoffSpec(0.08, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cut.smoothness = 6
+
+    @pytest.mark.parametrize("smoothness", [0, -1, 4.5, 4.0, np.float64(4.0)])
+    def test_bad_smoothness_rejected(self, smoothness):
+        with pytest.raises(DomainError, match="integer smoothness >= 1"):
+            CutoffSpec(tau0=0.09, smoothness=smoothness)
 
     def test_auto_tau0(self):
         assert auto_tau0(3, 1.0) == pytest.approx(0.09)
@@ -221,6 +244,13 @@ class TestBuildH:
         with pytest.raises(PreconditionError) as err:
             parametrix.build_H(ProblemParams(3, 1, 1.0), G3)
         assert "tau0/2" in str(err.value)
+
+    @pytest.mark.parametrize("tau0", [0.5, 0.7])
+    def test_tau0_beyond_injectivity_radius_rejected(self, tau0):
+        # run_pipeline refuses tau0 >= i_g/(n+2) before it calls build_H, so
+        # build_H's own guard is reached only directly
+        with pytest.raises(PreconditionError, match="injectivity radius"):
+            parametrix.build_H(P2000, G3, CutoffSpec(tau0=tau0, smoothness=4))
 
     def test_fourier_identity_with_error_field(self):
         # (xi^2 + alpha) Hhat(xi) = 1 + lhat(xi) for k = 1 (delta + error)
@@ -305,7 +335,7 @@ class TestErrorField:
     def test_under_resolution_warning(self):
         cut = cutoff_for(3, 1, 1.0)
         with pytest.warns(RuntimeWarning):
-            parametrix.error_field(P2000, G3, cut, 32)
+            parametrix.error_field(parametrix.error_field_profile(P2000, cut), G3, 32)
 
     def test_profile_built_once_per_pipeline(self, monkeypatch):
         # the sampled field, the guard's lhat and the inverse transforms read
@@ -322,7 +352,24 @@ class TestErrorField:
             state = parametrix.run_pipeline(P2000, G3, grid=16, alias_limit=1.0)
         assert calls == [P2000]
         with pytest.warns(RuntimeWarning, match="error-field annulus"):
-            np.testing.assert_array_equal(state.l, parametrix.error_field(P2000, G3, state.cutoff, 16))
+            np.testing.assert_array_equal(state.l, parametrix.error_field(build(P2000, state.cutoff), G3, 16))
+
+    def test_pipeline_samples_through_error_field(self, monkeypatch):
+        # run_pipeline samples l through the module attribute error_field,
+        # once, so a wrapper set on it (as a profiler sets one) sees the call
+        calls = []
+        sample = parametrix.error_field
+
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(parametrix, "error_field", wrapped)
+        state = parametrix.run_pipeline(P2000, G3, grid=128, alias_limit=0.05)
+        assert len(calls) == 1
+        l, geometry, grid = calls[0]
+        assert (l.support_radius, geometry, grid) == (state.cutoff.tau0, G3, 128)
+        assert state.N == len(state.gammas) == 2
 
     def test_integral_identity(self, state64):
         # int l = alpha^k int H - 1 (defining identity against phi = 1)
@@ -675,7 +722,7 @@ class TestPipeline:
         with pytest.raises(DomainError, match="no pairs"):
             parametrix.assemble_and_compare(state64, n_pairs=n_pairs, d_range=d_range)
 
-    @pytest.mark.parametrize("grid", [1, 0, -8])
+    @pytest.mark.parametrize("grid", [1, 0, -8, 16.0, np.float64(16.0)])
     def test_degenerate_grid_rejected(self, grid):
         with pytest.raises(DomainError, match="at least 2"):
             parametrix.run_pipeline(P2000, G3, grid=grid)

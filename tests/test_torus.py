@@ -138,6 +138,12 @@ class TestLatticeSum:
         with pytest.raises(DomainError, match="tol"):
             torus.image_radius(ProblemParams(3, 1, 100.0), G3, tol)
 
+    @pytest.mark.parametrize("order", [4, -1, 1.5, 1.0])
+    def test_order_outside_0_to_3_rejected(self, order):
+        # the shell bound has chain-rule constants for orders 0-3 only
+        with pytest.raises(DomainError, match="integer order"):
+            torus.image_radius(ProblemParams(3, 1, 100.0), G3, 1e-10, order)
+
     @pytest.mark.parametrize("alpha", [0.01, 0.1, 1.0])
     def test_tail_bound_dominates_shell_series(self, alpha):
         # at image radius 1 the certified tail must bound the whole shell
@@ -312,7 +318,7 @@ class TestRepresentation:
             defect, est = torus.representation_check(p, geom, phi, np.zeros(n), grid=m)
             assert defect <= est
 
-    @pytest.mark.parametrize("grid", [0, -4])
+    @pytest.mark.parametrize("grid", [0, -4, 16.0, np.float64(16.0)])
     def test_degenerate_grid_rejected(self, grid):
         p = ProblemParams(3, 1, 2000.0)
         with pytest.raises(DomainError, match="even grid >= 2"):
