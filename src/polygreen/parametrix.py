@@ -19,8 +19,10 @@ whose samples alias badly, while its radial transform is cheap at any
 |xi|) through a Chebyshev interpolant in |xi| (``torus._radial_fourier``).
 By Poisson summation a torus field is the periodisation of its R^n
 profile, so each field is one table over the distinct integer |j|^2 of the
-displacement grid's orthant: inverse radial transforms below N tau0, and
-G_alpha beyond for the remainder (``run_pipeline``).
+displacement grid: inverse radial transforms below N tau0, and G_alpha
+beyond for the remainder (``run_pipeline``).  A periodised radial field is
+invariant under the lattice's sign flips and axis permutations, so it is
+held on the wedge 0 <= j_1 <= ... <= j_n <= grid//2 (``torus.wedge_cells``).
 
 The error field itself comes from the closed radial operator algebra
 ``euclid.RadialTerms``: on the annulus every intermediate is a finite sum
@@ -97,10 +99,11 @@ def build_H(
 
 
 def error_field(l: euclid.RadialKernel, geometry: torus.TorusGeometry, grid: int) -> np.ndarray:
-    """Sample a built ``error_field_profile`` l on the orthant of the displacement grid.
+    """Sample a built ``error_field_profile`` l on the wedge of the displacement grid.
 
-    Shape (grid//2 + 1,)*n (``torus.sample_radial``).  Warns when fewer than
-    4 grid cells span the annulus width tau0/2 = ``l.support_radius / 2``.
+    One value per ``torus.wedge_cells`` cell (``torus.sample_radial``).
+    Warns when fewer than 4 grid cells span the annulus width tau0/2 =
+    ``l.support_radius / 2``.
     """
     cells = (l.support_radius / 2) / (geometry.L / grid)
     if cells < 4.0:
@@ -120,9 +123,11 @@ def error_field(l: euclid.RadialKernel, geometry: torus.TorusGeometry, grid: int
 class ParametrixState:
     """Assembled pipeline artifacts for one base point (translation covers all).
 
-    The radial fields gammas, layers and u hold the orthant 0 <= j_a <= grid//2
-    of the displacement grid, shape (grid//2 + 1,)*n; ``torus.unfold_orthant``
-    gives the grid.  The error field is held once, as Gamma^1 = -l.
+    The radial fields gammas, layers and u hold the wedge 0 <= j_1 <= ... <=
+    j_n <= grid//2 of the displacement grid, one value per
+    ``torus.wedge_cells`` cell, shape (C(grid//2 + n, n),); ``torus.unfold_wedge``
+    gives the orthant and ``torus.unfold_orthant`` then the grid.  The error
+    field is held once, as Gamma^1 = -l.
     """
 
     params: ProblemParams
@@ -190,14 +195,16 @@ def run_pipeline(
     """Execute H -> l -> Gamma iterates -> layers -> gamma -> u.
 
     Each field is the periodisation of its R^n profile (Poisson summation):
-    one table over the orthant's integer radii (L/grid) sqrt(Q).  Gamma^1 =
-    -l is sampled and negated in place, the one array of the error field.
+    one table over the grid's integer radii (L/grid) sqrt(Q), gathered on
+    the wedge (``torus._wedge_fold``).  Gamma^1 = -l is sampled and negated
+    in place, the one array of the error field.
     Gamma^i and layer i-1 (i >= 2) vanish beyond i tau0 < L/2, so their
     tables hold ``_field_profiles`` below N tau0, transformed up to
     Xi = 2 pi grid sqrt(n) / L, zero beyond, gathered at offset 0.
     On R^n, H + sum layers + U = G_alpha, and H and the layers vanish beyond
     N tau0, so U's table holds G_alpha there, and u folds it over the orthant's
-    image box of tail ``IMAGE_TOL`` (``torus.orthant_image_offsets``).
+    image box of tail ``IMAGE_TOL`` (``torus.orthant_image_offsets``), whose
+    shifts are invariant under axis permutations as well.
 
     The spectral-tail guard reads lhat over the grid's own cube of modes,
     |q_a| <= grid // 2, and at the default threshold refuses a grid that
@@ -247,11 +254,11 @@ def run_pipeline(
     offsets, _ = torus.orthant_image_offsets(params, geometry, IMAGE_TOL)
     u_table = torus._radial_table(lambda r: euclid.kernel_alpha_array(params, r), geometry, grid, offsets)
     u_table[inner] = profiles[-1]
-    u = torus._orthant_fold([u_table], n, grid, offsets)[0]
+    u = torus._wedge_fold([u_table], n, grid, offsets)[0]
     supports = cut.tau0 * np.tile(np.arange(2, depth + 1), 2)[:, None]  # Gamma^i, layer i-1
     tables = np.zeros((2 * depth - 2, n * h * h + 1))
     tables[:, inner] = np.where(radii > supports, 0.0, profiles[:-1])
-    fields = torus._orthant_fold(tables, n, grid, (0,))
+    fields = torus._wedge_fold(tables, n, grid, (0,))
     return ParametrixState(
         params=params,
         geometry=geometry,
@@ -316,10 +323,11 @@ def assemble_and_compare(
 
     Pairs are displacement grid points with distance in ``d_range`` and at
     least two grid spacings off the diagonal, drawn from the radius table's
-    mask gathered on the orthant; the orthant fields are read at
-    min(j, grid - j).  A tol outside (0, inf), a seed that is not a
-    nonnegative integer, a pair count that is not an integer, or an oracle
-    that underflows to 0, is a DomainError; a NaN score fails the comparison.
+    mask gathered on the orthant; the wedge fields are read at the
+    ``torus.wedge_rank`` of the sorted orthant cell min(j, grid - j).  A
+    tol outside (0, inf), a seed that is not a nonnegative integer, a pair
+    count that is not an integer, or an oracle that underflows to 0, is a
+    DomainError; a NaN score fails the comparison.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"need a finite tol > 0, got {tol}")
@@ -330,10 +338,10 @@ def assemble_and_compare(
     m = state.grid
     radii = torus._radial_table(lambda r: r, geom, m, (0,))
     lo, hi = max(d_range[0], 2.0 * geom.L / m), d_range[1]
-    mask = torus._orthant_fold([(radii >= lo) & (radii <= hi)], geom.n, m, (0,))[0]
+    mask = ((radii >= lo) & (radii <= hi))[torus._orthant_squares(geom.n, m)]
     chosen = _draw_pairs(mask, m, n_pairs, seed)
     cells = np.minimum(chosen, m - chosen)
-    at = tuple(cells.T)
+    at = torus.wedge_rank(np.sort(cells, axis=1), m)
     d = radii[np.sum(cells * cells, axis=1)]
     approx = state.u[at] + state.H(d)
     for layer in state.layers:

@@ -12,6 +12,13 @@ gradient takes one order-1 pass over that box for every axis.  A spectral
 solver provides the independent route (Delta + alpha)^k u = phi per Fourier
 mode, and the verification operations (representation formula,
 symmetry/positivity scans) compare the two.
+
+A radial field periodised on the displacement grid is invariant under the
+lattice's point group, the 2^n sign flips and the n! axis permutations, so
+it is held on the wedge 0 <= j_1 <= ... <= j_n <= m//2 (``wedge_cells``):
+one table per integer |j + m M|^2 gathered there (``_wedge_fold``).
+``unfold_wedge`` gives the orthant 0 <= j_a <= m//2 and ``unfold_orthant``
+the grid.
 """
 
 from __future__ import annotations
@@ -389,8 +396,9 @@ def _radial_table(
     """f((L/m) sqrt(Q)), indexed by the integer Q = |q|^2 over |q_a| <= h.
 
     h = max |j + m o| over 0 <= j <= m//2 and o in offsets, the reach of
-    ``_orthant_fold``.  f runs once per distinct Q > 0, in blocks of
-    ``_BLOCK_ELEMENTS``; Q = 0 and the non-sums of n squares read 0.
+    ``_wedge_fold`` and ``_weighted_fold``.  f runs once per distinct Q > 0,
+    in blocks of ``_BLOCK_ELEMENTS``; Q = 0 and the non-sums of n squares
+    read 0.
     """
     h = max(m // 2 + m * max(offsets), -m * min(offsets))
     sums = _sums_of_squares(geometry.n, h)[1:]
@@ -401,22 +409,82 @@ def _radial_table(
     return table
 
 
-def _orthant_fold(
+@lru_cache(maxsize=8)
+def wedge_cells(n: int, m: int) -> np.ndarray:
+    """The wedge 0 <= j_1 <= ... <= j_n <= m//2 of the orthant; read-only, cached.
+
+    A radial field on the grid is invariant under the lattice's axis
+    permutations as well as its sign flips, so the wedge's C(m//2 + n, n)
+    cells carry every orthant value: orthant cell j reads the wedge cell
+    sorted(j).  Shape (n, cells), one row of indices per axis, the cells
+    in the lexicographic order of ``itertools.combinations_with_replacement``,
+    in the narrowest unsigned dtype that holds m//2.  Built axis by axis
+    from the wedge of the last axes, whose cells with first index >= v form
+    a suffix; no orthant-size array is formed.
+    """
+    h = m // 2
+    cells = np.arange(h + 1, dtype=np.min_scalar_type(h))[None, :]
+    for _ in range(n - 1):
+        starts = np.searchsorted(cells[0], np.arange(h + 1))  # first cell led by v
+        lengths = cells.shape[1] - starts
+        ends = np.cumsum(lengths)
+        suffix = np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
+        lead = np.repeat(np.arange(h + 1, dtype=cells.dtype), lengths)
+        cells = np.concatenate([lead[None, :], cells[:, suffix]])
+    cells.flags.writeable = False
+    return cells
+
+
+def wedge_rank(cells: np.ndarray, m: int) -> np.ndarray:
+    """The row in ``wedge_cells`` of each sorted orthant cell, cells as rows (count, n).
+
+    Cells of nondecreasing indices before c = (c_1, ..., c_n): at position
+    i, every v in [c_{i-1}, c_i) leads C(h - v + r - 1, r - 1) of them, r =
+    n - i + 1, h = m//2 and c_0 = 0, which sums to C(h - c_{i-1} + r, r) -
+    C(h - c_i + r, r).
+    """
+    cells = np.asarray(cells, dtype=np.intp)
+    n = cells.shape[1]
+    h = m // 2
+    binom = np.array([[math.comb(x, r) for r in range(n + 1)] for x in range(h + n + 1)])
+    rank = np.zeros(len(cells), dtype=np.intp)
+    prev = np.zeros(len(cells), dtype=np.intp)
+    for i in range(n):
+        r = n - i
+        rank += binom[h - prev + r, r] - binom[h - cells[:, i] + r, r]
+        prev = cells[:, i]
+    return rank
+
+
+def unfold_wedge(values: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The orthant array, shape (m//2 + 1,)*n, of a wedge vector: cell j reads sorted(j)."""
+    shape = (m // 2 + 1,) * n
+    cells = np.sort(np.indices(shape, dtype=wedge_cells(n, m).dtype).reshape(n, -1), axis=0)
+    return np.asarray(values)[wedge_rank(cells.T, m)].reshape(shape)
+
+
+def _wedge_fold(
     tables: Sequence[np.ndarray], n: int, m: int, offsets: Sequence[int]
 ) -> list[np.ndarray]:
-    """Per table, sum_M table[|j + m M|^2] over M in offsets^n, on the orthant 0 <= j_a <= m//2.
+    """Per table, sum_M table[|j + m M|^2] over M in offsets^n, at the cells j of ``wedge_cells``.
 
     Offset 0 alone samples a radial table on the grid, and the one-sided
     shifts of ``orthant_image_offsets`` periodise it to their certified
-    tail.  Each |j + m M|^2 array gathers every table: at M = 0 the cached
-    ``_orthant_squares``, otherwise one built for that shift.  The M are
-    summed in ``itertools.product`` order.
+    tail; offsets^n is invariant under axis permutations, so the wedge
+    cell's sum is every permuted cell's.  Each |j + m M|^2 vector gathers
+    every table: the cached |j|^2 of ``_wedge_squares`` plus, per axis with
+    M_a = o != 0, the step (j_a + m o)^2 - j_a^2.  The M are summed in
+    ``itertools.product`` order.
     """
+    cells = wedge_cells(n, m)
     index = np.arange(m // 2 + 1)
-    squares = {o: (index + m * o) ** 2 for o in offsets}
+    steps = {o: (index + m * o) ** 2 - index**2 for o in offsets}
     fields = None
     for shift in itertools.product(offsets, repeat=n):
-        qsq = reduce(np.add.outer, [squares[o] for o in shift]) if any(shift) else _orthant_squares(n, m)
+        qsq = _wedge_squares(n, m)
+        for o, axis in zip(shift, cells):
+            if o:
+                qsq = qsq + steps[o].take(axis)
         if fields is None:
             fields = [table[qsq] for table in tables]
         else:
@@ -426,8 +494,20 @@ def _orthant_fold(
 
 
 @lru_cache(maxsize=8)
+def _wedge_squares(n: int, m: int) -> np.ndarray:
+    """|j|^2 at the cells j of ``wedge_cells(n, m)``; read-only, cached."""
+    squares = np.arange(m // 2 + 1) ** 2
+    qsq = reduce(np.add, [squares[axis] for axis in wedge_cells(n, m)])
+    qsq.flags.writeable = False
+    return qsq
+
+
+@lru_cache(maxsize=8)
 def _orthant_squares(n: int, m: int) -> np.ndarray:
-    """|j|^2 on the orthant 0 <= j_a <= m//2, shape (m//2 + 1,)*n; read-only, cached."""
+    """|j|^2 on the orthant 0 <= j_a <= m//2, shape (m//2 + 1,)*n; read-only, cached.
+
+    The comparison's candidate mask, drawn from on the orthant, reads it.
+    """
     squares = np.arange(m // 2 + 1) ** 2
     qsq = reduce(np.add.outer, [squares] * n)
     qsq.flags.writeable = False
@@ -439,8 +519,9 @@ def _weighted_fold(
 ) -> np.ndarray:
     """Per weight set s, sum_j sum_M table[|j + m M|^2] prod_a weights[s, a, j_a].
 
-    j and M run as in ``_orthant_fold``, and ``weights`` has shape
-    (sets, n, m//2 + 1); returns shape (sets,).  No orthant array is formed.
+    j runs over the orthant 0 <= j_a <= m//2 and M over offsets^n, and
+    ``weights`` has shape (sets, n, m//2 + 1); returns shape (sets,).  No
+    orthant array is formed.
     Per axis, p = j + m M runs over the (M, j) pairs with the weight of j,
     so the sum is sum_p table[|p|^2] prod_a w_a(p_a): the first n - 1 axes
     fold into one weighted histogram of their sums of squares S per set
@@ -475,16 +556,17 @@ def _weighted_fold(
 def sample_radial(
     f: Callable[[np.ndarray], np.ndarray], geometry: TorusGeometry, m: int
 ) -> np.ndarray:
-    """f(|v|) on the orthant 0 <= j_a <= m//2 of the displacement grid.
+    """f(|v|) on the wedge of the displacement grid, one value per ``wedge_cells`` cell.
 
     Index j of the m-grid is the displacement v = (L/m) j, or its mirror
-    image j - m, at radius (L/m) sqrt(Q) with the integer Q = |j|^2 on the
-    orthant: f runs once per distinct Q (``_radial_table``), gathered by
-    ``_orthant_fold`` at offset 0.  The cell Q = 0 reads 0; the caller sets
-    it.  Shape (m//2 + 1,)*n; ``unfold_orthant`` gives the grid.
+    image j - m, at radius (L/m) sqrt(Q) with the integer Q = |j|^2:
+    f runs once per distinct Q (``_radial_table``), gathered by
+    ``_wedge_fold`` at offset 0.  The cell Q = 0 reads 0; the caller sets
+    it.  Shape (C(m//2 + n, n),); ``unfold_wedge`` gives the orthant and
+    ``unfold_orthant`` then the grid.
     """
     table = _radial_table(f, geometry, m, (0,))
-    return _orthant_fold([table], geometry.n, m, (0,))[0]
+    return _wedge_fold([table], geometry.n, m, (0,))[0]
 
 
 @lru_cache(maxsize=16)
@@ -495,8 +577,13 @@ def _sums_of_squares(n: int, h: int) -> np.ndarray:
     return sums
 
 
+@lru_cache(maxsize=16)
 def _cube_counts(n: int, h: int) -> np.ndarray:
-    """Number of integer vectors q with |q_a| <= h at each |q|^2 = 0, ..., n h^2."""
+    """Counts of integer q, |q_a| <= h, at each |q|^2 = 0, ..., n h^2; read-only, cached.
+
+    Held in the narrowest unsigned dtype that holds the largest count, so
+    the cache keeps a quarter of the float64 array at 128^3.
+    """
     counts = np.ones(1)
     for _ in range(n):
         # one more axis: q and -q both shift the counts by q^2
@@ -506,6 +593,8 @@ def _cube_counts(n: int, h: int) -> np.ndarray:
         for q in range(1, h + 1):
             grown[q * q : q * q + counts.size] += twice
         counts = grown
+    counts = counts.astype(np.min_scalar_type(int(counts.max())))
+    counts.flags.writeable = False
     return counts
 
 
@@ -571,20 +660,26 @@ def gauss_kronrod(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, weights, gauss
 
 
-def plane_wave_spherical_mean(n: int, z) -> np.ndarray:
-    """Mean of e^{i z <omega, e>} over the unit sphere S^{n-1}, odd n only.
+def plane_wave_spherical_mean(n: int, z, sin_cos=None) -> np.ndarray:
+    """Mean of e^{i z <omega, e>} over the unit sphere S^{n-1}, for n = 3, 5 and 7.
 
     Equals (2l+1)!! j_l(z) / z^l with l = (n-3)/2 in terms of spherical
-    Bessel functions; elementary for odd n.
+    Bessel functions; elementary for odd n.  ``sin_cos`` is (sin z, cos z)
+    when the caller has them, and cos z may be None at n = 3; otherwise
+    they are computed here.  Any other n is a DomainError before any work.
     """
-    if n % 2 == 0 or n > 7:
-        raise DomainError(f"spherical mean implemented for odd n <= 7 only, got n = {n}")
+    if n not in (3, 5, 7):
+        raise DomainError(f"spherical mean implemented for odd n <= 7 from n = 3 only, got n = {n}")
     z = np.asarray(z, dtype=float)
     el = (n - 3) // 2
-    out = np.empty_like(z)
+    if sin_cos is None:
+        sin_cos = np.sin(z), (np.cos(z) if el else None)
     # the closed forms for l >= 1 cancel like eps / z^(2l) toward 0, so
     # below |z| = 2 they give way to the series 0F1(; n/2; -z^2/4)
     small = np.abs(z) < (1e-4 if el == 0 else 2.0)
+    if not small.any():
+        return _closed_form_mean(el, z, *sin_cos)
+    out = np.empty_like(z)
     zs = z[small]
     if el == 0:
         # Taylor: 1 - z^2/(2n) + 3 z^4 / (8 n (n+2) ... ) truncated; O(z^6) error
@@ -595,16 +690,18 @@ def plane_wave_spherical_mean(n: int, z) -> np.ndarray:
         for j in range(14, 0, -1):  # terms below 1e-20 beyond j = 14 for |z| < 2
             series = 1.0 + series * x / (j * (j - 1 + 0.5 * n))
         out[small] = series
-    zb = z[~small]
-    s = np.sin(zb)
-    if el == 0:  # sin(z)/z needs no cosine
-        val = s / zb
-    elif el == 1:
-        val = 3.0 * (s - zb * np.cos(zb)) / zb**3
-    else:
-        val = 15.0 * ((3.0 / zb**2 - 1.0) * s - 3.0 * np.cos(zb) / zb) / zb**3
-    out[~small] = val
+    big = ~small
+    out[big] = _closed_form_mean(el, z[big], *(None if a is None else a[big] for a in sin_cos))
     return out
+
+
+def _closed_form_mean(el: int, z: np.ndarray, s: np.ndarray, c) -> np.ndarray:
+    """The closed form of the spherical mean at order l = el from s = sin z and c = cos z."""
+    if el == 0:  # sin(z)/z needs no cosine
+        return s / z
+    if el == 1:
+        return 3.0 * (s - z * c) / z**3
+    return 15.0 * ((3.0 / z**2 - 1.0) * s - 3.0 * c / z) / z**3
 
 
 def _radial_quadrature(
@@ -621,17 +718,28 @@ def _radial_quadrature(
     at xi_max and at least 10.  f may return a stack of integrands, shape
     (..., r.size), for a result of shape (..., xi.size).  With r and xi
     exchanged and the factor (2 pi)^{-n}, this is the inverse transform.
+    The node r = c_p + h x_k sits at offset h x_k from its panel's centre
+    c_p, so sin and cos of xi r come by angle addition from those of xi c_p
+    and xi h x_k: xi.size * (panels + 24) transcendental calls each, not
+    xi.size * panels * 24.
     """
     panels = max(10, math.ceil(xi_max * (r_hi - r_lo) / (2.0 * math.pi)))
     nodes, weights = gauss_legendre(24)
     half = 0.5 * (r_hi - r_lo) / panels
     r = (r_lo + half * (2.0 * np.arange(panels)[:, None] + nodes + 1.0)).ravel()
+    centres = r_lo + half * (2.0 * np.arange(panels) + 1.0)
     w = np.tile(half * weights, panels)
     radial = radial_values(r) * r ** (n - 1) * w
     out = np.empty(radial.shape[:-1] + xi.shape)
     chunk = max(1, _BLOCK_ELEMENTS // r.size)
     for i in range(0, len(xi), chunk):
-        mean = plane_wave_spherical_mean(n, np.outer(xi[i : i + chunk], r))
+        rows = xi[i : i + chunk, None]
+        a, b = rows * centres, rows * (half * nodes)
+        sa, ca = np.sin(a)[:, :, None], np.cos(a)[:, :, None]
+        sb, cb = np.sin(b)[:, None, :], np.cos(b)[:, None, :]
+        sin = (sa * cb + ca * sb).reshape(len(rows), r.size)
+        cos = (ca * cb - sa * sb).reshape(len(rows), r.size) if n > 3 else None
+        mean = plane_wave_spherical_mean(n, rows * r, (sin, cos))
         out[..., i : i + chunk] = radial @ mean.T
     return euclid.sphere_area(n) * out
 
@@ -712,7 +820,7 @@ def representation_check(
     Index grid - j has the parity of j, so the factors' even orthant indices
     give the half-resolution sum.
 
-    Any odd n <= 7 is accepted, the dimensions of
+    n = 3, 5 and 7 are accepted, the dimensions of
     ``plane_wave_spherical_mean``; others are a DomainError before any work.
     """
     check_dimensions(params, geometry)

@@ -279,17 +279,17 @@ def test_criterion_7c_remainder_ratio(state_2000, state_8000):
     eps = 0.1
     k = state_2000.params.k
     m = state_2000.grid
-    dist = torus.unfold_orthant(torus.sample_radial(lambda r: r, G3, m), m)
+    dist = torus.sample_radial(lambda r: r, G3, m)  # on the wedge, as u is
     vals = {}
     consts = {}
     dstars = {}
     for state in (state_2000, state_8000):
         a = state.params.alpha
         psi = psi_value(eps, a, dist, G3.injectivity_radius)
-        ratio = np.abs(torus.unfold_orthant(state.u, m)) * a**k / psi
+        ratio = np.abs(state.u) * a**k / psi
         i = int(np.argmax(ratio))
-        dstars[a] = float(dist.ravel()[i])
-        vals[a] = float(ratio.ravel()[i])
+        dstars[a] = float(dist[i])
+        vals[a] = float(ratio[i])
         consts[a] = vals[a] / (a**k * math.exp(-eps * math.sqrt(a) * dstars[a]))
     uniform = consts[2000.0] * (2 * k / (math.e * eps * dstars[2000.0])) ** (2 * k)
     bounded = all(np.isfinite(v) for v in vals.values())

@@ -31,9 +31,14 @@ def chi_derivative(cut, r, order):
     return cut.polynomial().deriv(order)(cut.scaled(r)) / cut.half**order
 
 
+def on_grid(field, n, m):
+    """A wedge field unfolded to the whole m-grid, shape (m,)*n."""
+    return torus.unfold_orthant(torus.unfold_wedge(field, n, m), m)
+
+
 def displacement_distances(geometry, m):
     """|v| over the nearest-representative displacement grid, shape (m,)*n."""
-    return torus.unfold_orthant(torus.sample_radial(lambda r: r, geometry, m), m)
+    return on_grid(torus.sample_radial(lambda r: r, geometry, m), geometry.n, m)
 
 
 def bispherical_convolve(f, f_edges, g, g_edges, n, r, nodes=40):
@@ -377,7 +382,7 @@ class TestErrorField:
         expected = P2000.alpha * int_h - 1.0
         # grid-64 samples span the annulus with ~2.9 cells; the semi-
         # analytic identity at xi = 0 is tested exactly elsewhere
-        l_grid = torus.unfold_orthant(state64.l, 64)
+        l_grid = on_grid(state64.l, 3, 64)
         assert float(np.sum(l_grid)) * (1.0 / 64) ** 3 == pytest.approx(expected, rel=0.05)
 
     def test_sup_bound_constant_non_increasing(self):
@@ -464,8 +469,8 @@ class TestGammaIterateSampled:
         assert err.value.error_estimate == pytest.approx(exact, rel=1e-12)
 
     def test_young_bound(self, state64):
-        g1 = torus.unfold_orthant(state64.gammas[0], 64)
-        g2 = torus.unfold_orthant(state64.gammas[1], 64)
+        g1 = on_grid(state64.gammas[0], 3, 64)
+        g2 = on_grid(state64.gammas[1], 3, 64)
         h3 = (1.0 / 64) ** 3
         assert np.max(np.abs(g2)) <= np.max(np.abs(g1)) * np.sum(np.abs(g1)) * h3 * 1.01
 
@@ -480,7 +485,7 @@ class TestFieldProfiles:
     def test_gamma2_at_zero_in_the_state(self, state128):
         # measured 4.1e-7 (7.0e-6 with the band-2 alias fold)
         oracle = direct_gamma2_at_zero(P2000, state128.cutoff)
-        assert state128.gammas[1][0, 0, 0] == pytest.approx(oracle, rel=1e-6)
+        assert state128.gammas[1][0] == pytest.approx(oracle, rel=1e-6)  # wedge cell 0 is j = 0
 
     def test_gamma2_at_zero_n5(self):
         # the n = 5 annulus needs Xi ~ 2000 (a 142^5 grid): measured 2.7e-6;
@@ -548,11 +553,11 @@ class TestPipeline:
     def test_gamma_autocorrelation_oracle(self, state64):
         # gamma(0) = int l^2 = 4 pi int l(r)^2 r^2 dr, by radial quadrature
         oracle = direct_gamma2_at_zero(P2000, state64.cutoff)
-        assert state64.gamma[0, 0, 0] == pytest.approx(oracle, rel=2e-3)
+        assert state64.gamma[0] == pytest.approx(oracle, rel=2e-3)  # wedge cell 0 is j = 0
 
     def test_gamma_support(self, state64):
         dist = displacement_distances(G3, 64)
-        gamma = torus.unfold_orthant(state64.gamma, 64)
+        gamma = on_grid(state64.gamma, 3, 64)
         sup = np.max(np.abs(gamma))
         outside = np.abs(gamma[dist > 2 * state64.cutoff.tau0 + 0.02])
         assert np.max(outside) <= 1e-4 * sup
@@ -580,7 +585,7 @@ class TestPipeline:
                 st = parametrix.run_pipeline(p, G3, grid=64, alias_limit=0.6)
             dist = displacement_distances(G3, 64)
             psi = psi_value(0.1, alpha, dist, 0.5)
-            vals[alpha] = float(np.max(np.abs(torus.unfold_orthant(st.u, 64)) / psi))
+            vals[alpha] = float(np.max(np.abs(on_grid(st.u, 3, 64)) / psi))
         assert vals[8000.0] <= 1.1 * vals[2000.0]
 
     def test_assembly_against_lattice_oracle(self, state64):
@@ -590,6 +595,17 @@ class TestPipeline:
         # grid 64 carries band-128 truncation ringing near the layer support
         # edge; the acceptance configuration at grid 128 holds 1e-2 with margin
         assert report.max_rel_error < 5e-2
+
+    def test_comparison_reads_the_wedge_at_the_sorted_cell(self, state64):
+        # the worst pair's parametrix value is H + layers + u read on the
+        # unfolded grid at that pair's grid index
+        report = parametrix.assemble_and_compare(state64, n_pairs=60, d_range=(0.06, 0.30), seed=3)
+        j = tuple(np.rint(np.array(report.worst["displacement"]) * 64).astype(int))
+        fields = [state64.u] + state64.layers
+        h = state64.H(np.array([report.worst["d"]]))[0]
+        want = sum(on_grid(f, 3, 64)[j] for f in fields) + h
+        assert report.worst["parametrix"] == pytest.approx(want, rel=1e-15)
+        assert list(j) != sorted(j)  # an unsorted cell reads its sorted wedge cell
 
     def test_pipeline_calls_no_fft(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -603,12 +619,13 @@ class TestPipeline:
 
     @pytest.mark.parametrize("n, k, grid", [(3, 1, 32), (3, 1, 33), (5, 2, 15)])
     def test_state_fields_on_orthant(self, n, k, grid):
+        # one value per wedge cell of the orthant, 0 <= j_1 <= ... <= j_n <= grid//2
         geom = torus.TorusGeometry(n, 1.0)
         with pytest.warns(RuntimeWarning):
             state = parametrix.run_pipeline(ProblemParams(n, k, 2000.0), geom, grid, alias_limit=1.0)
         fields = [state.l, state.u] + state.gammas + state.layers
         assert len(fields) == 2 * state.N + 1
-        assert all(f.shape == (grid // 2 + 1,) * n for f in fields)
+        assert all(f.shape == (math.comb(grid // 2 + n, n),) for f in fields)
 
     @pytest.mark.parametrize(
         "m, digest",
@@ -618,7 +635,7 @@ class TestPipeline:
     def test_pairs_drawn_as_on_the_full_grid(self, m, digest):
         # sha256 of the (200, 3) int64 grid indices that np.argwhere over the
         # full float distance grid gave at the acceptance draw (seed 2024)
-        dist = torus.sample_radial(lambda r: r, G3, m)
+        dist = torus.unfold_wedge(torus.sample_radial(lambda r: r, G3, m), 3, m)
         lo = max(0.05, 2.0 / m)
         chosen = parametrix._draw_pairs((dist >= lo) & (dist <= 0.45), m, 200, 2024)
         assert chosen.shape == (200, 3)
@@ -630,7 +647,7 @@ class TestPipeline:
         candidates = np.argwhere((full >= 0.06) & (full <= 0.3))
         rng = np.random.default_rng(seed)
         want = candidates[rng.choice(len(candidates), size=60, replace=False)]
-        dist = torus.sample_radial(lambda r: r, G3, m)
+        dist = torus.unfold_wedge(torus.sample_radial(lambda r: r, G3, m), 3, m)
         got = parametrix._draw_pairs((dist >= 0.06) & (dist <= 0.3), m, 60, seed)
         assert np.array_equal(got, want)
 
@@ -658,11 +675,13 @@ class TestPipeline:
             parametrix._draw_pairs(mask, m, 3, 2024)
 
     def test_readme_run_never_unfolds(self, state128, monkeypatch):
-        # the README run's pipeline and comparison never unfold a field
+        # the README run's pipeline and comparison never unfold a field, to
+        # the orthant or to the grid
         def refuse(*args, **kwargs):
-            raise AssertionError("unfold_orthant called")
+            raise AssertionError("a field was unfolded")
 
         monkeypatch.setattr(torus, "unfold_orthant", refuse)
+        monkeypatch.setattr(torus, "unfold_wedge", refuse)
         parametrix.run_pipeline(P2000, G3, grid=128, alias_limit=0.05)
         parametrix.assemble_and_compare(state128)
 
@@ -688,8 +707,9 @@ class TestPipeline:
         assert state128.gammas[0].tobytes() == (-state128.l).tobytes()
 
     def test_pipeline_peak_below_five_orthant_arrays(self):
-        # a warm 128^3 run holds Gamma^1, u, Gamma^2 and the layer: 9.6 MB
-        # traced, where storing l and -l both peaked at 11.8 MB
+        # a warm 128^3 run holds Gamma^1, u, Gamma^2 and the layer on the
+        # 47,905-cell wedge and peaks at 2.38 MB traced, in u's fold; on the
+        # orthant it peaked at 9.2 MB, and storing l and -l both at 11.8 MB
         parametrix.run_pipeline(P2000, G3, grid=128, alias_limit=0.05)  # warm caches
         tracemalloc.start()
         try:
@@ -697,7 +717,7 @@ class TestPipeline:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 8 * 65**3
+        assert peak < 2.6 * 2**20
 
     @pytest.mark.parametrize(
         "kwargs, match",

@@ -5,6 +5,7 @@ derivative envelopes, field serialization."""
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,16 @@ def _orthant_rows(geometry, m):
     return np.stack(np.meshgrid(*([reps] * geometry.n), indexing="ij"), axis=-1).reshape(-1, geometry.n)
 
 
+def _cellwise_wedge_fold(table, n, m, offsets):
+    """sum_M table[|j + m M|^2] at each wedge cell j, the M added in itertools.product order."""
+    cells = np.array(list(itertools.combinations_with_replacement(range(m // 2 + 1), n)))
+    total = None
+    for shift in itertools.product(offsets, repeat=n):
+        term = table[np.sum((cells + m * np.array(shift)) ** 2, axis=1)]
+        total = term if total is None else total + term
+    return total
+
+
 def _modes_on_full_grid(geometry, phi, m, origin):
     """Re sum_q c_q e^{2 pi i q.(origin + u)/L} sampled at every point u of the m-grid."""
     coords = torus.grid_coordinates(geometry, m)
@@ -343,21 +354,25 @@ class TestRepresentation:
         orthant = torus._image_sum(p, geom, _orthant_rows(geom, m), 1e-10)[0]
         unfolded = torus.unfold_orthant(orthant.reshape((m // 2 + 1,) * n), m)
         assert np.max(np.abs(unfolded - full) / full) <= 1e-13
-        dist = torus.unfold_orthant(torus.sample_radial(lambda r: r, geom, m), m)
+        dist = torus.unfold_wedge(torus.sample_radial(lambda r: r, geom, m), n, m)
+        dist = torus.unfold_orthant(dist, m)
         np.testing.assert_allclose(dist, np.linalg.norm(rows, axis=1).reshape((m,) * n), rtol=1e-14)
 
     @pytest.mark.parametrize(
         "n, m, L", [(3, 30, 1.0), (3, 32, 1.0), (3, 33, 1.0), (3, 32, 1.7), (5, 8, 2.0)]
     )
     def test_radial_sampler_matches_float_rows(self, n, m, L):
-        # f once per integer |j|^2, gathered on the orthant, against f at the
-        # norms of the nearest-representative rows; the Q = 0 cell reads 0
+        # f once per integer |j|^2, gathered on the wedge and unfolded to the
+        # orthant, against f at the norms of the nearest-representative rows;
+        # the Q = 0 cell reads 0
         geom = torus.TorusGeometry(n, L)
 
         def f(r):
             return np.exp(-3.0 * r) / r
 
-        got = torus.sample_radial(f, geom, m)
+        wedge = torus.sample_radial(f, geom, m)
+        assert wedge.shape == (math.comb(m // 2 + n, n),)
+        got = torus.unfold_wedge(wedge, n, m)
         norms = np.linalg.norm(_orthant_rows(geom, m), axis=1).reshape((m // 2 + 1,) * n)
         assert got.shape == norms.shape
         assert got.flat[0] == 0.0
@@ -386,19 +401,28 @@ class TestRepresentation:
         assert torus._sums_of_squares(3, 5) is sums
         assert not sums.flags.writeable
         counts = torus._cube_counts(3, 5)
+        assert torus._cube_counts(3, 5) is counts
+        assert not counts.flags.writeable
         assert np.array_equal(sums, np.flatnonzero(counts))
+        # the sums read the cached counts, which the spectral guard reads too
+        torus._sums_of_squares.cache_clear()
+        hits = torus._cube_counts.cache_info().hits
+        torus._sums_of_squares(3, 5)
+        assert torus._cube_counts.cache_info().hits == hits + 1
 
     @pytest.mark.parametrize(
         "n, m, offsets", [(1, 7, (0,)), (2, 6, (0, -1)), (3, 7, (0, -1)), (2, 5, (-2, -1, 0, 1, 2))]
     )
     def test_orthant_fold_matches_cellwise_sum(self, n, m, offsets):
-        # sum_M table[|j + m M|^2] cell by cell, for two tables at once
+        # the wedge fold, unfolded, against sum_M table[|j + m M|^2] at every
+        # orthant cell j, for two tables at once
         h = m // 2 + m * max(abs(o) for o in offsets)
         rng = np.random.default_rng(7)
         tables = [rng.standard_normal(n * h * h + 1) for _ in range(2)]
-        got = torus._orthant_fold(tables, n, m, offsets)
-        for field, table in zip(got, tables):
-            assert field.shape == (m // 2 + 1,) * n
+        got = torus._wedge_fold(tables, n, m, offsets)
+        for wedge, table in zip(got, tables):
+            assert wedge.shape == (math.comb(m // 2 + n, n),)
+            field = torus.unfold_wedge(wedge, n, m)
             for j in np.ndindex(field.shape):
                 want = sum(
                     table[sum((ja + m * ma) ** 2 for ja, ma in zip(j, shift))]
@@ -435,13 +459,13 @@ class TestRepresentation:
         # the sampler and the pipeline's fields come from one fold: offset 0
         # for the fields of compact support, the orthant's image box for u
         calls = []
-        fold = torus._orthant_fold
+        fold = torus._wedge_fold
 
         def recording(tables, n, m, offsets):
             calls.append((len(tables), m, tuple(offsets)))
             return fold(tables, n, m, offsets)
 
-        monkeypatch.setattr(torus, "_orthant_fold", recording)
+        monkeypatch.setattr(torus, "_wedge_fold", recording)
         p = ProblemParams(3, 1, 2000.0)
         torus.sample_radial(lambda r: r, G3, 16)
         with pytest.warns(RuntimeWarning, match="error-field annulus"):
@@ -465,44 +489,82 @@ class TestRepresentation:
     @pytest.mark.parametrize("n, m", [(3, 16), (3, 33), (5, 8), (5, 9)])
     @pytest.mark.parametrize("offsets", [(0,), (-1, 0), (-2, -1, 0, 1)])
     def test_orthant_fold_bitwise_as_fresh_index(self, n, m, offsets):
-        # the cached index at M = 0 sums the same gathers in the same order as
-        # a fold that builds every |j + m M|^2 afresh, bit for bit
-        def fresh_fold(tables):
-            index = np.arange(m // 2 + 1)
-            shifts = itertools.product([(index + m * o) ** 2 for o in offsets], repeat=n)
-            qsq = functools.reduce(np.add.outer, next(shifts))
-            fields = [table[qsq] for table in tables]
-            for squares in shifts:
-                qsq = functools.reduce(np.add.outer, squares)
-                for field, table in zip(fields, tables):
-                    field += table[qsq]
-            return fields
-
+        # the wedge fold, with its cached index at M = 0 and per-shift
+        # indices, sums the same values in the same order as a per-cell sum
+        # over M in product order at the sorted cell, bit for bit
         h = m // 2 + m * max(abs(o) for o in offsets)
         rng = np.random.default_rng(n * m)
         tables = [rng.standard_normal(n * h * h + 1) for _ in range(2)]
-        for got, want in zip(torus._orthant_fold(tables, n, m, offsets), fresh_fold(tables)):
-            assert got.tobytes() == want.tobytes()
+        for got, table in zip(torus._wedge_fold(tables, n, m, offsets), tables):
+            assert got.tobytes() == _cellwise_wedge_fold(table, n, m, offsets).tobytes()
 
     @pytest.mark.parametrize("n, grid", [(3, 16), (5, 8)])
     def test_pipeline_u_bitwise_as_fresh_index(self, n, grid, monkeypatch):
-        # u's fold, and the error field's and the fields' offset-0 folds, read
-        # the same values with the cached index as with one built per call
+        # u's fold, and the error field's and the fields' offset-0 folds, hold
+        # bit for bit the per-cell sums over M in product order at the sorted
+        # cell of the tables they were given
+        folds = []
+        fold = torus._wedge_fold
+
+        def recording(tables, n, m, offsets):
+            folds.append(([np.array(t) for t in tables], m, tuple(offsets)))
+            return fold(tables, n, m, offsets)
+
+        monkeypatch.setattr(torus, "_wedge_fold", recording)
         p = ProblemParams(n, 1, 2000.0)
         geom = torus.TorusGeometry(n, 1.0)
         with pytest.warns(RuntimeWarning, match="error-field annulus"):
-            cached = parametrix.run_pipeline(p, geom, grid, alias_limit=1.0)
-        monkeypatch.setattr(
-            torus, "_orthant_squares",
-            lambda n, m: functools.reduce(np.add.outer, [np.arange(m // 2 + 1) ** 2] * n),
-        )
+            state = parametrix.run_pipeline(p, geom, grid, alias_limit=1.0)
+        want = [
+            _cellwise_wedge_fold(table, n, m, offsets)
+            for tables, m, offsets in folds
+            for table in tables
+        ]
+        want[0] = -want[0]  # Gamma^1 = -l, negated in place
+        assert len(want) == 2 * state.N
+        got = [state.gammas[0], state.u] + state.gammas[1:] + state.layers
+        for field, reference in zip(got, want):
+            assert field.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n, grid", [(3, 16), (5, 8)])
+    def test_unfolded_fields_invariant_under_axis_permutations(self, n, grid):
+        # every field, unfolded to the grid, is exactly the same array with
+        # its axes permuted, as the lattice's point group requires
+        p = ProblemParams(n, 1, 2000.0)
+        geom = torus.TorusGeometry(n, 1.0)
         with pytest.warns(RuntimeWarning, match="error-field annulus"):
-            fresh = parametrix.run_pipeline(p, geom, grid, alias_limit=1.0)
-        for got, want in zip(
-            [cached.l, cached.u] + cached.gammas + cached.layers,
-            [fresh.l, fresh.u] + fresh.gammas + fresh.layers,
-        ):
-            assert got.tobytes() == want.tobytes()
+            state = parametrix.run_pipeline(p, geom, grid, alias_limit=1.0)
+        assert len(np.unique(state.u)) > 1
+        for wedge in [state.l, state.u] + state.gammas + state.layers:
+            field = torus.unfold_orthant(torus.unfold_wedge(wedge, n, grid), grid)
+            for perm in itertools.permutations(range(n)):
+                assert np.array_equal(field.transpose(perm), field)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("m", [2, 7, 8, 16, 17])
+    def test_wedge_cells_in_combinations_order(self, n, m):
+        # the cells, count and order of combinations_with_replacement, in a
+        # narrow read-only dtype; wedge_rank maps each cell to its row
+        cells = torus.wedge_cells(n, m)
+        want = list(itertools.combinations_with_replacement(range(m // 2 + 1), n))
+        assert cells.shape == (n, len(want)) == (n, math.comb(m // 2 + n, n))
+        assert np.array_equal(cells.T, want)
+        assert cells.dtype == np.uint8 and not cells.flags.writeable
+        assert torus.wedge_cells(n, m) is cells
+        assert np.array_equal(torus.wedge_rank(cells.T, m), np.arange(len(want)))
+
+    def test_wedge_built_without_orthant_arrays(self):
+        # the 47,905 cells at 128^3 are built from the last axes' wedge: a
+        # traced peak of 0.79 MB, below half an int64 orthant array
+        torus.wedge_cells.cache_clear()
+        tracemalloc.start()
+        try:
+            torus.wedge_cells(3, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert torus.wedge_cells(3, 128).shape == (3, 47905)
+        assert peak < 4 * 65**3
 
     @pytest.mark.parametrize("m", [32, 33, 1000, 1001])
     def test_mirror_cosines_reduce_the_argument(self, m):
@@ -532,6 +594,62 @@ class TestRepresentation:
         got = torus.plane_wave_spherical_mean(n, z)
         want = np.array([float(mpmath.hyp0f1(mpmath.mpf(n) / 2, -mpmath.mpf(x) ** 2 / 4)) for x in z])
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, -1, 4, 9])
+    def test_plane_wave_mean_refuses_other_dimensions(self, n):
+        # n = 1 read the n = 7 closed form for |z| >= 2 (0.624 at z = 2.5,
+        # where cos 2.5 = -0.801); z is not even read before the refusal
+        with pytest.raises(DomainError, match=f"odd n <= 7 from n = 3 only, got n = {n}"):
+            torus.plane_wave_spherical_mean(n, "not an array")
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("z", [np.linspace(2.5, 40.0, 17), np.linspace(0.0, 40.0, 17)])
+    def test_plane_wave_mean_takes_sines_and_cosines(self, n, z):
+        # the caller's pair gives the mean computed here, with and without
+        # points in the series region; at n = 3 the cosine may be None
+        want = torus.plane_wave_spherical_mean(n, z)
+        got = torus.plane_wave_spherical_mean(n, z, (np.sin(z), np.cos(z)))
+        assert np.array_equal(got, want)
+        if n == 3:
+            assert np.array_equal(torus.plane_wave_spherical_mean(n, z, (np.sin(z), None)), want)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("xi_max", [0.0, 30.0, 1e5])
+    def test_radial_quadrature_by_angle_addition(self, n, xi_max):
+        # sin and cos of xi r by angle addition over the panel centres and
+        # node offsets, against the mean of every xi r computed elementwise;
+        # xi_max = 30 keeps xi r below 2, in the series region, at every node
+        def elementwise(f, r_lo, r_hi, xi):
+            panels = max(10, math.ceil(xi_max * (r_hi - r_lo) / (2.0 * PI)))
+            nodes, weights = torus.gauss_legendre(24)
+            half = 0.5 * (r_hi - r_lo) / panels
+            r = (r_lo + half * (2.0 * np.arange(panels)[:, None] + nodes + 1.0)).ravel()
+            radial = f(r) * r ** (n - 1) * np.tile(half * weights, panels)
+            mean = torus.plane_wave_spherical_mean(n, np.outer(xi, r))
+            return euclid.sphere_area(n) * (radial @ mean.T)
+
+        def f(r):
+            return np.exp(-20.0 * r) * (1.0 + r)
+
+        xi = np.concatenate([[0.0], np.linspace(0.0, xi_max, 41)[1:]])
+        got = torus._radial_quadrature(n, f, 0.01, 0.06, xi, xi_max)
+        want = elementwise(f, 0.01, 0.06, xi)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_radial_quadrature_sines_per_panel_and_node(self, monkeypatch):
+        # np.sin runs on rows * (panels + 24) elements, not rows * panels * 24
+        sizes = []
+        sin = np.sin
+
+        def counting(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return sin(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", counting)
+        xi = np.linspace(0.0, 1e4, 50)
+        torus._radial_quadrature(5, np.ones_like, 0.0, 0.1, xi, 1e4)
+        panels = math.ceil(1e4 * 0.1 / (2.0 * PI))
+        assert sum(sizes) == len(xi) * (panels + 24)
 
     def test_gauss_legendre_rule_computed_once(self, monkeypatch):
         calls = []
@@ -672,7 +790,7 @@ class TestRepresentation:
 
         monkeypatch.setattr(torus, "_weighted_fold", recording)
         monkeypatch.setattr(torus, "_image_sum", unexpected)
-        monkeypatch.setattr(torus, "_orthant_fold", unexpected)
+        monkeypatch.setattr(torus, "_wedge_fold", unexpected)
         p = ProblemParams(3, 1, 2000.0)
         offsets, _ = torus.orthant_image_offsets(p, G3, 1e-10)
         torus.representation_check(p, G3, {(1, 0, 0): 1.0}, np.zeros(3), grid=32)
@@ -735,7 +853,7 @@ class TestRepresentation:
         index = np.arange(m // 2 + 1)
         reach = max(int(np.max(np.abs(index + m * o))) for o in offsets)
         assert len(table) == 2 * reach * reach + 1
-        folded = torus._orthant_fold([table], 2, m, offsets)[0]
+        folded = torus.unfold_wedge(torus._wedge_fold([table], 2, m, offsets)[0], 2, m)
         sums = np.sum(np.add.outer(index, m * np.array(offsets)) ** 2, axis=1)
         want = (geom.L / m) ** 2 * len(offsets) * np.add.outer(sums, sums)
         np.testing.assert_allclose(folded, want, rtol=1e-13)
