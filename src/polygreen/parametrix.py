@@ -46,7 +46,7 @@ from .besselk import UNDERFLOW_ARG
 from .cutoff import CutoffSpec, cutoff_for
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .params import ProblemParams
-from .torus import _radial_fourier, _sums_of_squares
+from .torus import _cube_shells, _radial_fourier
 
 ALIAS_FRACTION = 2.0 / 3.0
 ALIAS_LIMIT = 1e-8
@@ -228,11 +228,10 @@ def run_pipeline(
     gamma1 = error_field(l_profile, geometry, grid)
     np.negative(gamma1, out=gamma1)
     h = grid // 2
-    sums = _sums_of_squares(n, h)
+    sums, counts = _cube_shells(n, h)
     lhat = _radial_fourier(n, l_profile, cut.half, cut.tau0, 2 * math.pi / geometry.L * np.sqrt(sums))
 
     # aliasing guard: the cube |q_a| <= grid // 2 holds counts[Q] modes of |q|^2 = Q
-    counts = torus._cube_counts(n, h)[sums]
     above = sums > (ALIAS_FRACTION * (grid / 2.0)) ** 2
     for i in range(1, depth + 1):
         energy = counts * np.abs(lhat) ** (2 * i)

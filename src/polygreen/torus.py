@@ -569,21 +569,28 @@ def sample_radial(
     return _wedge_fold([table], geometry.n, m, (0,))[0]
 
 
-@lru_cache(maxsize=16)
 def _sums_of_squares(n: int, h: int) -> np.ndarray:
     """Sorted distinct q_1^2 + ... + q_n^2 over integers |q_a| <= h; read-only, cached."""
-    sums = np.flatnonzero(_cube_counts(n, h))
-    sums.flags.writeable = False
-    return sums
+    return _cube_shells(n, h)[0]
 
 
 @lru_cache(maxsize=16)
-def _cube_counts(n: int, h: int) -> np.ndarray:
-    """Counts of integer q, |q_a| <= h, at each |q|^2 = 0, ..., n h^2; read-only, cached.
+def _cube_shells(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct |q|^2 over integers |q_a| <= h and the count of q at each; read-only, cached.
 
-    Held in the narrowest unsigned dtype that holds the largest count, so
-    the cache keeps a quarter of the float64 array at 128^3.
+    Only the spectral guard reads the counts, but every (n, h) holds them,
+    so they take the narrowest unsigned dtype: uint16 at 128^3, a quarter
+    of float64.
     """
+    counts = _cube_counts(n, h)
+    sums = np.flatnonzero(counts)
+    counts = counts[sums].astype(np.min_scalar_type(int(counts.max())))
+    sums.flags.writeable = counts.flags.writeable = False
+    return sums, counts
+
+
+def _cube_counts(n: int, h: int) -> np.ndarray:
+    """Number of integer vectors q with |q_a| <= h at each |q|^2 = 0, ..., n h^2."""
     counts = np.ones(1)
     for _ in range(n):
         # one more axis: q and -q both shift the counts by q^2
@@ -593,8 +600,6 @@ def _cube_counts(n: int, h: int) -> np.ndarray:
         for q in range(1, h + 1):
             grown[q * q : q * q + counts.size] += twice
         counts = grown
-    counts = counts.astype(np.min_scalar_type(int(counts.max())))
-    counts.flags.writeable = False
     return counts
 
 
@@ -660,26 +665,41 @@ def gauss_kronrod(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, weights, gauss
 
 
-def plane_wave_spherical_mean(n: int, z, sin_cos=None) -> np.ndarray:
+def plane_wave_spherical_mean(n: int, z) -> np.ndarray:
     """Mean of e^{i z <omega, e>} over the unit sphere S^{n-1}, for n = 3, 5 and 7.
 
     Equals (2l+1)!! j_l(z) / z^l with l = (n-3)/2 in terms of spherical
-    Bessel functions; elementary for odd n.  ``sin_cos`` is (sin z, cos z)
-    when the caller has them, and cos z may be None at n = 3; otherwise
-    they are computed here.  Any other n is a DomainError before any work.
+    Bessel functions; elementary for odd n.  Any other n is a DomainError
+    before any work.
     """
+    _check_mean_dimension(n)
+    z = np.asarray(z, dtype=float)
+    return _spherical_mean(n, z, np.sin(z), np.cos(z) if n > 3 else None)
+
+
+def _check_mean_dimension(n: int) -> None:
+    """DomainError unless ``plane_wave_spherical_mean`` has a closed form at n."""
     if n not in (3, 5, 7):
         raise DomainError(f"spherical mean implemented for odd n <= 7 from n = 3 only, got n = {n}")
-    z = np.asarray(z, dtype=float)
+
+
+def _spherical_mean(n: int, z: np.ndarray, s: np.ndarray, c) -> np.ndarray:
+    """``plane_wave_spherical_mean`` from s = sin z and c = cos z; c is read only for n > 3.
+
+    The closed form runs on every z, and the series overwrites it below
+    the cut: the closed forms for l >= 1 cancel like eps / z^(2l) toward
+    0, so below |z| = 2 they give way to the series 0F1(; n/2; -z^2/4).
+    """
     el = (n - 3) // 2
-    if sin_cos is None:
-        sin_cos = np.sin(z), (np.cos(z) if el else None)
-    # the closed forms for l >= 1 cancel like eps / z^(2l) toward 0, so
-    # below |z| = 2 they give way to the series 0F1(; n/2; -z^2/4)
+    with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 is overwritten below
+        if el == 0:  # sin(z)/z needs no cosine
+            out = s / z
+        elif el == 1:
+            out = 3.0 * (s - z * c) / z**3
+        else:
+            out = 15.0 * ((3.0 / z**2 - 1.0) * s - 3.0 * c / z) / z**3
+    out = np.asarray(out)  # a 0-d z gives a NumPy scalar, which takes no item assignment
     small = np.abs(z) < (1e-4 if el == 0 else 2.0)
-    if not small.any():
-        return _closed_form_mean(el, z, *sin_cos)
-    out = np.empty_like(z)
     zs = z[small]
     if el == 0:
         # Taylor: 1 - z^2/(2n) + 3 z^4 / (8 n (n+2) ... ) truncated; O(z^6) error
@@ -690,18 +710,7 @@ def plane_wave_spherical_mean(n: int, z, sin_cos=None) -> np.ndarray:
         for j in range(14, 0, -1):  # terms below 1e-20 beyond j = 14 for |z| < 2
             series = 1.0 + series * x / (j * (j - 1 + 0.5 * n))
         out[small] = series
-    big = ~small
-    out[big] = _closed_form_mean(el, z[big], *(None if a is None else a[big] for a in sin_cos))
     return out
-
-
-def _closed_form_mean(el: int, z: np.ndarray, s: np.ndarray, c) -> np.ndarray:
-    """The closed form of the spherical mean at order l = el from s = sin z and c = cos z."""
-    if el == 0:  # sin(z)/z needs no cosine
-        return s / z
-    if el == 1:
-        return 3.0 * (s - z * c) / z**3
-    return 15.0 * ((3.0 / z**2 - 1.0) * s - 3.0 * c / z) / z**3
 
 
 def _radial_quadrature(
@@ -721,8 +730,9 @@ def _radial_quadrature(
     The node r = c_p + h x_k sits at offset h x_k from its panel's centre
     c_p, so sin and cos of xi r come by angle addition from those of xi c_p
     and xi h x_k: xi.size * (panels + 24) transcendental calls each, not
-    xi.size * panels * 24.
+    xi.size * panels * 24.  n is 3, 5 or 7, as for ``plane_wave_spherical_mean``.
     """
+    _check_mean_dimension(n)
     panels = max(10, math.ceil(xi_max * (r_hi - r_lo) / (2.0 * math.pi)))
     nodes, weights = gauss_legendre(24)
     half = 0.5 * (r_hi - r_lo) / panels
@@ -739,7 +749,7 @@ def _radial_quadrature(
         sb, cb = np.sin(b)[:, None, :], np.cos(b)[:, None, :]
         sin = (sa * cb + ca * sb).reshape(len(rows), r.size)
         cos = (ca * cb - sa * sb).reshape(len(rows), r.size) if n > 3 else None
-        mean = plane_wave_spherical_mean(n, rows * r, (sin, cos))
+        mean = _spherical_mean(n, rows * r, sin, cos)
         out[..., i : i + chunk] = radial @ mean.T
     return euclid.sphere_area(n) * out
 
@@ -824,6 +834,7 @@ def representation_check(
     ``plane_wave_spherical_mean``; others are a DomainError before any work.
     """
     check_dimensions(params, geometry)
+    _check_mean_dimension(geometry.n)
     if not isinstance(grid, numbers.Integral) or grid < 2 or grid % 2:
         raise DomainError(
             f"representation check needs an even grid >= 2 (an integer), got {grid}: its error "
@@ -837,7 +848,7 @@ def representation_check(
     h = euclid.parametrix_kernel(params, cut)
 
     # singular part first, mode by mode: the radial Fourier transform of H at
-    # |xi| = 2 pi |q| / L, whose spherical mean rejects an even n or n > 7
+    # |xi| = 2 pi |q| / L
     radial = _radial_fourier(n, h, 0.0, cut.tau0, 2.0 * math.pi * np.sqrt(np.sum(q * q, axis=1)) / L)
     singular_part = float(np.real(np.sum(shifted * radial)))
 

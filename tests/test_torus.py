@@ -277,6 +277,25 @@ class TestRepresentation:
         defect, _ = torus.representation_check(p, G3, {(0, 0, 0): 1.0}, np.zeros(3), grid=64)
         assert defect < 5e-6
 
+    @pytest.mark.parametrize("n, k", [(9, 1), (9, 4)])
+    def test_unsupported_dimension_rejected_before_any_evaluation(self, n, k, monkeypatch):
+        # n = 9 is refused before H is evaluated at any radius (n = 1 cannot
+        # get here: ProblemParams needs n > 2k)
+        params = ProblemParams(n, k, 300.0)
+        calls = []
+        evaluate = euclid.RadialTerms.evaluate
+
+        def counting(self, r):
+            calls.append(np.size(r))
+            return evaluate(self, r)
+
+        monkeypatch.setattr(euclid.RadialTerms, "evaluate", counting)
+        with pytest.raises(DomainError, match=f"odd n <= 7 from n = 3 only, got n = {n}"):
+            torus.representation_check(
+                params, torus.TorusGeometry(n, 1.0), {(0,) * n: 1.0}, np.zeros(n), grid=4
+            )
+        assert calls == []
+
     def test_zero_source(self):
         p = ProblemParams(3, 1, 2000.0)
         defect, _ = torus.representation_check(p, G3, {(1, 0, 0): 0.0}, np.zeros(3), grid=32)
@@ -401,14 +420,12 @@ class TestRepresentation:
         assert torus._sums_of_squares(3, 5) is sums
         assert not sums.flags.writeable
         counts = torus._cube_counts(3, 5)
-        assert torus._cube_counts(3, 5) is counts
-        assert not counts.flags.writeable
         assert np.array_equal(sums, np.flatnonzero(counts))
-        # the sums read the cached counts, which the spectral guard reads too
-        torus._sums_of_squares.cache_clear()
-        hits = torus._cube_counts.cache_info().hits
-        torus._sums_of_squares(3, 5)
-        assert torus._cube_counts.cache_info().hits == hits + 1
+        # the spectral guard's counts at the sums sit in the same cache entry
+        shell_sums, shell_counts = torus._cube_shells(3, 5)
+        assert shell_sums is sums and torus._cube_shells(3, 5)[1] is shell_counts
+        assert not shell_counts.flags.writeable
+        assert np.array_equal(shell_counts, counts[sums])
 
     @pytest.mark.parametrize(
         "n, m, offsets", [(1, 7, (0,)), (2, 6, (0, -1)), (3, 7, (0, -1)), (2, 5, (-2, -1, 0, 1, 2))]
@@ -594,6 +611,9 @@ class TestRepresentation:
         got = torus.plane_wave_spherical_mean(n, z)
         want = np.array([float(mpmath.hyp0f1(mpmath.mpf(n) / 2, -mpmath.mpf(x) ** 2 / 4)) for x in z])
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        # a scalar z gives the 0-d array of the same value
+        scalars = [torus.plane_wave_spherical_mean(n, float(x)) for x in z]
+        assert all(v.shape == () for v in scalars) and np.array_equal(scalars, got)
 
     @pytest.mark.parametrize("n", [1, -1, 4, 9])
     def test_plane_wave_mean_refuses_other_dimensions(self, n):
@@ -601,17 +621,6 @@ class TestRepresentation:
         # where cos 2.5 = -0.801); z is not even read before the refusal
         with pytest.raises(DomainError, match=f"odd n <= 7 from n = 3 only, got n = {n}"):
             torus.plane_wave_spherical_mean(n, "not an array")
-
-    @pytest.mark.parametrize("n", [3, 5, 7])
-    @pytest.mark.parametrize("z", [np.linspace(2.5, 40.0, 17), np.linspace(0.0, 40.0, 17)])
-    def test_plane_wave_mean_takes_sines_and_cosines(self, n, z):
-        # the caller's pair gives the mean computed here, with and without
-        # points in the series region; at n = 3 the cosine may be None
-        want = torus.plane_wave_spherical_mean(n, z)
-        got = torus.plane_wave_spherical_mean(n, z, (np.sin(z), np.cos(z)))
-        assert np.array_equal(got, want)
-        if n == 3:
-            assert np.array_equal(torus.plane_wave_spherical_mean(n, z, (np.sin(z), None)), want)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     @pytest.mark.parametrize("xi_max", [0.0, 30.0, 1e5])
